@@ -3,7 +3,7 @@
 Each claim stores the reported value exactly as printed at its source (the
 source string is the citation anchor, with digit-grouping spaces kept
 verbatim) together with the exact value it denotes.  Verdicts come from
-recomputing every index definition-level on the corresponding graph; the
+recomputing every index exactly on the corresponding graph; the
 reports are data, so a mismatch documents a discrepancy in the source rather
 than a defect here.
 
@@ -182,7 +182,7 @@ def builtin_claims() -> tuple[Claim, ...]:
 
 
 def evaluate_claim(claim: Claim, graph=None) -> ClaimReport:
-    """Recompute the claimed index definition-level and compare exactly."""
+    """Recompute the claimed index exactly and compare."""
     if claim.claimed is None:
         return ClaimReport(claim, None, UNEVALUABLE,
                            note=claim.note or "claimed value could not be parsed")

@@ -5,7 +5,7 @@ Subcommands:
 * gamma         build Gamma_k; emit json, dot, or the distance matrix as csv
 * divisor-graph build the divisor graph of n; same emit choices
 * indices       compute topological indices exactly (json or table)
-* verify        check every closed form against the definition-level engine
+* verify        check every closed form against edge enumeration and the index engine
 * claims        evaluate the bundled claim registry (json or markdown)
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 claim
@@ -88,8 +88,8 @@ def cmd_indices(args: argparse.Namespace) -> int:
 
 
 def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
-    """Per-(formula, k) pass/fail lines comparing closed forms to the
-    definition-level oracle, plus a summary line."""
+    """Per-(formula, k) pass/fail lines comparing closed forms to edge
+    enumeration and the index engine, plus a summary line."""
     lines: list[str] = []
     passed = failed = 0
     for k in range(k_min, k_max + 1):

@@ -1,9 +1,8 @@
 """Closed forms for Gamma_k: order, degrees, size, and four distance indices.
 
-These are the fast paths; the definition-level engine in indices is the
-oracle they are verified against (see the verify subcommand and the test
-suite).  Everything is exact; the k = 0 cases route through rationals where
-an intermediate 2**(k-1) appears.
+They are verified against edge enumeration and the index engine in indices
+(see the verify subcommand and the test suite).  Everything is exact; the
+k = 0 cases route through rationals where an intermediate 2**(k-1) appears.
 """
 
 from __future__ import annotations

@@ -1,14 +1,19 @@
-"""Topological indices computed from their definitions, in exact arithmetic.
+"""Topological indices in exact arithmetic, from one per-graph degree profile.
 
-Every function here works by enumerating pairs, edges, or vertices of the
-given graph; none of them consults the closed forms (those live in formulas
-and are verified against these).  Distance-based indices stream distance
-rows from the metric layer, so Gamma graphs use the constant-time distance
-rule and general divisor graphs use breadth-first search.
+Vertex 0 (the divisor 1) is adjacent to every other vertex, so distinct
+vertices are at distance 1 or 2 (metric.require_universal_vertex refuses a
+graph without that property).  With V vertices, m edges, degrees d_v summing
+to S, and F = C(V, 2) - m pairs at distance 2:
 
-Degree-based quantities use adjacency-counted degrees.  Equal pair or edge
-terms are accumulated grouped by their value; with exact arithmetic the
-result is independent of accumulation order.
+* W = m + 2F, WW = m + 3F, H = m + F/2;
+* the transmission D_v = 2(V-1) - d_v, so DD = sum d_v * D_v and
+  Gut = S**2 - M1 - M2, and Balaban reads D from the edge degree pairs;
+* n_u - n_v = d_u - d_v on an edge uv, so Mo = edge sum of |d_u - d_v|;
+* r(v) = S - d_v + P/d_v with P the product of all degrees.
+
+Every index is thus exact arithmetic over a Profile, computed once per graph
+and cached on it.  The enumeration definitions these identities replace are
+kept as the oracle in tests/index_definitions.py.
 """
 
 from __future__ import annotations
@@ -16,10 +21,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import prod
+from math import comb, prod
 
 from . import metric
-from .exact import RadicalSum, Value, inv_sqrt, normalize, value_to_json
+from .exact import RadicalSum, Value, normalize, value_to_json
 from .graphs import DprimeGraph, GeneralDivisorGraph
 
 #: Canonical index names, in report order.
@@ -41,103 +46,6 @@ INDEX_NAMES = (
 )
 
 
-def _pair_distance_counts(g) -> Counter:
-    """How often each distance value occurs over unordered vertex pairs."""
-    counts: Counter = Counter()
-    for i, row in enumerate(metric.distance_rows(g)):
-        counts.update(row[i + 1 :])
-    return counts
-
-
-def _edge_degree_pairs(g) -> Counter:
-    """How often each (deg u, deg v) pair (unordered, as sorted tuple) occurs."""
-    deg = g.degrees()
-    return Counter(tuple(sorted((deg[i], deg[j]))) for i, j in g.edges())
-
-
-def wiener(g) -> Value:
-    """Sum of distances over unordered pairs."""
-    return sum(d * c for d, c in _pair_distance_counts(g).items())
-
-
-def hyper_wiener(g) -> Value:
-    """Half the sum of d + d**2 over unordered pairs."""
-    acc = sum((d + d * d) * c for d, c in _pair_distance_counts(g).items())
-    return normalize(Fraction(acc, 2))
-
-
-def harary(g) -> Value:
-    """Sum of reciprocal distances over unordered pairs."""
-    acc = sum(
-        (Fraction(c, d) for d, c in _pair_distance_counts(g).items()),
-        start=Fraction(0),
-    )
-    return normalize(acc)
-
-
-def zagreb1(g) -> Value:
-    """Sum of squared vertex degrees."""
-    return sum(d * d for d in g.degrees())
-
-
-def zagreb2(g) -> Value:
-    """Sum of degree products over edges."""
-    return sum(a * b * c for (a, b), c in _edge_degree_pairs(g).items())
-
-
-def degree_distance(g) -> Value:
-    """Sum over unordered pairs of (deg u + deg v) * d(u, v)."""
-    deg = g.degrees()
-    acc = 0
-    for i, row in enumerate(metric.distance_rows(g)):
-        di = deg[i]
-        for j in range(i + 1, len(row)):
-            acc += (di + deg[j]) * row[j]
-    return acc
-
-
-def gutman(g) -> Value:
-    """Sum over unordered pairs of deg u * deg v * d(u, v)."""
-    deg = g.degrees()
-    acc = 0
-    for i, row in enumerate(metric.distance_rows(g)):
-        di = deg[i]
-        for j in range(i + 1, len(row)):
-            acc += di * deg[j] * row[j]
-    return acc
-
-
-def balaban(g) -> Value:
-    """m/(mu+1) times the edge sum of 1/sqrt(D_u * D_v), D = transmission."""
-    m = len(g.edges())
-    if m == 0:
-        return 0
-    mu = m - g.order + 1
-    tr = metric.transmissions(g)
-    products = Counter(tr[i] * tr[j] for i, j in g.edges())
-    acc = RadicalSum()
-    for p, c in products.items():
-        acc = acc + inv_sqrt(p) * c
-    return normalize(acc * Fraction(m, mu + 1))
-
-
-def harmonic(g) -> Value:
-    """Edge sum of 2/(deg u + deg v)."""
-    acc = sum(
-        (Fraction(2 * c, a + b) for (a, b), c in _edge_degree_pairs(g).items()),
-        start=Fraction(0),
-    )
-    return normalize(acc)
-
-
-def randic(g) -> Value:
-    """Edge sum of 1/sqrt(deg u * deg v)."""
-    acc = RadicalSum()
-    for (a, b), c in _edge_degree_pairs(g).items():
-        acc = acc + inv_sqrt(a * b) * c
-    return normalize(acc)
-
-
 @dataclass(frozen=True)
 class RDegree:
     """R-degree of a vertex: degree-sum part S_v plus degree-product part M_v."""
@@ -150,79 +58,158 @@ class RDegree:
         return self.s + self.m
 
 
+class Profile:
+    """Order, size, degree counts, (deg u, deg v) edge-pair counts and the
+    degree sum and product of one graph; every index reads only these."""
+
+    def __init__(self, g):
+        metric.require_universal_vertex(g)
+        deg, edges = g.degrees(), g.edges()
+        self.order, self.size = g.order, len(edges)
+        self.far_pairs = comb(self.order, 2) - self.size  # F
+        self.degree_counts = Counter(deg)
+        self.pair_counts = Counter(tuple(sorted((deg[i], deg[j]))) for i, j in edges)
+        self.degree_sum, self.degree_product = sum(deg), prod(deg)
+        self.zagreb1 = sum(d * d * c for d, c in self.degree_counts.items())
+        self.zagreb2 = sum(a * b * c for (a, b), c in self.pair_counts.items())
+
+    def transmission(self, d: int) -> int:
+        """D_v of a vertex of degree d."""
+        return 2 * (self.order - 1) - d
+
+    def r_degree(self, d: int) -> RDegree:
+        """R-degree of a vertex of degree d; d = 0 only on a single vertex,
+        where the product of the other degrees is empty."""
+        return RDegree(self.degree_sum - d, self.degree_product // d if d else 1)
+
+
+def profile(g) -> Profile:
+    """The graph's Profile, computed on first use and cached on the graph."""
+    p = vars(g).get("_profile")
+    if p is None:
+        p = vars(g)["_profile"] = Profile(g)
+    return p
+
+
+def _inv_sqrt_sum(counts: Counter, scale: Fraction = Fraction(1)) -> Value:
+    """scale * sum of c/sqrt(q) over counts {q: c}, built as one RadicalSum."""
+    return normalize(RadicalSum({q: scale * Fraction(c, q) for q, c in counts.items()}))
+
+
+def wiener(g) -> Value:
+    """Sum of distances over unordered pairs: m + 2F."""
+    p = profile(g)
+    return p.size + 2 * p.far_pairs
+
+
+def hyper_wiener(g) -> Value:
+    """Half the sum of d + d**2 over unordered pairs: m + 3F."""
+    p = profile(g)
+    return p.size + 3 * p.far_pairs
+
+
+def harary(g) -> Value:
+    """Sum of reciprocal distances over unordered pairs: m + F/2."""
+    p = profile(g)
+    return normalize(Fraction(2 * p.size + p.far_pairs, 2))
+
+
+def zagreb1(g) -> Value:
+    """Sum of squared vertex degrees."""
+    return profile(g).zagreb1
+
+
+def zagreb2(g) -> Value:
+    """Sum of degree products over edges."""
+    return profile(g).zagreb2
+
+
+def degree_distance(g) -> Value:
+    """Sum over unordered pairs of (deg u + deg v) * d(u, v) = sum d_v * D_v."""
+    p = profile(g)
+    return sum(d * p.transmission(d) * c for d, c in p.degree_counts.items())
+
+
+def gutman(g) -> Value:
+    """Sum over unordered pairs of deg u * deg v * d(u, v) = S**2 - M1 - M2."""
+    p = profile(g)
+    return p.degree_sum**2 - p.zagreb1 - p.zagreb2
+
+
+def balaban(g) -> Value:
+    """m/(mu+1) times the edge sum of 1/sqrt(D_u * D_v), D = transmission."""
+    p = profile(g)
+    if p.size == 0:
+        return 0
+    products: Counter = Counter()
+    for (a, b), c in p.pair_counts.items():
+        products[p.transmission(a) * p.transmission(b)] += c
+    mu = p.size - p.order + 1
+    return _inv_sqrt_sum(products, Fraction(p.size, mu + 1))
+
+
+def harmonic(g) -> Value:
+    """Edge sum of 2/(deg u + deg v)."""
+    pairs = profile(g).pair_counts.items()
+    return normalize(sum((Fraction(2 * c, a + b) for (a, b), c in pairs), start=Fraction(0)))
+
+
+def randic(g) -> Value:
+    """Edge sum of 1/sqrt(deg u * deg v)."""
+    products: Counter = Counter()
+    for (a, b), c in profile(g).pair_counts.items():
+        products[a * b] += c
+    return _inv_sqrt_sum(products)
+
+
 def r_degree(g, i: int) -> RDegree:
     """S_v = sum of the other degrees; M_v = product of the other degrees."""
-    deg = g.degrees()
-    total = sum(deg)
-    d = deg[i]
-    if d > 0:
-        m = prod(deg) // d
-    else:
-        # single-vertex graph: empty product
-        m = prod(deg[j] for j in range(len(deg)) if j != i)
-    return RDegree(total - d, m)
+    return profile(g).r_degree(g.degrees()[i])
 
 
-def _r_values(g) -> list[int]:
-    return [r_degree(g, i).r for i in range(g.order)]
+def _r_pairs(g):
+    """(r(u), r(v), count) per edge degree pair."""
+    p = profile(g)
+    r = {d: p.r_degree(d).r for d in p.degree_counts}
+    return [(r[a], r[b], c) for (a, b), c in p.pair_counts.items()]
 
 
 def r1(g) -> Value:
     """Vertex sum of r(v)**2."""
-    return sum(r * r for r in _r_values(g))
+    p = profile(g)
+    return sum(p.r_degree(d).r ** 2 * c for d, c in p.degree_counts.items())
 
 
 def r2(g) -> Value:
     """Edge sum of r(u) * r(v)."""
-    r = _r_values(g)
-    return sum(r[i] * r[j] for i, j in g.edges())
+    return sum(ru * rv * c for ru, rv, c in _r_pairs(g))
 
 
 def r3(g) -> Value:
     """Edge sum of r(u) + r(v)."""
-    r = _r_values(g)
-    return sum(r[i] + r[j] for i, j in g.edges())
+    return sum((ru + rv) * c for ru, rv, c in _r_pairs(g))
 
 
 def mostar(g) -> Value:
-    """Edge sum of |n_u - n_v| with n_u, n_v the closer-vertex counts."""
-    rows = list(metric.distance_rows(g))
-    acc = 0
-    for i, j in g.edges():
-        ri, rj = rows[i], rows[j]
-        n_u = sum(1 for a, b in zip(ri, rj) if a < b)
-        n_v = sum(1 for a, b in zip(ri, rj) if b < a)
-        acc += abs(n_u - n_v)
-    return acc
+    """Edge sum of |n_u - n_v| (closer-vertex counts) = edge sum of |d_u - d_v|."""
+    return sum((b - a) * c for (a, b), c in profile(g).pair_counts.items())
 
 
-_DISPATCH = {
-    "wiener": wiener,
-    "hyper_wiener": hyper_wiener,
-    "harary": harary,
-    "zagreb1": zagreb1,
-    "zagreb2": zagreb2,
-    "degree_distance": degree_distance,
-    "gutman": gutman,
-    "balaban": balaban,
-    "harmonic": harmonic,
-    "randic": randic,
-    "r1": r1,
-    "r2": r2,
-    "r3": r3,
-    "mostar": mostar,
-}
+_DISPATCH = {name: globals()[name] for name in INDEX_NAMES}
 
 
-def compute_index(g, name: str) -> Value:
-    """One index by name; unknown names raise ValueError listing valid ones."""
+def _index_function(name: str):
     try:
-        fn = _DISPATCH[name]
+        return _DISPATCH[name]
     except KeyError:
         raise ValueError(
             f"unknown index {name!r}; valid names: {', '.join(INDEX_NAMES)}"
         ) from None
-    return fn(g)
+
+
+def compute_index(g, name: str) -> Value:
+    """One index by name; unknown names raise ValueError listing valid ones."""
+    return _index_function(name)(g)
 
 
 def compute_indices(g, names=None) -> dict[str, Value]:
@@ -231,10 +218,7 @@ def compute_indices(g, names=None) -> dict[str, Value]:
         names = INDEX_NAMES
     else:
         for n in names:
-            if n not in _DISPATCH:
-                raise ValueError(
-                    f"unknown index {n!r}; valid names: {', '.join(INDEX_NAMES)}"
-                )
+            _index_function(n)
         names = [n for n in INDEX_NAMES if n in set(names)]
     return {n: _DISPATCH[n](g) for n in names}
 

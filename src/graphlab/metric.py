@@ -1,9 +1,11 @@
 """Distances, transmissions, diameter, and Mostar edge counts.
 
-For Gamma_k there is a constant-time distance rule: distinct divisors are at
-distance 1 when comparable and 2 otherwise, because 1 and n are adjacent to
-everything.  A breadth-first oracle valid for any connected graph backs that
-rule up and serves the general divisor graphs.
+Every graph the package builds follows one distance rule: 0 on the diagonal,
+1 between neighbours, 2 otherwise, because vertex 0 (the divisor 1) is
+adjacent to every other vertex.  So the transmission of v is 2(V-1) - deg v.
+require_universal_vertex is the one check of that condition; everything here
+and the index profile call it, and raise ValueError on a graph it fails.
+Breadth-first search is not used at run time: it is the tests' oracle.
 """
 
 from __future__ import annotations
@@ -11,8 +13,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from typing import Iterator
-
-from .graphs import DprimeGraph, _comparable
 
 
 class DisconnectedGraphError(ValueError):
@@ -39,16 +39,28 @@ class DistanceMatrix:
         return "\n".join(lines) + "\n"
 
 
-def distance_fast(g: DprimeGraph, i: int, j: int) -> int:
-    """Distance in Gamma_k: 0, 1 if comparable, else 2."""
+def require_universal_vertex(g) -> None:
+    """Refuse a graph on which the 0/1/2 distance rule may be wrong: vertex 0
+    must be adjacent to every other vertex."""
+    if g.order and g.degrees()[0] != g.order - 1:
+        raise ValueError(
+            f"the 0/1/2 distance rule needs vertex 0 adjacent to every other vertex; "
+            f"it is adjacent to {g.degrees()[0]} of {g.order - 1}"
+        )
+
+
+def distance_fast(g, i: int, j: int) -> int:
+    """Distance by the rule: 0, 1 if adjacent, else 2."""
+    require_universal_vertex(g)
     if i == j:
         return 0
-    return 1 if _comparable(g.mask(i), g.mask(j)) else 2
+    return 1 if g.adjacent(i, j) else 2
 
 
-def _fast_row(g: DprimeGraph, i: int) -> list[int]:
-    mi = g.mask(i)
-    row = [1 if _comparable(mi, m) else 2 for m in g.masks()]
+def _rule_row(g, i: int) -> list[int]:
+    row = [2] * g.order
+    for j in g.neighbors(i):
+        row[j] = 1
     row[i] = 0
     return row
 
@@ -81,14 +93,9 @@ def bfs_row(g, source: int) -> list[int]:
 
 
 def distance_rows(g) -> Iterator[list[int]]:
-    """Stream the distance matrix row by row: the Gamma_k rule for
-    DprimeGraph, breadth-first search for anything else."""
-    if isinstance(g, DprimeGraph):
-        for i in range(g.order):
-            yield _fast_row(g, i)
-    else:
-        for i in range(g.order):
-            yield bfs_row(g, i)
+    """Stream the distance matrix row by row by the 0/1/2 rule."""
+    require_universal_vertex(g)
+    return (_rule_row(g, i) for i in range(g.order))
 
 
 def distance_matrix(g) -> DistanceMatrix:
@@ -102,19 +109,22 @@ def distance_matrix_bfs(g) -> DistanceMatrix:
 
 
 def transmission(g, i: int) -> int:
-    """Sum of distances from vertex i to every vertex."""
-    if isinstance(g, DprimeGraph):
-        return sum(_fast_row(g, i))
-    return sum(bfs_row(g, i))
+    """Sum of distances from vertex i to every vertex: 2(V-1) - deg i."""
+    require_universal_vertex(g)
+    return 2 * (g.order - 1) - g.degrees()[i]
 
 
 def transmissions(g) -> list[int]:
-    return [sum(row) for row in distance_rows(g)]
+    require_universal_vertex(g)
+    return [2 * (g.order - 1) - d for d in g.degrees()]
 
 
 def diameter(g) -> int:
-    """Largest distance over all pairs."""
-    return max(max(row) for row in distance_rows(g))
+    """Largest distance over all pairs: 2 unless the graph is complete."""
+    require_universal_vertex(g)
+    if g.order < 2:
+        return 0
+    return 1 if 2 * len(g.edges()) == g.order * (g.order - 1) else 2
 
 
 @dataclass
@@ -134,10 +144,8 @@ def mostar_counts(g, edge: tuple[int, int]) -> EdgeCloserCounts:
     i, j = edge
     if not g.adjacent(i, j):
         raise ValueError(f"({i}, {j}) is not an edge")
-    if isinstance(g, DprimeGraph):
-        ri, rj = _fast_row(g, i), _fast_row(g, j)
-    else:
-        ri, rj = bfs_row(g, i), bfs_row(g, j)
+    require_universal_vertex(g)
+    ri, rj = _rule_row(g, i), _rule_row(g, j)
     n_u = sum(1 for a, b in zip(ri, rj) if a < b)
     n_v = sum(1 for a, b in zip(ri, rj) if b < a)
     return EdgeCloserCounts(n_u, n_v)

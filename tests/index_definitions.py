@@ -1,0 +1,82 @@
+"""Definition-level reference for the fourteen indices, for the tests.
+
+Every value is enumerated from its definition: pair sums over breadth-first
+distance rows, Balaban from breadth-first transmissions, Mostar from
+closer-vertex counts read off two rows per edge, and r-values from the
+product of the other degrees of each vertex.  Nothing here uses the
+diameter-2 identities or the degree profile of graphlab.indices, so the two
+can be compared on any connected graph.
+"""
+
+from collections import Counter
+from fractions import Fraction
+from math import prod
+
+from graphlab.exact import RadicalSum, inv_sqrt, normalize
+from graphlab.metric import bfs_row
+
+
+def _inv_sqrt_sum(counts):
+    acc = RadicalSum()
+    for q, c in counts.items():
+        acc = acc + inv_sqrt(q) * c
+    return acc
+
+
+def reference_indices(g) -> dict:
+    """All fourteen indices of g by enumeration, keyed by index name."""
+    rows = [bfs_row(g, i) for i in range(g.order)]
+    deg, edges = g.degrees(), g.edges()
+    pairs = [(i, j, rows[i][j]) for i in range(g.order) for j in range(i + 1, g.order)]
+    m = len(edges)
+    tr = [sum(row) for row in rows]
+    r = [sum(deg) - deg[i] + prod(deg[j] for j in range(g.order) if j != i)
+         for i in range(g.order)]
+    balaban = 0
+    if m:
+        mu = m - g.order + 1
+        balaban = _inv_sqrt_sum(Counter(tr[i] * tr[j] for i, j in edges)) * Fraction(m, mu + 1)
+    mostar = 0
+    for i, j in edges:
+        n_u = sum(1 for a, b in zip(rows[i], rows[j]) if a < b)
+        n_v = sum(1 for a, b in zip(rows[i], rows[j]) if b < a)
+        mostar += abs(n_u - n_v)
+    values = {
+        "wiener": sum(d for _, _, d in pairs),
+        "hyper_wiener": Fraction(sum(d + d * d for _, _, d in pairs), 2),
+        "harary": sum((Fraction(1, d) for _, _, d in pairs), Fraction(0)),
+        "zagreb1": sum(d * d for d in deg),
+        "zagreb2": sum(deg[i] * deg[j] for i, j in edges),
+        "degree_distance": sum((deg[i] + deg[j]) * d for i, j, d in pairs),
+        "gutman": sum(deg[i] * deg[j] * d for i, j, d in pairs),
+        "balaban": balaban,
+        "harmonic": sum((Fraction(2, deg[i] + deg[j]) for i, j in edges), Fraction(0)),
+        "randic": _inv_sqrt_sum(Counter(deg[i] * deg[j] for i, j in edges)),
+        "r1": sum(x * x for x in r),
+        "r2": sum(r[i] * r[j] for i, j in edges),
+        "r3": sum(r[i] + r[j] for i, j in edges),
+        "mostar": mostar,
+    }
+    return {name: normalize(v) for name, v in values.items()}
+
+
+class Path3:
+    """Stub graph: the path 0-1-2.  It has diameter 2, but vertex 0 is not
+    adjacent to vertex 2, so the 0/1/2 distance rule must refuse it."""
+
+    order = 3
+
+    def edges(self):
+        return ((0, 1), (1, 2))
+
+    def degrees(self):
+        return (1, 2, 1)
+
+    def neighbors(self, i):
+        return {0: (1,), 1: (0, 2), 2: (1,)}[i]
+
+    def adjacent(self, i, j):
+        return abs(i - j) == 1
+
+    def labels(self):
+        return ["a", "b", "c"]

@@ -1,4 +1,4 @@
-"""Closed forms: frozen examples and equality with the definition engine."""
+"""Closed forms: frozen examples and equality with the index engine."""
 
 from fractions import Fraction
 

@@ -1,4 +1,5 @@
-"""Definition-level index engine: frozen expected values and cross-checks.
+"""Index engine: frozen expected values and cross-checks against the
+enumeration definitions in index_definitions.
 
 Expected values for Gamma_3 come from the printed tables; the Gamma_4 and
 Gamma_5 expectations were derived independently from the degree multisets
@@ -11,7 +12,8 @@ from math import comb
 
 import pytest
 
-from graphlab.exact import RadicalSum, inv_sqrt, values_equal
+from graphlab import metric
+from graphlab.exact import RadicalSum, inv_sqrt, value_to_json, values_equal
 from graphlab.graphs import build_gamma, build_general
 from graphlab.indices import (
     INDEX_NAMES,
@@ -35,6 +37,7 @@ from graphlab.indices import (
     zagreb2,
 )
 from graphlab.metric import distance_matrix_bfs
+from index_definitions import Path3, reference_indices
 
 F = Fraction
 
@@ -278,3 +281,33 @@ def test_report_dict_shape():
     assert doc2["graph"] == {"family": "divisor", "n": 12}
     doc3 = report_dict(build_gamma(2, (2, 3)), {})
     assert doc3["graph"] == {"family": "gamma", "k": 2, "primes": [2, 3]}
+
+
+MIXED_SHAPES = (720, 3360, 5040, 5400)  # 2^4*3^2*5, 2^5*3*5*7, 2^4*3^2*5*7, 2^3*3^3*5^2
+
+
+def test_profile_engine_equals_definitions():
+    graphs = [build_gamma(k) for k in range(8)]
+    graphs += [build_gamma(3, (2, 3, 5)), build_gamma(3, (101, 103, 107))]
+    graphs += [build_general(n) for n in range(1, 601)]
+    graphs += [build_general(n) for n in MIXED_SHAPES]
+    for g in graphs:
+        got = {name: value_to_json(v) for name, v in compute_indices(g).items()}
+        expected = {name: value_to_json(v) for name, v in reference_indices(g).items()}
+        assert got == expected, g
+
+
+def test_profile_refuses_graph_without_universal_vertex():
+    for name in INDEX_NAMES:
+        with pytest.raises(ValueError, match="vertex 0 adjacent to every other vertex"):
+            compute_index(Path3(), name)
+
+
+def test_indices_run_no_breadth_first_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("distance rows requested at run time")
+
+    monkeypatch.setattr(metric, "bfs_row", refuse)
+    monkeypatch.setattr(metric, "distance_rows", refuse)
+    for g in (build_gamma(5), build_general(5040)):
+        assert list(compute_indices(g)) == list(INDEX_NAMES)

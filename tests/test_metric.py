@@ -10,10 +10,14 @@ from graphlab.metric import (
     distance_fast,
     distance_matrix,
     distance_matrix_bfs,
+    distance_rows,
     mostar_counts,
     transmission,
     transmissions,
 )
+from index_definitions import Path3
+
+MIXED_SHAPES = (720, 3360, 5040, 5400)
 
 # the 8x8 matrix for Gamma_3 in canonical order 1, p1, p2, p3, p1p2, p1p3, p2p3, n
 GAMMA3_MATRIX = [
@@ -48,9 +52,21 @@ def test_gamma0_matrix():
 
 
 def test_fast_rule_equals_bfs():
-    for k in range(7):
-        g = build_gamma(k)
-        assert distance_matrix(g).rows == distance_matrix_bfs(g).rows
+    graphs = [build_gamma(k) for k in range(7)]
+    graphs += [build_general(n) for n in range(1, 301)]
+    graphs += [build_general(n) for n in MIXED_SHAPES]
+    for g in graphs:
+        assert distance_matrix(g).rows == distance_matrix_bfs(g).rows, g
+        assert transmissions(g) == [sum(row) for row in distance_matrix_bfs(g).rows], g
+
+
+def test_distance_rule_refuses_graph_without_universal_vertex():
+    g = Path3()
+    assert max(bfs_row(g, 0)) == 2  # diameter 2, yet vertex 0 is not universal
+    for query in (distance_rows, transmissions, diameter, lambda g: transmission(g, 1),
+                  lambda g: mostar_counts(g, (0, 1))):
+        with pytest.raises(ValueError, match="vertex 0 adjacent to every other vertex"):
+            query(g)
 
 
 def test_matrix_structure():
