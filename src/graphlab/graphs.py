@@ -8,8 +8,16 @@ structure depends on the actual primes.  The canonical vertex order sorts by
 omega (number of prime factors) ascending, then by bitmask ascending.
 
 GeneralDivisorGraph is the same construction on *all* divisors of an
-arbitrary n >= 1.  For squarefree n it reproduces Gamma_{omega(n)} under the
-map sending a divisor to the set of prime positions dividing it.
+arbitrary n >= 1, in ascending order.  For squarefree n it reproduces
+Gamma_{omega(n)} under the map sending a divisor to the set of prime
+positions dividing it.
+
+Both graphs carry the exponents of n (all 1 for Gamma_k) and one exponent
+vector per vertex, and everything else is read off that lattice: the degree
+of a divisor d is tau(d) + tau(n/d) - 2, and the edges are listed as each
+vertex's proper multiples, found by adding mixed-radix offsets to its code.
+In both canonical orders a divisor comes before its multiples, so listing
+the rows in vertex order gives the edges in lexicographic order in O(|E|).
 
 Graphs are immutable after construction; derived data (edges, degrees,
 neighbor lists) is computed once and cached, which also keeps them safe to
@@ -19,7 +27,8 @@ share across threads.
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import combinations
+from itertools import repeat
+from operator import mul
 
 _DEFAULT_MAX_DIVISORS = 4096
 
@@ -87,10 +96,16 @@ class Divisor:
 
 
 class _GraphBase:
-    """Shared caching for the undirected graphs below; subclasses define
-    order, adjacent(i, j), and labels()."""
+    """Shared lattice data and caching for the undirected graphs below;
+    subclasses set exponents (of n) and vectors (one exponent vector per
+    vertex, in canonical order) and define adjacent(i, j) and labels()."""
 
-    order: int
+    exponents: tuple[int, ...]
+    vectors: tuple[tuple[int, ...], ...]
+
+    @property
+    def order(self) -> int:
+        return len(self.vectors)
 
     def adjacent(self, i: int, j: int) -> bool:
         raise NotImplementedError
@@ -99,33 +114,52 @@ class _GraphBase:
         raise NotImplementedError
 
     @cached_property
-    def _edges_and_degrees(self) -> tuple[tuple[tuple[int, int], ...], tuple[int, ...]]:
-        deg = [0] * self.order
-        edges = []
-        for i, j in combinations(range(self.order), 2):
-            if self.adjacent(i, j):
-                edges.append((i, j))
-                deg[i] += 1
-                deg[j] += 1
-        return tuple(edges), tuple(deg)
+    def _edges(self) -> tuple[tuple[int, int], ...]:
+        radix, r = [], 1
+        for e in self.exponents:
+            radix.append(r)
+            r *= e + 1
+        codes = [sum(map(mul, v, radix)) for v in self.vectors]
+        index = [0] * self.order
+        for i, c in enumerate(codes):
+            index[c] = i
+        edges: list[tuple[int, int]] = []
+        for i, v in enumerate(self.vectors):
+            multiples = [codes[i]]
+            for a, e, w in zip(v, self.exponents, radix):
+                if a < e:
+                    multiples = [c + t * w for t in range(e - a + 1) for c in multiples]
+            # multiples[0] is vertex i itself; its proper multiples all come
+            # later in the canonical order, so i sorts first and is dropped.
+            row = sorted([index[c] for c in multiples])
+            edges.extend(zip(repeat(i), row[1:]))
+        return tuple(edges)
 
     def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges as (i, j) with i < j, in canonical (lexicographic) order."""
-        return self._edges_and_degrees[0]
+        """Edges as (i, j) with i < j, in canonical (lexicographic) order:
+        row i lists the proper multiples of vertex i."""
+        return self._edges
 
     def size(self) -> int:
-        return len(self.edges())
+        return sum(self.degrees()) // 2
 
     def degree(self, i: int) -> int:
-        """Degree by adjacency count."""
-        return self._edges_and_degrees[1][i]
+        return self.degrees()[i]
+
+    @cached_property
+    def _degrees(self) -> tuple[int, ...]:
+        degrees = []
+        for v in self.vectors:
+            tau = cotau = 1
+            for a, e in zip(v, self.exponents):
+                tau *= a + 1
+                cotau *= e - a + 1
+            degrees.append(tau + cotau - 2)
+        return tuple(degrees)
 
     def degrees(self) -> tuple[int, ...]:
-        return self._edges_and_degrees[1]
-
-    def degree_sequence(self) -> tuple[int, ...]:
-        """Degrees in canonical vertex order."""
-        return self.degrees()
+        """Degrees in canonical vertex order: tau(d) + tau(n/d) - 2."""
+        return self._degrees
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
@@ -165,10 +199,11 @@ class DprimeGraph(_GraphBase):
                 Divisor(m, k, _mask_value(m, basis)) for m in masks
             )
         self._index_of_mask = {m: i for i, m in enumerate(masks)}
-
-    @property
-    def order(self) -> int:
-        return 1 << self.k
+        self.exponents = (1,) * k
+        by_mask = [()]
+        for _ in range(k):
+            by_mask = [v + (0,) for v in by_mask] + [v + (1,) for v in by_mask]
+        self.vectors = tuple(by_mask[m] for m in masks)
 
     def mask(self, i: int) -> int:
         return self._masks[i]
@@ -233,12 +268,11 @@ class GeneralDivisorGraph(_GraphBase):
             raise ValueError(
                 f"n={n} has {count} divisors, above the cap of {max_divisors}"
             )
-        self.divisors = tuple(sorted(_divisors_of(self.factorization)))
+        self.exponents = tuple(e for _, e in self.factorization)
+        by_value = sorted(_divisors_of(self.factorization))
+        self.divisors = tuple(d for d, _ in by_value)
+        self.vectors = tuple(v for _, v in by_value)
         self._index = {d: i for i, d in enumerate(self.divisors)}
-
-    @property
-    def order(self) -> int:
-        return len(self.divisors)
 
     def adjacent(self, i: int, j: int) -> bool:
         a, b = self.divisors[i], self.divisors[j]
@@ -297,10 +331,11 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _divisors_of(factorization: tuple[tuple[int, int], ...]) -> list[int]:
-    divs = [1]
+def _divisors_of(factorization: tuple[tuple[int, int], ...]) -> list[tuple[int, tuple[int, ...]]]:
+    """Every divisor with its exponent vector, as (d, (a_1, ...))."""
+    divs = [(1, ())]
     for p, e in factorization:
-        divs = [d * p**i for d in divs for i in range(e + 1)]
+        divs = [(d * p**i, v + (i,)) for d, v in divs for i in range(e + 1)]
     return divs
 
 

@@ -1,14 +1,16 @@
 """Definition-level reference for the fourteen indices, for the tests.
 
-Every value is enumerated from its definition: pair sums over breadth-first
-distance rows, Balaban from breadth-first transmissions, Mostar from
-closer-vertex counts read off two rows per edge, and r-values from the
-product of the other degrees of each vertex.  Nothing here uses the
-diameter-2 identities or the degree profile of graphlab.indices, so the two
-can be compared on any connected graph.
+Every value is enumerated from its definition: edges and degrees by testing
+adjacent() on every vertex pair, pair sums over breadth-first distance rows,
+Balaban from breadth-first transmissions, Mostar from closer-vertex counts
+read off two rows per edge, and r-values from the product of the other
+degrees of each vertex.  Nothing here uses the lattice edge listing, the
+closed-form degrees, the diameter-2 identities or the degree profile of
+graphlab, so the two can be compared on any connected graph.
 """
 
 from collections import Counter
+from itertools import combinations
 from fractions import Fraction
 from math import prod
 
@@ -23,10 +25,37 @@ def _inv_sqrt_sum(counts):
     return acc
 
 
+def edges_and_degrees(g):
+    """Edges (i < j, lexicographic) and degrees by testing every vertex pair."""
+    deg = [0] * g.order
+    edges = []
+    for i, j in combinations(range(g.order), 2):
+        if g.adjacent(i, j):
+            edges.append((i, j))
+            deg[i] += 1
+            deg[j] += 1
+    return tuple(edges), tuple(deg)
+
+
+class _ScannedGraph:
+    """Order and neighbour lists from edges_and_degrees, for bfs_row."""
+
+    def __init__(self, order, edges):
+        self.order = order
+        self._adj = [[] for _ in range(order)]
+        for i, j in edges:
+            self._adj[i].append(j)
+            self._adj[j].append(i)
+
+    def neighbors(self, i):
+        return self._adj[i]
+
+
 def reference_indices(g) -> dict:
     """All fourteen indices of g by enumeration, keyed by index name."""
-    rows = [bfs_row(g, i) for i in range(g.order)]
-    deg, edges = g.degrees(), g.edges()
+    edges, deg = edges_and_degrees(g)
+    scanned = _ScannedGraph(g.order, edges)
+    rows = [bfs_row(scanned, i) for i in range(g.order)]
     pairs = [(i, j, rows[i][j]) for i in range(g.order) for j in range(i + 1, g.order)]
     m = len(edges)
     tr = [sum(row) for row in rows]

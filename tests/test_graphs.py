@@ -5,6 +5,11 @@ import json
 import pytest
 
 from graphlab.graphs import build_gamma, build_general
+from index_definitions import edges_and_degrees
+
+# 2^4*3^2*5, 2^5*3*5*7, 2^4*3^2*5*7, 2^3*3^3*5^2, 2^5*3^3*5^2*7*11*13,
+# 2^2*5^2*19^2*47*83^2
+MIXED_SHAPES = (720, 3360, 5040, 5400, 21621600, 11688566300)
 
 
 def test_gamma3_canonical_order():
@@ -56,12 +61,23 @@ def test_edges_canonical_order():
     assert all(i < j for i, j in e)
 
 
+def test_lattice_edges_and_degrees_equal_pair_scan():
+    graphs = [build_gamma(k) for k in range(10)] + [build_gamma(4, (2, 3, 5, 7))]
+    graphs += [build_general(n) for n in range(1, 1201)]
+    graphs += [build_general(n) for n in MIXED_SHAPES]
+    for g in graphs:
+        edges, deg = edges_and_degrees(g)
+        assert g.edges() == edges, g
+        assert g.degrees() == deg, g
+        assert g.size() == len(edges), g
+
+
 def test_degree_sequences_match_printed_tables():
-    assert build_gamma(3).degree_sequence() == (7, 4, 4, 4, 4, 4, 4, 7)
-    assert build_gamma(4).degree_sequence() == (
+    assert build_gamma(3).degrees() == (7, 4, 4, 4, 4, 4, 4, 7)
+    assert build_gamma(4).degrees() == (
         15, 8, 8, 8, 8, 6, 6, 6, 6, 6, 6, 8, 8, 8, 8, 15)
     g5 = build_gamma(5)
-    assert g5.degree_sequence() == (31,) + (16,) * 5 + (10,) * 10 + (10,) * 10 + (16,) * 5 + (31,)
+    assert g5.degrees() == (31,) + (16,) * 5 + (10,) * 10 + (10,) * 10 + (16,) * 5 + (31,)
 
 
 def test_degree_sum_is_twice_size():

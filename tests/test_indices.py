@@ -7,13 +7,15 @@ and edge classes (an edge joins omega classes a < b in C(k,b)*C(b,a) ways)
 before the engine existed, and are frozen here.
 """
 
+from collections import Counter
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
-from graphlab import metric
+from graphlab import graphs, metric
 from graphlab.exact import RadicalSum, inv_sqrt, value_to_json, values_equal
+from graphlab.formulas import degree_formula
 from graphlab.graphs import build_gamma, build_general
 from graphlab.indices import (
     INDEX_NAMES,
@@ -25,7 +27,9 @@ from graphlab.indices import (
     harary,
     harmonic,
     hyper_wiener,
+    lattice_counts,
     mostar,
+    profile,
     r1,
     r2,
     r3,
@@ -37,7 +41,7 @@ from graphlab.indices import (
     zagreb2,
 )
 from graphlab.metric import distance_matrix_bfs
-from index_definitions import Path3, reference_indices
+from index_definitions import Path3, edges_and_degrees, reference_indices
 
 F = Fraction
 
@@ -295,6 +299,49 @@ def test_profile_engine_equals_definitions():
         got = {name: value_to_json(v) for name, v in compute_indices(g).items()}
         expected = {name: value_to_json(v) for name, v in reference_indices(g).items()}
         assert got == expected, g
+
+
+def test_profile_equals_pair_scan_counts():
+    sample = [build_gamma(k) for k in range(10)] + [build_gamma(4, (2, 3, 5, 7))]
+    sample += [build_general(n) for n in range(1, 1201)]
+    sample += [build_general(n) for n in MIXED_SHAPES + (21621600, 11688566300)]
+    for g in sample:
+        edges, deg = edges_and_degrees(g)
+        pair_counts = Counter(tuple(sorted((deg[i], deg[j]))) for i, j in edges)
+        p = profile(g)
+        assert (p.order, p.size, p.far_pairs) == (g.order, len(edges), comb(g.order, 2) - len(edges)), g
+        assert p.degree_counts == Counter(deg), g
+        assert p.pair_counts == pair_counts, g
+        assert (p.degree_sum, p.degree_product) == (sum(deg), prod(deg)), g
+        assert p.zagreb1 == sum(d * d for d in deg), g
+        assert p.zagreb2 == sum(deg[i] * deg[j] for i, j in edges), g
+
+
+def test_lattice_counts_gamma40_closed_forms():
+    k = 40
+    degree_counts, pair_counts = lattice_counts((1,) * k)
+    assert sum(degree_counts.values()) == 2**k
+    assert sum(pair_counts.values()) == 3**k - 2**k
+    expected_degrees = Counter()
+    for j in range(k + 1):
+        expected_degrees[degree_formula(k, j)] += comb(k, j)
+    assert degree_counts == expected_degrees
+    expected_pairs = Counter()
+    for (a, b), c in edge_class_counts(k).items():
+        du, dv = degree_formula(k, a), degree_formula(k, b)
+        expected_pairs[min(du, dv), max(du, dv)] += c
+    assert pair_counts == expected_pairs
+
+
+def test_indices_list_no_edges(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("edges listed at run time")
+
+    monkeypatch.setattr(graphs._GraphBase, "edges", refuse)
+    for cls in (graphs.DprimeGraph, graphs.GeneralDivisorGraph):
+        monkeypatch.setattr(cls, "adjacent", refuse)
+    for g in (build_gamma(6), build_gamma(3, (2, 3, 5)), build_general(5040), build_general(1)):
+        assert list(compute_indices(g)) == list(INDEX_NAMES)
 
 
 def test_profile_refuses_graph_without_universal_vertex():
