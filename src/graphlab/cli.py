@@ -16,6 +16,7 @@ identical: no timestamps, canonical orderings throughout.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -169,7 +170,10 @@ def cmd_claims(args: argparse.Namespace) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every later
+    main() call in the process (parse_args leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="graphlab",
         description="Exact divisor-function graphs and topological indices.",

@@ -5,12 +5,15 @@ occur: plain integers, rationals, and finite sums of rational multiples of
 square roots of squarefree integers (as produced by Randic- and Balaban-type
 edge sums).  All of them are kept canonical so that equality is literal
 structural equality; decimal strings are derived on demand and are correctly
-rounded (round half to even).
+rounded (round half to even), by integer square-root bounds refined until
+they decide the rounding.  Integers print at any size: int <-> str goes
+through Decimal, which has no digit limit.
 """
 
 from __future__ import annotations
 
-from decimal import Decimal, localcontext
+import re
+from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
 from typing import Iterator, Mapping, Union
@@ -24,8 +27,9 @@ Value = Union[int, Fraction, "RadicalSum"]
 def sqf_decompose(m: int) -> tuple[int, int]:
     """Split m >= 1 into (c, d) with m = c*c*d and d squarefree.
 
-    Trial division up to sqrt(m); inputs here are small (products of at most
-    two vertex transmissions or degrees).
+    Trial division up to sqrt(m); the index engine calls it on single vertex
+    degrees and transmissions (each distinct one once per sum), never on
+    their products, so inputs stay small.
     """
     if m < 1:
         raise ValueError(f"expected a positive integer, got {m!r}")
@@ -68,6 +72,14 @@ class RadicalSum:
         object.__setattr__(
             self, "_terms", {d: q for d, q in sorted(folded.items()) if q != 0}
         )
+
+    @classmethod
+    def _canonical(cls, terms: Mapping[int, Fraction]) -> "RadicalSum":
+        """Wrap terms that are canonical already (squarefree radicands, nonzero
+        Fraction coefficients) without decomposing the radicands again."""
+        self = object.__new__(cls)
+        object.__setattr__(self, "_terms", dict(sorted(terms.items())))
+        return self
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RadicalSum is immutable")
@@ -153,9 +165,9 @@ class RadicalSum:
             return "0"
         parts: list[str] = []
         for d, q in self._terms.items():
-            mag = -q if q < 0 else q
-            body = str(mag) if d == 1 else (
-                f"sqrt({d})" if mag == 1 else f"{mag}*sqrt({d})"
+            mag = _fraction_str(-q if q < 0 else q)
+            body = mag if d == 1 else (
+                f"sqrt({d})" if mag == "1" else f"{mag}*sqrt({d})"
             )
             if not parts:
                 parts.append(f"-{body}" if q < 0 else body)
@@ -166,6 +178,30 @@ class RadicalSum:
     def __repr__(self) -> str:
         inner = ", ".join(f"{d}: {q!r}" for d, q in self._terms.items())
         return f"RadicalSum({{{inner}}})"
+
+
+def _int_str(n: int) -> str:
+    """str(n) at any size: Python may refuse int -> str above a digit limit,
+    Decimal has none."""
+    return str(Decimal(n))
+
+
+#: What int() accepts as a base-10 string: surrounding whitespace, a sign,
+#: digits with single underscores between them.
+_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+
+
+def _int_from_str(text: str) -> int:
+    """int(text) for the strings int() accepts, at any length."""
+    if not isinstance(text, str) or not _INT_TEXT.fullmatch(text):
+        raise ValueError(f"expected an integer string, got {text!r:.40}")
+    return int(Decimal(text))
+
+
+def _fraction_str(q: Fraction) -> str:
+    """str(q) ("5", "-47/2") at any size."""
+    num = _int_str(q.numerator)
+    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
 
 
 def inv_sqrt(q: Fraction | int) -> RadicalSum:
@@ -204,35 +240,52 @@ def _round_half_even(num: int, den: int) -> int:
 def _format_scaled(scaled: int, digits: int) -> str:
     sign = "-" if scaled < 0 else ""
     ip, fp = divmod(abs(scaled), 10**digits)
-    return f"{sign}{ip}.{str(fp).zfill(digits)}"
+    return f"{sign}{_int_str(ip)}.{_int_str(fp).zfill(digits)}"
 
 
 def _radical_scaled(v: RadicalSum, digits: int) -> int:
-    """Correctly rounded integer of v * 10**digits via guarded Decimal evaluation."""
-    bound = sum(abs(q) * (isqrt(d) + 1) for d, q in v.terms) + 1
-    with localcontext() as ctx:
-        ctx.prec = digits + len(str(int(bound))) + 25
-        total = Decimal(0)
+    """round_half_even(v * 10**digits) for an irrational v, proven exact.
+
+    With P = digits + G for a guard G, each term q*sqrt(d) of v has
+    |q|*sqrt(d)*10**P in [f, f + 1), where f = isqrt(d * (|num| * 10**P)**2)
+    // den for q = num/den, so summing the signed ends gives integers
+    lo <= v*10**P <= hi.  Rounding half to even is monotone, so when lo and
+    hi round to the same integer at unit 10**G, that integer is the correctly
+    rounded result; otherwise G doubles and the bounds are recomputed.  The
+    loop ends for every irrational v: v * 10**digits is then never a tie, so
+    it sits a positive distance from every rounding boundary, and the
+    interval width, at most len(terms)/10**G, falls below that distance.
+    """
+    guard = 4
+    while True:
+        power = 10 ** (digits + guard)
+        lo = hi = 0
         for d, q in v.terms:
-            root = Decimal(1) if d == 1 else Decimal(d).sqrt()
-            total += Decimal(q.numerator) / Decimal(q.denominator) * root
-        scaled = total.scaleb(digits)
-        return int(scaled.to_integral_value(rounding="ROUND_HALF_EVEN"))
+            f = isqrt(d * (q.numerator * power) ** 2) // q.denominator
+            if q > 0:
+                lo, hi = lo + f, hi + f + 1
+            else:
+                lo, hi = lo - f - 1, hi - f
+        unit = 10**guard
+        low = _round_half_even(lo, unit)
+        if low == _round_half_even(hi, unit):
+            return low
+        guard *= 2
 
 
 def to_decimal(v: Value, digits: int = 6) -> str:
     """Decimal string of v with `digits` fractional digits, round half to even.
 
     Integers print bare ("37"); rationals and radicals print fixed point
-    ("23.500").  For radicals the result is within one unit in the last place
-    of the true value (25 guard digits make a rounding flip practically
-    impossible for the magnitudes produced here).
+    ("23.500").  Every result is the correctly rounded value: rationals are
+    rounded exactly, and radicals by integer square-root bounds that are
+    tightened until both ends round alike (see _radical_scaled).
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
     v = normalize(v)
     if isinstance(v, int):
-        return str(v)
+        return _int_str(v)
     if isinstance(v, Fraction):
         scaled = _round_half_even(v.numerator * 10**digits, v.denominator)
         return _format_scaled(scaled, digits)
@@ -245,13 +298,13 @@ def value_to_json(v: Value) -> dict | None:
         return None
     v = normalize(v)
     if isinstance(v, int):
-        return {"kind": "integer", "value": str(v)}
+        return {"kind": "integer", "value": _int_str(v)}
     if isinstance(v, Fraction):
-        return {"kind": "rational", "num": str(v.numerator), "den": str(v.denominator)}
+        return {"kind": "rational", "num": _int_str(v.numerator), "den": _int_str(v.denominator)}
     return {
         "kind": "radical",
         "terms": [
-            {"num": str(q.numerator), "den": str(q.denominator), "radicand": d}
+            {"num": _int_str(q.numerator), "den": _int_str(q.denominator), "radicand": d}
             for d, q in v.terms
         ],
         "approx": to_decimal(v, 6),
@@ -264,13 +317,16 @@ def value_from_json(obj: dict | None) -> Value | None:
         return None
     kind = obj["kind"]
     if kind == "integer":
-        return int(obj["value"])
+        return _int_from_str(obj["value"])
     if kind == "rational":
-        return normalize(Fraction(int(obj["num"]), int(obj["den"])))
+        return normalize(Fraction(_int_from_str(obj["num"]), _int_from_str(obj["den"])))
     if kind == "radical":
         return normalize(
             RadicalSum(
-                {t["radicand"]: Fraction(int(t["num"]), int(t["den"])) for t in obj["terms"]}
+                {
+                    t["radicand"]: Fraction(_int_from_str(t["num"]), _int_from_str(t["den"]))
+                    for t in obj["terms"]
+                }
             )
         )
     raise ValueError(f"unknown value kind {kind!r}")
@@ -280,4 +336,9 @@ def format_value(v: Value | None) -> str:
     """Compact exact rendering for tables: 37, 47/2, 23/14 + 6/7*sqrt(7)."""
     if v is None:
         return "unparsed"
-    return str(normalize(v))
+    v = normalize(v)
+    if isinstance(v, int):
+        return _int_str(v)
+    if isinstance(v, Fraction):
+        return _fraction_str(v)
+    return str(v)

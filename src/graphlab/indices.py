@@ -24,10 +24,11 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, lcm, prod
+from typing import Mapping
 
 from . import metric
-from .exact import RadicalSum, Value, normalize, value_to_json
+from .exact import RadicalSum, Value, normalize, sqf_decompose, value_to_json
 from .graphs import DprimeGraph, GeneralDivisorGraph
 
 #: Canonical index names, in report order.
@@ -134,9 +135,33 @@ def profile(g) -> Profile:
     return p
 
 
-def _inv_sqrt_sum(counts: Counter, scale: Fraction = Fraction(1)) -> Value:
-    """scale * sum of c/sqrt(q) over counts {q: c}, built as one RadicalSum."""
-    return normalize(RadicalSum({q: scale * Fraction(c, q) for q, c in counts.items()}))
+def _inv_sqrt_sum(pairs: Mapping[tuple[int, int], int], num: int = 1, den: int = 1) -> Value:
+    """num/den times the sum of c/sqrt(x*y) over pairs {(x, y): c}.
+
+    Each distinct factor is split once: with x = s*s*d, y = t*t*e (d, e
+    squarefree) and g = gcd(d, e), x*y = (s*t*g)**2 * r for the squarefree
+    r = (d/g)*(e/g), so c/sqrt(x*y) = c/(s*t*g*r) * sqrt(r).  Terms sharing
+    an r are added as integers over the lcm of their denominators, and each
+    r gets one Fraction.
+    """
+    split: dict[int, tuple[int, int]] = {}
+    sums: dict[int, tuple[int, int]] = {}  # r -> (numerator, denominator)
+    for (x, y), c in pairs.items():
+        for f in (x, y):
+            if f not in split:
+                split[f] = sqf_decompose(f)
+        (s, d), (t, e) = split[x], split[y]
+        g = gcd(d, e)
+        r = (d // g) * (e // g)
+        q = s * t * g * r
+        if r in sums:
+            n0, q0 = sums[r]
+            both = lcm(q0, q)
+            sums[r] = (n0 * (both // q0) + c * (both // q), both)
+        else:
+            sums[r] = (c, q)
+    return normalize(RadicalSum._canonical(
+        {r: Fraction(n * num, q * den) for r, (n, q) in sums.items()}))
 
 
 def wiener(g) -> Value:
@@ -184,25 +209,26 @@ def balaban(g) -> Value:
     p = profile(g)
     if p.size == 0:
         return 0
-    products: Counter = Counter()
-    for (a, b), c in p.pair_counts.items():
-        products[p.transmission(a) * p.transmission(b)] += c
+    transmissions = {
+        (p.transmission(a), p.transmission(b)): c for (a, b), c in p.pair_counts.items()
+    }
     mu = p.size - p.order + 1
-    return _inv_sqrt_sum(products, Fraction(p.size, mu + 1))
+    return _inv_sqrt_sum(transmissions, p.size, mu + 1)
 
 
 def harmonic(g) -> Value:
-    """Edge sum of 2/(deg u + deg v)."""
-    pairs = profile(g).pair_counts.items()
-    return normalize(sum((Fraction(2 * c, a + b) for (a, b), c in pairs), start=Fraction(0)))
+    """Edge sum of 2/(deg u + deg v), added as integers over the lcm L of the
+    distinct degree sums."""
+    by_sum: Counter = Counter()
+    for (a, b), c in profile(g).pair_counts.items():
+        by_sum[a + b] += c
+    L = lcm(*by_sum)
+    return normalize(Fraction(2 * sum(c * (L // s) for s, c in by_sum.items()), L))
 
 
 def randic(g) -> Value:
     """Edge sum of 1/sqrt(deg u * deg v)."""
-    products: Counter = Counter()
-    for (a, b), c in profile(g).pair_counts.items():
-        products[a * b] += c
-    return _inv_sqrt_sum(products)
+    return _inv_sqrt_sum(profile(g).pair_counts)
 
 
 def r_degree(g, i: int) -> RDegree:

@@ -219,3 +219,86 @@ def test_console_script_installed(tmp_path):
                              capture_output=True, text=True, env=env)
         assert out.returncode == 0, out.stderr
         assert json.loads(out.stdout)["indices"]["wiener"] == {"kind": "integer", "value": "7"}
+
+
+def _fresh_process_stdout(*argv):
+    """Stdout of `python -m graphlab.cli argv` in a new interpreter on this
+    checkout's src."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import graphlab
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(graphlab.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
+    out = subprocess.run([sys.executable, "-m", "graphlab.cli", *argv],
+                         capture_output=True, text=True, env=env, check=True)
+    return out.stdout
+
+
+def test_parser_built_once_per_process(capsys, monkeypatch):
+    import argparse
+
+    from graphlab import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    cli.build_parser.cache_clear()
+    try:
+        with pytest.raises(SystemExit) as e:
+            main(["gamma"])  # missing --k
+        assert e.value.code == 2
+        first_build = len(built)
+        assert first_build > 0
+        with pytest.raises(SystemExit) as e:
+            main(["indices", "--k", "3", "--n", "6"])  # mutually exclusive
+        assert e.value.code == 2
+        capsys.readouterr()
+        requests = (
+            ["indices", "--k", "3", "--index", "randic,harmonic", "--format", "table"],
+            ["indices", "--n", "12"],
+            ["gamma", "--k", "2", "--emit", "dot"],
+        )
+        for argv in requests:
+            code, out, _ = run_cli(capsys, *argv)
+            assert code == 0
+            assert out == _fresh_process_stdout(*argv)
+        assert len(built) == first_build
+    finally:
+        cli.build_parser.cache_clear()
+
+
+def test_indices_print_integers_beyond_str_digit_limit(capsys):
+    """r1 and r2 of n = 735134400 (1344 divisors) have more digits than
+    Python's default int/str conversion limit (4300 on 3.11+)."""
+    import sys
+
+    from graphlab import build_general, compute_index
+    from graphlab.exact import value_from_json
+
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    g = build_general(735134400)
+    want = {name: compute_index(g, name) for name in ("r1", "r2")}
+    code, out, err = run_cli(capsys, "indices", "--n", "735134400", "--index", "r1,r2")
+    assert code == 0, err
+    doc = json.loads(out)["indices"]
+    for name, v in want.items():
+        assert len(doc[name]["value"]) > 4300
+        assert value_from_json(doc[name]) == v
+    code, out, err = run_cli(capsys, "indices", "--n", "735134400", "--index", "r1,r2",
+                             "--format", "table")
+    assert code == 0, err
+    rows = [line.split() for line in out.splitlines()[1:]]
+    assert [r[0] for r in rows] == ["r1", "r2"]
+    for (name, exact_text, approx), v in zip(rows, want.values()):
+        assert exact_text == approx == doc[name]["value"]
+    assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit

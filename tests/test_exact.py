@@ -1,13 +1,17 @@
 """Exact arithmetic layer: squarefree decomposition, radical sums, decimals."""
 
 import random
+import sys
+from decimal import Decimal
 from fractions import Fraction
-from math import isqrt
+from math import gcd, isqrt
 
 import pytest
 
+from graphlab import exact
 from graphlab.exact import (
     RadicalSum,
+    format_value,
     inv_sqrt,
     normalize,
     sqf_decompose,
@@ -195,7 +199,64 @@ def test_to_decimal_radical():
     assert to_decimal(RadicalSum({2: 1}), 5) == "1.41421"
 
 
-def test_to_decimal_radical_agrees_with_mpmath():
+def sqrt_convergents(d, count):
+    """The first `count` continued-fraction convergents p/q of sqrt(d), d not
+    a square; they alternate below and above sqrt(d)."""
+    a0 = isqrt(d)
+    m, den, a = 0, 1, a0
+    p_prev, p = 1, a0
+    q_prev, q = 0, 1
+    out = [F(p, q)]
+    while len(out) < count:
+        m = den * a - m
+        den = (d - m * m) // den
+        a = (a0 + m) // den
+        p_prev, p = p, a * p + p_prev
+        q_prev, q = q, a * q + q_prev
+        out.append(F(p, q))
+    return out
+
+
+def close_convergents(d):
+    """Two consecutive convergents of sqrt(d) within 10**-36 of it, one on
+    each side."""
+    cs = sqrt_convergents(d, 200)
+    i = next(i for i in range(len(cs)) if 1 / cs[i].denominator ** 2 < F(1, 10**36))
+    return cs[i], cs[i + 1]
+
+
+def boundary_cases():
+    """Radical sums within 10**-30 of a 6-digit rounding boundary (a tie
+    k + 1/2 * 10**-6), on both sides of it, negated, and with heavy
+    cancellation between large terms."""
+    cases = []
+    ties = [F(3141592, 10**6), F(0), F(27, 10**6), F(-1414213, 10**6), F(10**9 + 2, 10**6)]
+    for d, tie in zip((2, 3, 5, 7, 10, 11), ties + [F(1, 10**6)]):
+        for c in close_convergents(d):
+            b = tie + F(1, 2 * 10**6)
+            v = RadicalSum({1: b - c, d: 1})
+            cases += [v, -v]
+    (p2, _), (_, p3), (p5, _) = (close_convergents(d) for d in (2, 3, 5))
+    big = 10**12
+    b = F(2718281, 10**6) + F(1, 2 * 10**6)
+    v = RadicalSum({1: b - big * p2 + big * p3 - 7 * big * p5, 2: big, 3: -big, 5: 7 * big})
+    cases += [v, -v]
+    return cases
+
+
+def mpmath_rounded(v, digits, mpmath):
+    """v rounded to `digits` places from an 80-digit evaluation, checked to
+    be clear of the tie by far more than the evaluation error."""
+    x = sum(mpmath.mpf(q.numerator) / q.denominator * mpmath.sqrt(d) for d, q in v.terms)
+    y = x * 10**digits
+    scaled = int(mpmath.nint(y))
+    assert abs(abs(y - scaled) - mpmath.mpf(1) / 2) > mpmath.mpf(10) ** -60
+    sign = "-" if scaled < 0 else ""
+    ip, fp = divmod(abs(scaled), 10**digits)
+    return f"{sign}{ip}.{str(fp).zfill(digits)}"
+
+
+def test_to_decimal_radical_agrees_with_mpmath(monkeypatch):
     mpmath = pytest.importorskip("mpmath")
     mpmath.mp.dps = 80
     cases = [
@@ -210,6 +271,25 @@ def test_to_decimal_radical_agrees_with_mpmath():
             for d, q in v.terms
         )
         assert abs(got - want) < mpmath.mpf(10) ** -49
+
+    # Values within 10**-30 of a rounding boundary: the interval bounds must
+    # be refined (more than one round) before both ends round alike.
+    calls = []
+
+    def counting_isqrt(n):
+        calls.append(n)
+        return isqrt(n)
+
+    monkeypatch.setattr(exact, "isqrt", counting_isqrt)
+    rounds = []
+    for v in boundary_cases():
+        calls.clear()
+        assert to_decimal(v, 6) == mpmath_rounded(v, 6, mpmath), v
+        irrational = sum(1 for d, _ in v.terms if d != 1)
+        rounds.append(len(calls) // irrational)
+        assert to_decimal(v, 40) == mpmath_rounded(v, 40, mpmath), v
+    assert max(rounds) > 1
+    assert sorted(to_decimal(v, 6)[-1] for v in boundary_cases()[:4]) == ["2", "2", "3", "3"]
 
 
 def test_value_json_round_trip():
@@ -249,3 +329,57 @@ def test_radical_is_immutable():
     v = RadicalSum({7: 1})
     with pytest.raises(AttributeError):
         v._terms = {}
+
+
+def test_sqf_product_from_factor_parts():
+    """sqrt(x*y) from the parts of x and y: with x = s*s*d, y = t*t*e and
+    g = gcd(d, e), x*y = (s*t*g)**2 * (d/g)*(e/g), the second factor squarefree."""
+    parts = {m: sqf_decompose(m) for m in range(1, 301)}
+    for x in range(1, 301):
+        s, d = parts[x]
+        for y in range(x, 301):
+            t, e = parts[y]
+            g = gcd(d, e)
+            assert (s * t * g, (d // g) * (e // g)) == sqf_decompose(x * y), (x, y)
+
+
+def test_to_decimal_large_integers_and_ratios():
+    big = 7**9000
+    assert to_decimal(big) == str(Decimal(big))
+    assert to_decimal(F(big, 2), 3).endswith(".500")
+    doc = value_to_json(F(-big, 3))
+    assert len(doc["num"]) > 7000
+    assert value_from_json(doc) == F(-big, 3)
+
+
+def test_value_from_json_parses_what_int_parses():
+    """Integer fields accept exactly the strings int() accepts, at any length;
+    anything else, including a non-string, is a ValueError."""
+    for text in ("7", "-7", "+5", " 5", "5\n", "1_000", "-0", "\u0661\u0662"):
+        assert value_from_json({"kind": "integer", "value": text}) == int(text), text
+        assert value_from_json({"kind": "rational", "num": text, "den": "4"}) == normalize(F(int(text), 4))
+    for bad in ("1.5", "5.0", "1e3", "NaN", "Infinity", "1__0", "_1", "1_", "", " ", "-", "+-1", "0x10", 5, None, 2.0):
+        if isinstance(bad, str):
+            with pytest.raises(ValueError):
+                int(bad)
+        with pytest.raises(ValueError):
+            value_from_json({"kind": "integer", "value": bad})
+
+
+def test_integers_print_under_the_lowest_str_digit_limit():
+    """Python 3.11+ lets the int/str digit limit go down to 640 digits; the
+    codec and the renderers still print and parse past it."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    if set_limit is None:
+        pytest.skip("no int/str digit limit before Python 3.11")
+    old = sys.get_int_max_str_digits()
+    set_limit(640)
+    try:
+        for n in (10**640, 10**640 + 1, 11**700, -(10**700) - 1):
+            text = str(Decimal(n))
+            assert to_decimal(n) == format_value(n) == value_to_json(n)["value"] == text
+            assert value_from_json(value_to_json(n)) == n
+            assert format_value(F(n, 3)) == f"{text}/3"
+            assert format_value(RadicalSum({2: F(n, 7)})) == f"{text}/7*sqrt(2)"
+    finally:
+        set_limit(old)

@@ -7,6 +7,7 @@ and edge classes (an edge joins omega classes a < b in C(k,b)*C(b,a) ways)
 before the engine existed, and are frozen here.
 """
 
+import random
 from collections import Counter
 from fractions import Fraction
 from math import comb, prod
@@ -19,6 +20,7 @@ from graphlab.formulas import degree_formula
 from graphlab.graphs import build_gamma, build_general
 from graphlab.indices import (
     INDEX_NAMES,
+    _inv_sqrt_sum,
     balaban,
     compute_index,
     compute_indices,
@@ -358,3 +360,22 @@ def test_indices_run_no_breadth_first_search(monkeypatch):
     monkeypatch.setattr(metric, "distance_rows", refuse)
     for g in (build_gamma(5), build_general(5040)):
         assert list(compute_indices(g)) == list(INDEX_NAMES)
+
+
+def test_inv_sqrt_sum_equals_term_by_term_sum():
+    """The per-factor fold equals adding c * inv_sqrt(x*y) one term at a
+    time, scaled, down to the canonical term order."""
+    rng = random.Random(20241018)
+    for _ in range(100):
+        pairs = Counter({
+            (rng.randint(1, 400), rng.randint(1, 400)): rng.randint(1, 30)
+            for _ in range(rng.randint(1, 40))
+        })
+        num, den = rng.randint(1, 500), rng.randint(1, 500)
+        want = RadicalSum()
+        for (x, y), c in pairs.items():
+            want = want + c * inv_sqrt(x * y)
+        want = want * Fraction(num, den)
+        got = _inv_sqrt_sum(pairs, num, den)
+        assert RadicalSum.from_value(got).terms == want.terms
+        assert values_equal(got, want)
