@@ -17,6 +17,9 @@ Known quirks carried as claim notes:
   read as 31^2*16^10*10^19+412, matching the pattern of s and t.
 * The Gamma_5 theorem prints a line labeled M_2(Gamma_4)=47 401; it is filed
   here as the Gamma_5 second Zagreb value.
+
+render_report writes the JSON report with exact.json_text (the bytes of
+json.dumps(doc, indent=2) plus a newline); parse_report reads it back.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ from .exact import (
     RadicalSum,
     Value,
     format_value,
+    json_text,
     value_from_json,
     value_to_json,
     values_equal,
@@ -240,7 +244,7 @@ def render_report(reports: list[ClaimReport], fmt: str = "json") -> str:
     counts = summary_counts(reports)
     if fmt == "json":
         doc = {"summary": counts, "reports": [_report_entry(r) for r in reports]}
-        return json.dumps(doc, indent=2) + "\n"
+        return json_text(doc)
     if fmt == "markdown":
         lines = ["# Claim verification report", ""]
         summary = f"{counts['total']} claims: {counts['match']} match, {counts['mismatch']} mismatch"

@@ -10,14 +10,15 @@ Subcommands:
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 claim
 mismatch under --strict.  Output for identical invocations is byte
-identical: no timestamps, canonical orderings throughout.
+identical: no timestamps, canonical orderings throughout.  JSON text (graph
+exports, index reports, claim reports) comes from exact.json_text, the
+bytes of json.dumps(doc, indent=2) plus a newline.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
 from collections import Counter
@@ -25,7 +26,7 @@ from itertools import chain
 
 from . import claims as claims_mod
 from . import formulas, indices, metric
-from .exact import format_value, to_decimal
+from .exact import format_value, json_text, to_decimal
 from .graphs import build_gamma, build_general
 
 _DEFAULT_KCAP = 10
@@ -41,7 +42,7 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 def _emit_graph(g, emit: str) -> str:
     if emit == "json":
-        return json.dumps(g.to_json_dict(), indent=2) + "\n"
+        return json_text(g.to_json_dict())
     if emit == "dot":
         return g.to_dot()
     if emit == "csv":
@@ -83,7 +84,7 @@ def cmd_indices(args: argparse.Namespace) -> int:
     names = None if args.index == "all" else [s.strip() for s in args.index.split(",")]
     values = indices.compute_indices(g, names)
     if args.format == "json":
-        sys.stdout.write(json.dumps(indices.report_dict(g, values), indent=2) + "\n")
+        sys.stdout.write(json_text(indices.report_dict(g, values)))
     else:
         sys.stdout.write(_indices_table(values))
     return 0

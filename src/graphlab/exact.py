@@ -7,12 +7,15 @@ edge sums).  All of them are kept canonical so that equality is literal
 structural equality; decimal strings are derived on demand and are correctly
 rounded (round half to even), by integer square-root bounds refined until
 they decide the rounding.  Integers print at any size: int <-> str goes
-through Decimal, which has no digit limit.
+through Decimal, which has no digit limit.  json_text writes every JSON
+document the package prints (index reports, graph exports, claim reports).
 """
 
 from __future__ import annotations
 
+import json
 import re
+import sys
 from decimal import Decimal
 from fractions import Fraction
 from math import isqrt
@@ -261,8 +264,9 @@ def _radical_scaled(v: RadicalSum, digits: int) -> int:
         power = 10 ** (digits + guard)
         lo = hi = 0
         for d, q in v.terms:
-            f = isqrt(d * (q.numerator * power) ** 2) // q.denominator
-            if q > 0:
+            num = q.numerator
+            f = isqrt(d * (num * power) ** 2) // q.denominator
+            if num > 0:
                 lo, hi = lo + f, hi + f + 1
             else:
                 lo, hi = lo - f - 1, hi - f
@@ -342,3 +346,52 @@ def format_value(v: Value | None) -> str:
     if isinstance(v, Fraction):
         return _fraction_str(v)
     return str(v)
+
+
+_quote = json.encoder.encode_basestring_ascii  # the stdlib's C string quoting
+
+
+def _encoded(values, pad: str) -> list[str]:
+    """json.dumps(v, indent=2) of each v in values, nested at pad (a newline
+    and the indent of the enclosing line).  Strings and ints, the bulk of
+    every document, are written inline; each container is one join."""
+    inner = pad + "  "
+    out = []
+    for v in values:
+        if isinstance(v, str):
+            out.append(_quote(v))
+        elif isinstance(v, int) and not isinstance(v, bool):
+            out.append(int.__repr__(v))
+        elif isinstance(v, dict):
+            if v:
+                items = zip(v, _encoded(v.values(), inner))
+                body = ("," + inner).join([_quote(k) + ": " + t for k, t in items])
+                out.append("{" + inner + body + pad + "}")
+            else:
+                out.append("{}")
+        elif isinstance(v, (list, tuple)):
+            if v:
+                out.append("[" + inner + ("," + inner).join(_encoded(v, inner)) + pad + "]")
+            else:
+                out.append("[]")
+        else:
+            out.append(json.dumps(v))  # bool, None, float; TypeError like json
+    return out
+
+
+def _indented_json(doc) -> str:
+    """json.dumps(doc, indent=2) plus a newline, byte for byte, for documents
+    of dicts with str keys, lists, tuples, str, int, bool, None and float.
+    Below Python 3.13 json.dumps runs its pure-Python encoder whenever
+    indent is set; this writer takes about half its time on index reports."""
+    return _encoded((doc,), "\n")[0] + "\n"
+
+
+if sys.version_info >= (3, 13):
+    # json.dumps uses its C encoder with indent from 3.13 on and beats the
+    # writer there; delete _indented_json once requires-python reaches 3.13.
+    def json_text(doc) -> str:
+        """json.dumps(doc, indent=2) plus a newline."""
+        return json.dumps(doc, indent=2) + "\n"
+else:
+    json_text = _indented_json

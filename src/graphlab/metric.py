@@ -124,7 +124,7 @@ def diameter(g) -> int:
     require_universal_vertex(g)
     if g.order < 2:
         return 0
-    return 1 if 2 * len(g.edges()) == g.order * (g.order - 1) else 2
+    return 1 if 2 * g.size() == g.order * (g.order - 1) else 2
 
 
 @dataclass

@@ -302,3 +302,24 @@ def test_indices_print_integers_beyond_str_digit_limit(capsys):
     for (name, exact_text, approx), v in zip(rows, want.values()):
         assert exact_text == approx == doc[name]["value"]
     assert getattr(sys, "get_int_max_str_digits", lambda: 0)() == limit
+
+
+def test_json_outputs_skip_the_pure_python_encoder(capsys, monkeypatch):
+    """json.dumps with indent runs the pure-Python encoder below Python 3.13;
+    no JSON output may reach it, and the bytes must stay those of a fresh
+    process."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("pure-Python JSON encoder used")
+
+    monkeypatch.setattr(json.encoder, "_make_iterencode", refuse)
+    requests = (
+        ["indices", "--n", "5040", "--format", "json"],
+        ["indices", "--k", "6", "--primes", "2,3,5,7,11,13"],
+        ["gamma", "--k", "5", "--emit", "json"],
+        ["divisor-graph", "--n", "720", "--emit", "json"],
+        ["claims", "--format", "json"],
+    )
+    for argv in requests:
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert out == _fresh_process_stdout(*argv)

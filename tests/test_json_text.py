@@ -1,0 +1,83 @@
+"""The JSON writer: byte-identical to json.dumps(doc, indent=2) + "\\n".
+
+exact._indented_json is called directly, whichever encoder json_text picks
+on this Python, so every version checks the writer.  The tests use plain
+asserts and no fixtures: they also run without pytest, by importing this
+module and calling each test function.
+"""
+
+import json
+import random
+
+from graphlab import claims, exact, indices
+from graphlab.graphs import build_gamma, build_general
+
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+
+#: Characters json quotes specially, escapes as \uXXXX, or passes through.
+ALPHABET = 'aZ09 "\\/\x00\x01\x1f\x7f\n\t\r\b\féß☃ \U0001f600'
+
+
+def assert_identical(doc):
+    assert exact._indented_json(doc) == json.dumps(doc, indent=2) + "\n"
+
+
+def random_text(rng):
+    return "".join(rng.choice(ALPHABET) for _ in range(rng.randrange(6)))
+
+
+def random_scalar(rng):
+    return rng.choice((
+        random_text(rng),
+        rng.choice((0, -1, 1, rng.randrange(-10**30, 10**30))),
+        True,
+        False,
+        None,
+        rng.choice((0.0, -0.0, 1.5, -2.5e-300, 1e300, rng.random(), float("inf"), float("nan"))),
+    ))
+
+
+def random_tree(rng, depth):
+    """A document of nesting depth at most `depth`, empty containers included."""
+    if depth == 0 or rng.random() < 0.3:
+        return random_scalar(rng)
+    children = [random_tree(rng, depth - 1) for _ in range(rng.randrange(5))]
+    shape = rng.randrange(3)
+    if shape == 0:
+        return {random_text(rng): c for c in children}
+    return children if shape == 1 else tuple(children)
+
+
+def test_random_trees():
+    rng = random.Random(20211)
+    for _ in range(3000):
+        assert_identical(random_tree(rng, 5))
+    for doc in ({}, [], (), "", 0, -7, True, False, None, 0.5, {"": [{}, [], ()]}):
+        assert_identical(doc)
+
+
+def test_index_reports():
+    graphs = [build_gamma(k) for k in range(9)]
+    graphs.append(build_gamma(3, (101, 103, 107)))
+    graphs.extend(build_general(n) for n in range(1, 601))
+    # r1 and r2 of 735134400 have more than 4300 digits
+    graphs.extend(build_general(n) for n in (21621600, 735134400))
+    for g in graphs:
+        assert_identical(indices.report_dict(g, indices.compute_indices(g)))
+
+
+def test_graph_exports():
+    for k in range(9):
+        assert_identical(build_gamma(k).to_json_dict())
+        assert_identical(build_gamma(k, PRIMES[:k]).to_json_dict())
+    for n in range(1, 301):
+        assert_identical(build_general(n).to_json_dict())
+
+
+def test_claim_reports():
+    for k in (None, 3, 4, 5):
+        reports = claims.run_all(k)
+        assert_identical({
+            "summary": claims.summary_counts(reports),
+            "reports": [claims._report_entry(r) for r in reports],
+        })

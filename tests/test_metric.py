@@ -2,6 +2,7 @@
 
 import pytest
 
+from graphlab import graphs
 from graphlab.graphs import build_gamma, build_general
 from graphlab.metric import (
     DisconnectedGraphError,
@@ -123,6 +124,17 @@ def test_diameter():
     for k in range(2, 8):
         assert diameter(build_gamma(k)) == 2
     assert diameter(build_general(12)) == 2
+
+
+def test_diameter_lists_no_edges(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("edges listed to count them")
+
+    monkeypatch.setattr(graphs._GraphBase, "edges", refuse)
+    assert diameter(build_gamma(0)) == 0
+    assert diameter(build_gamma(1)) == 1
+    assert diameter(build_gamma(6)) == 2
+    assert diameter(build_general(5040)) == 2
 
 
 def test_mostar_counts_examples():
