@@ -1,6 +1,10 @@
 """Command line surface: formats, determinism, exit codes."""
 
+import contextlib
+import hashlib
+import io
 import json
+from pathlib import Path
 
 import pytest
 
@@ -168,6 +172,29 @@ def test_usage_errors_exit_two(capsys):
     with pytest.raises(SystemExit) as e:
         main([])
     assert e.value.code == 2
+
+
+def cli_digest(argv):
+    """[exit code, sha256 of stdout] of one in-process main(argv) call; an
+    argparse usage error counts with its SystemExit code."""
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        try:
+            code = main(list(argv))
+        except SystemExit as e:
+            code = e.code
+    return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
+
+
+def test_output_matches_recorded_digests(monkeypatch):
+    """The bytes and exit codes of a fixed set of invocations are the output
+    contract; tests/cli_digests.json holds [argv, exit code, stdout sha256]
+    for each, as cli_digest computed them."""
+    monkeypatch.delenv("GRAPHLAB_KCAP", raising=False)
+    cases = json.loads(Path(__file__).with_name("cli_digests.json").read_text())
+    assert len(cases) >= 100
+    for argv, code, digest in cases:
+        assert cli_digest(argv) == [code, digest], argv
 
 
 def test_byte_identical_reruns(capsys):
