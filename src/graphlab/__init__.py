@@ -1,9 +1,9 @@
 """Exact divisor-function graphs, topological indices, and claim verification."""
 
 from .exact import RadicalSum, Value, inv_sqrt, normalize, sqf_decompose, to_decimal
-from .graphs import DprimeGraph, Divisor, GeneralDivisorGraph, build_gamma, build_general
+from .graphs import DivisorGraph, build_gamma, build_general
 from .indices import INDEX_NAMES, compute_index, compute_indices
-from .metric import DistanceMatrix, distance_matrix, diameter, mostar_counts, transmissions
+from .metric import DistanceMatrix, distance_matrix, diameter, transmissions
 
 __version__ = "0.1.0"
 
@@ -14,9 +14,7 @@ __all__ = [
     "normalize",
     "sqf_decompose",
     "to_decimal",
-    "Divisor",
-    "DprimeGraph",
-    "GeneralDivisorGraph",
+    "DivisorGraph",
     "build_gamma",
     "build_general",
     "INDEX_NAMES",
@@ -25,7 +23,6 @@ __all__ = [
     "DistanceMatrix",
     "distance_matrix",
     "diameter",
-    "mostar_counts",
     "transmissions",
     "__version__",
 ]

@@ -85,16 +85,12 @@ _G4_W_NOTE = (
 _G5_W_NOTE = "w is printed with unbraced exponents (16^10, 10^19); read as 16^10 and 10^19"
 
 
-def _rs(terms: dict[int, Fraction]) -> RadicalSum:
-    return RadicalSum(terms)
-
-
 def _bracket(den: int, rational: int, roots: dict[int, int]) -> RadicalSum:
     """(rational + sum c*sqrt(d)) / den as a RadicalSum."""
     terms = {1: Fraction(rational, den)}
     for d, c in roots.items():
         terms[d] = Fraction(c, den)
-    return _rs(terms)
+    return RadicalSum(terms)
 
 
 def builtin_claims() -> tuple[Claim, ...]:

@@ -12,19 +12,6 @@ from math import comb
 
 from .exact import Value, normalize
 
-#: Formula identifiers exercised by the verification sweep.
-FORMULA_IDS = (
-    "order",
-    "size",
-    "size_recursive",
-    "count_by_omega",
-    "degree",
-    "wiener",
-    "hyper_wiener",
-    "harary",
-    "zagreb1",
-)
-
 
 def _check_k(k: int) -> None:
     if k < 0:

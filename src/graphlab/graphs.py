@@ -1,33 +1,32 @@
-"""Divisor graphs on squarefree products of k distinct primes, and general ones.
+"""Divisor graphs: the divisibility order on the exponent lattice of n.
 
-Gamma_k is the graph on all 2**k divisors of n = p_1 * ... * p_k (distinct
-primes) with an edge between two divisors exactly when one divides the other.
-Divisors are encoded as bitmasks over the prime positions (bit i stands for
-p_{i+1}), so divisibility is strict subset containment and nothing about the
-structure depends on the actual primes.  The canonical vertex order sorts by
-omega (number of prime factors) ascending, then by bitmask ascending.
+The divisor graph of n >= 1 has every divisor of n as a vertex and an edge
+between two divisors exactly when one strictly divides the other.  A divisor
+is its exponent vector over the primes of n, so divisibility is coordinatewise
+<= and nothing about the structure depends on the primes themselves.
 
-GeneralDivisorGraph is the same construction on *all* divisors of an
-arbitrary n >= 1, in ascending order.  For squarefree n it reproduces
-Gamma_{omega(n)} under the map sending a divisor to the set of prime
-positions dividing it.
+Gamma_k, the graph on the 2**k divisors of n = p_1 * ... * p_k (distinct
+primes), is the divisor graph of a squarefree n with k prime factors.  Its
+primes may stay symbolic (labels like p1p2), and its canonical vertex order
+sorts by omega (number of prime factors), then by bitmask, bit i standing for
+p_{i+1}.  Any other divisor graph lists its divisors in ascending order.
 
-Both graphs carry the exponents of n (all 1 for Gamma_k) and one exponent
-vector per vertex, and everything else is read off that lattice: the degree
-of a divisor d is tau(d) + tau(n/d) - 2, and the edges are listed as each
-vertex's proper multiples, found by adding mixed-radix offsets to its code.
-In both canonical orders a divisor comes before its multiples, so listing
-the rows in vertex order gives the edges in lexicographic order in O(|E|).
+Everything is read off the lattice: the degree of a divisor d is
+tau(d) + tau(n/d) - 2, and the edges are listed as each vertex's proper
+multiples, found by adding mixed-radix offsets to its code.  In both
+canonical orders a divisor comes before its multiples, so listing the rows
+in vertex order gives the edges in lexicographic order in O(|E|).
 
-Graphs are immutable after construction; derived data (edges, degrees,
-neighbor lists) is computed once and cached, which also keeps them safe to
-share across threads.
+A graph is immutable after construction.  Only its exponents, primes and
+order are set there; vertices, edges, degrees and neighbor lists are computed
+on first use and cached, which also keeps them safe to share across threads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 from itertools import repeat
+from math import prod
 from operator import mul
 
 _DEFAULT_MAX_DIVISORS = 4096
@@ -48,70 +47,70 @@ def _is_prime(p: int) -> bool:
     return True
 
 
-def _comparable(a: int, b: int) -> bool:
-    """True when one mask is a strict subset of the other."""
-    c = a & b
-    return a != b and (c == a or c == b)
+class DivisorGraph:
+    """Divisor graph of the n with these prime exponents; gamma marks Gamma_k,
+    whose primes may be None (symbolic)."""
 
+    def __init__(self, exponents: tuple[int, ...], primes: tuple[int, ...] | None,
+                 gamma: bool = False):
+        self.exponents = exponents
+        self.primes = primes
+        self.gamma = gamma
+        self.order = prod(e + 1 for e in exponents)
 
-class Divisor:
-    """One vertex: a subset of prime positions, with its value when a basis is set."""
+    @cached_property
+    def vectors(self) -> tuple[tuple[int, ...], ...]:
+        """Exponent vectors in canonical order.  They are generated in
+        mixed-radix code order, which on Gamma_k is mask order, then sorted
+        stably by omega on Gamma_k and by divisor value otherwise."""
+        vectors = [()]
+        for e in self.exponents:
+            vectors = [v + (a,) for a in range(e + 1) for v in vectors]
+        if self.gamma:
+            return tuple(sorted(vectors, key=sum))
+        return tuple(sorted(vectors, key=self._value))
 
-    __slots__ = ("mask", "k", "value")
+    def _value(self, v: tuple[int, ...]) -> int:
+        return prod(map(pow, self.primes, v))
 
-    def __init__(self, mask: int, k: int, value: int | None = None):
-        self.mask = mask
-        self.k = k
-        self.value = value
-
-    @property
-    def omega(self) -> int:
-        """Number of distinct prime factors."""
-        return bin(self.mask).count("1")
-
-    @property
-    def prime_positions(self) -> tuple[int, ...]:
-        """1-based positions of the primes dividing this divisor."""
-        return tuple(i + 1 for i in range(self.k) if self.mask >> i & 1)
-
-    @property
-    def label(self) -> str:
-        """Concrete value if known, else a symbolic product like p1p2."""
-        if self.value is not None:
-            return str(self.value)
-        if self.mask == 0:
-            return "1"
-        return "".join(f"p{i}" for i in self.prime_positions)
-
-    def __repr__(self) -> str:
-        return f"Divisor({self.label})"
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Divisor):
-            return (self.mask, self.k, self.value) == (other.mask, other.k, other.value)
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash((self.mask, self.k, self.value))
-
-
-class _GraphBase:
-    """Shared lattice data and caching for the undirected graphs below;
-    subclasses set exponents (of n) and vectors (one exponent vector per
-    vertex, in canonical order) and define adjacent(i, j) and labels()."""
-
-    exponents: tuple[int, ...]
-    vectors: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.vectors)
+    @cached_property
+    def divisors(self) -> tuple[int, ...]:
+        """Divisor values in canonical order (needs the primes)."""
+        return tuple(map(self._value, self.vectors))
 
     def adjacent(self, i: int, j: int) -> bool:
-        raise NotImplementedError
+        """Edge exactly when one divisor strictly divides the other."""
+        a, b = self.vectors[i], self.vectors[j]
+        return a != b and (all(map(int.__le__, a, b)) or all(map(int.__le__, b, a)))
+
+    def omega(self, i: int) -> int:
+        """Number of distinct prime factors of vertex i."""
+        return sum(1 for a in self.vectors[i] if a)
+
+    @cached_property
+    def _masks(self) -> tuple[int, ...]:
+        return tuple(sum(1 << p for p, a in enumerate(v) if a) for v in self.vectors)
+
+    def masks(self) -> tuple[int, ...]:
+        """Per vertex, the bitmask of the prime positions dividing it."""
+        return self._masks
 
     def labels(self) -> list[str]:
-        raise NotImplementedError
+        """Divisor values when the primes are known, else products like p1p2."""
+        if self.primes is not None:
+            return [str(d) for d in self.divisors]
+        return ["".join(f"p{p + 1}" for p, a in enumerate(v) if a) or "1"
+                for v in self.vectors]
+
+    def descriptor(self) -> dict:
+        """Stable JSON identification: the family, then k and any primes of
+        Gamma_k, or n."""
+        if not self.gamma:
+            return {"family": "divisor", "n": self._value(self.exponents)}
+        doc: dict = {"family": "gamma", "k": len(self.exponents)}
+        if self.primes is not None:
+            doc["primes"] = list(self.primes)
+        return doc
 
     @cached_property
     def _edges(self) -> tuple[tuple[int, int], ...]:
@@ -172,145 +171,33 @@ class _GraphBase:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
 
-
-class DprimeGraph(_GraphBase):
-    """Gamma_k on the divisors of a product of k distinct primes."""
-
-    def __init__(self, k: int, basis: tuple[int, ...] | None = None):
-        if k < 0:
-            raise ValueError(f"k must be >= 0, got {k}")
-        if basis is not None:
-            basis = tuple(basis)
-            if len(basis) != k:
-                raise ValueError(f"basis has {len(basis)} entries, expected {k}")
-            if len(set(basis)) != len(basis):
-                raise ValueError(f"basis primes must be distinct: {basis}")
-            for p in basis:
-                if not _is_prime(p):
-                    raise ValueError(f"basis entry {p} is not prime")
-        self.k = k
-        self.basis = basis
-        masks = sorted(range(1 << k), key=lambda m: (bin(m).count("1"), m))
-        self._masks = tuple(masks)
-        if basis is None:
-            self.vertices = tuple(Divisor(m, k) for m in masks)
-        else:
-            self.vertices = tuple(
-                Divisor(m, k, _mask_value(m, basis)) for m in masks
-            )
-        self._index_of_mask = {m: i for i, m in enumerate(masks)}
-        self.exponents = (1,) * k
-        by_mask = [()]
-        for _ in range(k):
-            by_mask = [v + (0,) for v in by_mask] + [v + (1,) for v in by_mask]
-        self.vectors = tuple(by_mask[m] for m in masks)
-
-    def mask(self, i: int) -> int:
-        return self._masks[i]
-
-    def masks(self) -> tuple[int, ...]:
-        """Vertex bitmasks in canonical order."""
-        return self._masks
-
-    def index_of_mask(self, mask: int) -> int:
-        return self._index_of_mask[mask]
-
-    def omega(self, i: int) -> int:
-        return bin(self._masks[i]).count("1")
-
-    def adjacent(self, i: int, j: int) -> bool:
-        """Edge exactly when one divisor strictly divides the other."""
-        return _comparable(self._masks[i], self._masks[j])
-
-    def labels(self) -> list[str]:
-        return [v.label for v in self.vertices]
-
     def to_json_dict(self) -> dict:
-        doc: dict = {"k": self.k}
-        if self.basis is not None:
-            doc["primes"] = list(self.basis)
-        doc["vertices"] = [
-            {"subset": list(v.prime_positions), "omega": v.omega}
-            | ({"value": v.value} if v.value is not None else {})
-            for v in self.vertices
-        ]
+        doc = self.descriptor()
+        del doc["family"]
+        if self.gamma:
+            doc["vertices"] = [{"subset": [p + 1 for p, a in enumerate(v) if a], "omega": sum(v)}
+                               for v in self.vectors]
+            if self.primes is not None:
+                for vertex, d in zip(doc["vertices"], self.divisors):
+                    vertex["value"] = d
+        else:
+            doc["vertices"] = [{"value": d, "omega": self.omega(i)}
+                               for i, d in enumerate(self.divisors)]
         doc["edges"] = [list(e) for e in self.edges()]
         return doc
 
     def to_dot(self) -> str:
-        return _dot(f"gamma_{self.k}", self.labels(), self.edges())
+        doc = self.descriptor()
+        name = f"gamma_{doc['k']}" if self.gamma else f"divisors_{doc['n']}"
+        lines = [f"graph {name} {{"]
+        lines.extend(f'  v{i} [label="{label}"];' for i, label in enumerate(self.labels()))
+        lines.extend(f"  v{i} -- v{j};" for i, j in self.edges())
+        lines.append("}")
+        return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
-        basis = f", basis={self.basis}" if self.basis else ""
-        return f"DprimeGraph(k={self.k}{basis})"
-
-
-def _mask_value(mask: int, basis: tuple[int, ...]) -> int:
-    v = 1
-    for i, p in enumerate(basis):
-        if mask >> i & 1:
-            v *= p
-    return v
-
-
-class GeneralDivisorGraph(_GraphBase):
-    """Divisor graph of an arbitrary n >= 1: all divisors, edges by divisibility."""
-
-    def __init__(self, n: int, max_divisors: int = _DEFAULT_MAX_DIVISORS):
-        if n < 1:
-            raise ValueError(f"n must be >= 1, got {n}")
-        self.n = n
-        self.factorization = _factorize(n)
-        count = 1
-        for _, e in self.factorization:
-            count *= e + 1
-        if count > max_divisors:
-            raise ValueError(
-                f"n={n} has {count} divisors, above the cap of {max_divisors}"
-            )
-        self.exponents = tuple(e for _, e in self.factorization)
-        by_value = sorted(_divisors_of(self.factorization))
-        self.divisors = tuple(d for d, _ in by_value)
-        self.vectors = tuple(v for _, v in by_value)
-        self._index = {d: i for i, d in enumerate(self.divisors)}
-
-    def adjacent(self, i: int, j: int) -> bool:
-        a, b = self.divisors[i], self.divisors[j]
-        return a != b and (b % a == 0 or a % b == 0)
-
-    def omega(self, i: int) -> int:
-        d = self.divisors[i]
-        return sum(1 for p, _ in self.factorization if d % p == 0)
-
-    def prime_index_mask(self, i: int) -> int:
-        """Bitmask over the distinct primes of n that divide divisor i."""
-        d = self.divisors[i]
-        mask = 0
-        for pos, (p, _) in enumerate(self.factorization):
-            if d % p == 0:
-                mask |= 1 << pos
-        return mask
-
-    def index_of(self, divisor: int) -> int:
-        return self._index[divisor]
-
-    def labels(self) -> list[str]:
-        return [str(d) for d in self.divisors]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "vertices": [
-                {"value": d, "omega": self.omega(i)} for i, d in enumerate(self.divisors)
-            ],
-            "edges": [list(e) for e in self.edges()],
-        }
-
-    def to_dot(self) -> str:
-        return _dot(f"divisors_{self.n}", self.labels(), self.edges())
-
-    def __repr__(self) -> str:
-        return f"GeneralDivisorGraph(n={self.n})"
+        fields = [f"{key}={value}" for key, value in self.descriptor().items() if key != "family"]
+        return f"DivisorGraph({', '.join(fields)})"
 
 
 def _factorize(n: int) -> tuple[tuple[int, int], ...]:
@@ -331,29 +218,28 @@ def _factorize(n: int) -> tuple[tuple[int, int], ...]:
     return tuple(out)
 
 
-def _divisors_of(factorization: tuple[tuple[int, int], ...]) -> list[tuple[int, tuple[int, ...]]]:
-    """Every divisor with its exponent vector, as (d, (a_1, ...))."""
-    divs = [(1, ())]
-    for p, e in factorization:
-        divs = [(d * p**i, v + (i,)) for d, v in divs for i in range(e + 1)]
-    return divs
-
-
-def _dot(name: str, labels: list[str], edges: tuple[tuple[int, int], ...]) -> str:
-    lines = [f"graph {name} {{"]
-    for i, label in enumerate(labels):
-        lines.append(f'  v{i} [label="{label}"];')
-    for i, j in edges:
-        lines.append(f"  v{i} -- v{j};")
-    lines.append("}")
-    return "\n".join(lines) + "\n"
-
-
-def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DprimeGraph:
+def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
     """Gamma_k, optionally realized on k explicit distinct primes."""
-    return DprimeGraph(k, basis)
+    if k < 0:
+        raise ValueError(f"k must be >= 0, got {k}")
+    if basis is not None:
+        basis = tuple(basis)
+        if len(basis) != k:
+            raise ValueError(f"basis has {len(basis)} entries, expected {k}")
+        if len(set(basis)) != len(basis):
+            raise ValueError(f"basis primes must be distinct: {basis}")
+        for p in basis:
+            if not _is_prime(p):
+                raise ValueError(f"basis entry {p} is not prime")
+    return DivisorGraph((1,) * k, basis, gamma=True)
 
 
-def build_general(n: int, max_divisors: int = _DEFAULT_MAX_DIVISORS) -> GeneralDivisorGraph:
+def build_general(n: int, max_divisors: int = _DEFAULT_MAX_DIVISORS) -> DivisorGraph:
     """Divisor graph of n; refuses n with more than max_divisors divisors."""
-    return GeneralDivisorGraph(n, max_divisors)
+    if n < 1:
+        raise ValueError(f"n must be >= 1, got {n}")
+    factorization = _factorize(n)
+    g = DivisorGraph(tuple(e for _, e in factorization), tuple(p for p, _ in factorization))
+    if g.order > max_divisors:
+        raise ValueError(f"n={n} has {g.order} divisors, above the cap of {max_divisors}")
+    return g

@@ -29,7 +29,6 @@ from typing import Mapping
 
 from . import metric
 from .exact import RadicalSum, Value, normalize, sqf_decompose, value_to_json
-from .graphs import DprimeGraph, GeneralDivisorGraph
 
 #: Canonical index names, in report order.
 INDEX_NAMES = (
@@ -292,21 +291,9 @@ def compute_indices(g, names=None) -> dict[str, Value]:
     return {n: _DISPATCH[n](g) for n in names}
 
 
-def graph_descriptor(g) -> dict:
-    """Stable JSON identification of the graph a report was computed on."""
-    if isinstance(g, DprimeGraph):
-        doc: dict = {"family": "gamma", "k": g.k}
-        if g.basis is not None:
-            doc["primes"] = list(g.basis)
-        return doc
-    if isinstance(g, GeneralDivisorGraph):
-        return {"family": "divisor", "n": g.n}
-    return {"family": "graph", "order": g.order}
-
-
 def report_dict(g, values: dict[str, Value]) -> dict:
     """IndexReport JSON document."""
     return {
-        "graph": graph_descriptor(g),
+        "graph": g.descriptor(),
         "indices": {name: value_to_json(v) for name, v in values.items()},
     }

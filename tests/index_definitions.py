@@ -7,15 +7,90 @@ read off two rows per edge, and r-values from the product of the other
 degrees of each vertex.  Nothing here uses the lattice edge listing, the
 closed-form degrees, the diameter-2 identities or the degree profile of
 graphlab, so the two can be compared on any connected graph.
+
+The breadth-first distance engine (bfs_row, distance_matrix_bfs), the
+one-pair distance rule (distance_fast) and per-edge Mostar counts
+(mostar_counts) live here as well: graphlab computes none of them at run
+time, and the tests check its 0/1/2 rule and profile against them.
 """
 
-from collections import Counter
+from collections import Counter, deque
+from dataclasses import dataclass
 from itertools import combinations
 from fractions import Fraction
 from math import prod
 
 from graphlab.exact import RadicalSum, inv_sqrt, normalize
-from graphlab.metric import bfs_row
+from graphlab.metric import DistanceMatrix, require_universal_vertex
+
+
+class DisconnectedGraphError(ValueError):
+    """Raised when a distance query meets an unreachable vertex pair."""
+
+
+def _label_of(g, i: int) -> str:
+    try:
+        return g.labels()[i]
+    except (AttributeError, IndexError):
+        return str(i)
+
+
+def bfs_row(g, source: int) -> list[int]:
+    """Distances from one vertex by breadth-first search (any graph shape
+    exposing order and neighbors); raises if some vertex is unreachable."""
+    dist = [-1] * g.order
+    dist[source] = 0
+    queue = deque([source])
+    while queue:
+        u = queue.popleft()
+        for w in g.neighbors(u):
+            if dist[w] < 0:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    for w, d in enumerate(dist):
+        if d < 0:
+            raise DisconnectedGraphError(
+                f"no path from {_label_of(g, source)!r} to {_label_of(g, w)!r}"
+            )
+    return dist
+
+
+def distance_matrix_bfs(g) -> DistanceMatrix:
+    """Full matrix by breadth-first search from every vertex."""
+    return DistanceMatrix(g.labels(), [bfs_row(g, i) for i in range(g.order)])
+
+
+def distance_fast(g, i: int, j: int) -> int:
+    """Distance by the rule: 0, 1 if adjacent, else 2."""
+    require_universal_vertex(g)
+    if i == j:
+        return 0
+    return 1 if g.adjacent(i, j) else 2
+
+
+@dataclass
+class EdgeCloserCounts:
+    """For an edge (u, v): how many vertices sit strictly closer to each end.
+
+    Each endpoint counts itself, so n_u >= 1, n_v >= 1; equidistant vertices
+    count for neither side.
+    """
+
+    n_u: int
+    n_v: int
+
+
+def mostar_counts(g, edge: tuple[int, int]) -> EdgeCloserCounts:
+    """Closer-vertex counts for one edge, from two breadth-first rows; refuses
+    a graph that the 0/1/2 rule refuses."""
+    i, j = edge
+    if not g.adjacent(i, j):
+        raise ValueError(f"({i}, {j}) is not an edge")
+    require_universal_vertex(g)
+    ri, rj = bfs_row(g, i), bfs_row(g, j)
+    n_u = sum(1 for a, b in zip(ri, rj) if a < b)
+    n_v = sum(1 for a, b in zip(ri, rj) if b < a)
+    return EdgeCloserCounts(n_u, n_v)
 
 
 def _inv_sqrt_sum(counts):

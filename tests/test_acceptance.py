@@ -16,6 +16,7 @@ from graphlab import indices
 from graphlab import metric
 from graphlab.exact import RadicalSum, to_decimal, values_equal
 from graphlab.graphs import build_gamma, build_general
+from index_definitions import distance_matrix_bfs
 
 F = Fraction
 
@@ -80,7 +81,7 @@ def test_criterion_4_distances(criterion):
     with criterion(4, "fast distance rule == BFS for k=0..8; diameters; Gamma_3 matrix"):
         for k in range(9):
             g = build_gamma(k)
-            assert metric.distance_matrix(g).rows == metric.distance_matrix_bfs(g).rows
+            assert metric.distance_matrix(g).rows == distance_matrix_bfs(g).rows
         assert metric.diameter(build_gamma(0)) == 0
         assert metric.diameter(build_gamma(1)) == 1
         for k in range(2, 9):
@@ -216,9 +217,9 @@ def test_criterion_9_general_divisor_graphs(criterion):
             assert gd.order == gg.order
             order = sorted(
                 range(gd.order),
-                key=lambda i: (gd.omega(i), gd.prime_index_mask(i)),
+                key=lambda i: (gd.omega(i), gd.masks()[i]),
             )
-            assert [gd.prime_index_mask(i) for i in order] == list(gg.masks())
+            assert [gd.masks()[i] for i in order] == list(gg.masks())
             for a in range(gd.order):
                 for b in range(a + 1, gd.order):
                     assert gd.adjacent(order[a], order[b]) == gg.adjacent(a, b)

@@ -22,7 +22,7 @@ def test_gamma3_canonical_order():
 def test_gamma3_with_basis():
     g = build_gamma(3, (2, 3, 5))
     assert g.labels() == ["1", "2", "3", "5", "6", "10", "15", "30"]
-    assert [v.value for v in g.vertices] == [1, 2, 3, 5, 6, 10, 15, 30]
+    assert list(g.divisors) == [1, 2, 3, 5, 6, 10, 15, 30]
 
 
 def test_gamma0_and_gamma1():
@@ -38,13 +38,13 @@ def test_gamma0_and_gamma1():
 def test_adjacency_rule():
     g = build_gamma(3)
     one, n = 0, 7
-    p1 = g.index_of_mask(0b001)
-    p2 = g.index_of_mask(0b010)
-    p1p2 = g.index_of_mask(0b011)
+    p1 = g.masks().index(0b001)
+    p2 = g.masks().index(0b010)
+    p1p2 = g.masks().index(0b011)
     assert g.adjacent(one, n)
     assert g.adjacent(p1, p1p2)
     assert not g.adjacent(p1, p2)
-    assert not g.adjacent(p1p2, g.index_of_mask(0b101))
+    assert not g.adjacent(p1p2, g.masks().index(0b101))
     assert not g.adjacent(p1, p1)
 
 
@@ -148,9 +148,9 @@ def test_general_squarefree_matches_gamma_by_subset_map():
         gg = build_gamma(k)
         order = sorted(
             range(gd.order),
-            key=lambda i: (gd.omega(i), gd.prime_index_mask(i)),
+            key=lambda i: (gd.omega(i), gd.masks()[i]),
         )
-        assert [gd.prime_index_mask(i) for i in order] == list(gg.masks())
+        assert [gd.masks()[i] for i in order] == list(gg.masks())
         for a in range(gd.order):
             for b in range(a + 1, gd.order):
                 assert gd.adjacent(order[a], order[b]) == gg.adjacent(a, b)
@@ -198,8 +198,21 @@ def test_dot_output_deterministic():
 
 def test_divisor_vertex_data():
     g = build_gamma(3, (2, 3, 5))
-    v = g.vertices[g.index_of_mask(0b101)]
-    assert v.prime_positions == (1, 3)
-    assert v.omega == 2
-    assert v.value == 10
-    assert v.label == "10"
+    i = g.masks().index(0b101)
+    assert g.to_json_dict()["vertices"][i]["subset"] == [1, 3]
+    assert g.omega(i) == 2
+    assert g.divisors[i] == 10
+    assert g.labels()[i] == "10"
+
+
+def test_construction_lists_no_vertex():
+    """Only the exponents, primes and order are set at construction, so
+    Gamma_40 is built without its 2**40 vertices."""
+    g = build_gamma(40)
+    assert g.order == 2**40
+    assert g.descriptor() == {"family": "gamma", "k": 40}
+    assert repr(g) == "DivisorGraph(k=40)"
+    assert "vectors" not in vars(g)
+    assert repr(build_gamma(2, (3, 2))) == "DivisorGraph(k=2, primes=[3, 2])"
+    assert build_general(12).descriptor() == {"family": "divisor", "n": 12}
+    assert repr(build_general(12)) == "DivisorGraph(n=12)"

@@ -42,8 +42,7 @@ from graphlab.indices import (
     zagreb1,
     zagreb2,
 )
-from graphlab.metric import distance_matrix_bfs
-from index_definitions import Path3, edges_and_degrees, reference_indices
+from index_definitions import Path3, distance_matrix_bfs, edges_and_degrees, reference_indices
 
 F = Fraction
 
@@ -339,9 +338,8 @@ def test_indices_list_no_edges(monkeypatch):
     def refuse(*args):
         raise AssertionError("edges listed at run time")
 
-    monkeypatch.setattr(graphs._GraphBase, "edges", refuse)
-    for cls in (graphs.DprimeGraph, graphs.GeneralDivisorGraph):
-        monkeypatch.setattr(cls, "adjacent", refuse)
+    monkeypatch.setattr(graphs.DivisorGraph, "edges", refuse)
+    monkeypatch.setattr(graphs.DivisorGraph, "adjacent", refuse)
     for g in (build_gamma(6), build_gamma(3, (2, 3, 5)), build_general(5040), build_general(1)):
         assert list(compute_indices(g)) == list(INDEX_NAMES)
 
@@ -356,7 +354,6 @@ def test_indices_run_no_breadth_first_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("distance rows requested at run time")
 
-    monkeypatch.setattr(metric, "bfs_row", refuse)
     monkeypatch.setattr(metric, "distance_rows", refuse)
     for g in (build_gamma(5), build_general(5040)):
         assert list(compute_indices(g)) == list(INDEX_NAMES)

@@ -4,19 +4,15 @@ import pytest
 
 from graphlab import graphs
 from graphlab.graphs import build_gamma, build_general
-from graphlab.metric import (
+from graphlab.metric import diameter, distance_matrix, distance_rows, transmission, transmissions
+from index_definitions import (
     DisconnectedGraphError,
+    Path3,
     bfs_row,
-    diameter,
     distance_fast,
-    distance_matrix,
     distance_matrix_bfs,
-    distance_rows,
     mostar_counts,
-    transmission,
-    transmissions,
 )
-from index_definitions import Path3
 
 MIXED_SHAPES = (720, 3360, 5040, 5400)
 
@@ -39,9 +35,9 @@ def test_gamma3_matrix_row_for_row():
 
 def test_distance_fast_examples():
     g = build_gamma(3)
-    p1 = g.index_of_mask(0b001)
-    p1p2 = g.index_of_mask(0b011)
-    p1p3 = g.index_of_mask(0b101)
+    p1 = g.masks().index(0b001)
+    p1p2 = g.masks().index(0b011)
+    p1p3 = g.masks().index(0b101)
     assert distance_fast(g, p1, p1p2) == 1
     assert distance_fast(g, p1p2, p1p3) == 2
     assert distance_fast(g, p1, p1) == 0
@@ -130,7 +126,7 @@ def test_diameter_lists_no_edges(monkeypatch):
     def refuse(*args):
         raise AssertionError("edges listed to count them")
 
-    monkeypatch.setattr(graphs._GraphBase, "edges", refuse)
+    monkeypatch.setattr(graphs.DivisorGraph, "edges", refuse)
     assert diameter(build_gamma(0)) == 0
     assert diameter(build_gamma(1)) == 1
     assert diameter(build_gamma(6)) == 2
@@ -160,7 +156,7 @@ def test_mostar_counts_subset_formula():
         g = build_gamma(k)
         for i, j in g.edges():
             a, b = g.omega(i), g.omega(j)
-            if g.mask(i) & g.mask(j) != g.mask(i):
+            if g.masks()[i] & g.masks()[j] != g.masks()[i]:
                 i, j = j, i
                 a, b = b, a
             c = mostar_counts(g, (i, j))
