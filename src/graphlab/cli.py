@@ -51,7 +51,7 @@ def _emit_graph(g, emit: str) -> str:
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
-    basis = _parse_primes(args.primes) if args.primes else None
+    basis = _parse_primes(args.primes) if args.primes is not None else None
     g = build_gamma(args.k, basis)
     sys.stdout.write(_emit_graph(g, args.emit))
     return 0
@@ -75,10 +75,10 @@ def _indices_table(values: dict) -> str:
 
 def cmd_indices(args: argparse.Namespace) -> int:
     if args.k is not None:
-        basis = _parse_primes(args.primes) if args.primes else None
+        basis = _parse_primes(args.primes) if args.primes is not None else None
         g = build_gamma(args.k, basis)
     else:
-        if args.primes:
+        if args.primes is not None:
             raise ValueError("--primes applies only to --k")
         g = build_general(args.n)
     names = None if args.index == "all" else [s.strip() for s in args.index.split(",")]

@@ -27,17 +27,11 @@ Q = Fraction  # rational shorthand
 Value = Union[int, Fraction, "RadicalSum"]
 
 
-def sqf_decompose(m: int) -> tuple[int, int]:
-    """Split m >= 1 into (c, d) with m = c*c*d and d squarefree.
-
-    Trial division up to sqrt(m); the index engine calls it on single vertex
-    degrees and transmissions (each distinct one once per sum), never on
-    their products, so inputs stay small.
-    """
-    if m < 1:
-        raise ValueError(f"expected a positive integer, got {m!r}")
-    c, d = 1, 1
-    rem = m
+def factorize(n: int) -> Iterator[tuple[int, int]]:
+    """Yield the prime factorization of n >= 1 as (p, e) pairs, p ascending,
+    by trial division up to sqrt(n); the package's one factoriser.  The first
+    pair comes as soon as the smallest prime factor is found."""
+    rem = n
     f = 2
     while f * f <= rem:
         if rem % f == 0:
@@ -45,11 +39,27 @@ def sqf_decompose(m: int) -> tuple[int, int]:
             while rem % f == 0:
                 rem //= f
                 e += 1
-            c *= f ** (e // 2)
-            if e % 2:
-                d *= f
+            yield f, e
         f += 1 if f == 2 else 2
-    return c, d * rem  # leftover rem is 1 or prime
+    if rem > 1:
+        yield rem, 1
+
+
+def sqf_decompose(m: int) -> tuple[int, int]:
+    """Split m >= 1 into (c, d) with m = c*c*d and d squarefree.
+
+    The index engine calls it on single vertex degrees and transmissions
+    (each distinct one once per sum), never on their products, so the trial
+    division in factorize stays small.
+    """
+    if m < 1:
+        raise ValueError(f"expected a positive integer, got {m!r}")
+    c = d = 1
+    for p, e in factorize(m):
+        c *= p ** (e // 2)
+        if e % 2:
+            d *= p
+    return c, d
 
 
 class RadicalSum:
@@ -98,9 +108,6 @@ class RadicalSum:
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         """Canonical (radicand, coefficient) pairs, radicand ascending."""
         return tuple(self._terms.items())
-
-    def coefficient(self, radicand: int) -> Fraction:
-        return self._terms.get(radicand, Fraction(0))
 
     def is_rational(self) -> bool:
         return all(d == 1 for d in self._terms)

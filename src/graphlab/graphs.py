@@ -29,22 +29,9 @@ from itertools import repeat
 from math import prod
 from operator import mul
 
+from .exact import factorize
+
 _DEFAULT_MAX_DIVISORS = 4096
-
-
-def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    if p < 4:
-        return True
-    if p % 2 == 0:
-        return False
-    f = 3
-    while f * f <= p:
-        if p % f == 0:
-            return False
-        f += 2
-    return True
 
 
 class DivisorGraph:
@@ -200,24 +187,6 @@ class DivisorGraph:
         return f"DivisorGraph({', '.join(fields)})"
 
 
-def _factorize(n: int) -> tuple[tuple[int, int], ...]:
-    """Prime factorization of n >= 1 as ((p, e), ...) with p ascending."""
-    out = []
-    rem = n
-    f = 2
-    while f * f <= rem:
-        if rem % f == 0:
-            e = 0
-            while rem % f == 0:
-                rem //= f
-                e += 1
-            out.append((f, e))
-        f += 1 if f == 2 else 2
-    if rem > 1:
-        out.append((rem, 1))
-    return tuple(out)
-
-
 def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
     """Gamma_k, optionally realized on k explicit distinct primes."""
     if k < 0:
@@ -229,7 +198,7 @@ def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
         if len(set(basis)) != len(basis):
             raise ValueError(f"basis primes must be distinct: {basis}")
         for p in basis:
-            if not _is_prime(p):
+            if p < 2 or next(factorize(p)) != (p, 1):
                 raise ValueError(f"basis entry {p} is not prime")
     return DivisorGraph((1,) * k, basis, gamma=True)
 
@@ -238,7 +207,7 @@ def build_general(n: int, max_divisors: int = _DEFAULT_MAX_DIVISORS) -> DivisorG
     """Divisor graph of n; refuses n with more than max_divisors divisors."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    factorization = _factorize(n)
+    factorization = tuple(factorize(n))
     g = DivisorGraph(tuple(e for _, e in factorization), tuple(p for p, _ in factorization))
     if g.order > max_divisors:
         raise ValueError(f"n={n} has {g.order} divisors, above the cap of {max_divisors}")

@@ -1,19 +1,19 @@
-"""Topological indices in exact arithmetic, from one per-graph degree profile.
+"""Topological indices in exact arithmetic, from one degree profile per graph.
 
-Vertex 0 (the divisor 1) is adjacent to every other vertex, so distinct
-vertices are at distance 1 or 2 (metric.require_universal_vertex refuses a
-graph without that property).  With V vertices, m edges, degrees d_v summing
-to S, and F = C(V, 2) - m pairs at distance 2:
+The profile reads only the prime exponents of n: on their lattice vertex 0
+(the divisor 1) divides every other vertex, so distinct vertices are at
+distance 1 or 2 by construction.  With V vertices, m edges, degrees d_v
+summing to S, and F = C(V, 2) - m pairs at distance 2:
 
 * W = m + 2F, WW = m + 3F, H = m + F/2;
 * the transmission D_v = 2(V-1) - d_v, so DD = sum d_v * D_v and
   Gut = S**2 - M1 - M2, and Balaban reads D from the edge degree pairs;
 * n_u - n_v = d_u - d_v on an edge uv, so Mo = edge sum of |d_u - d_v|;
-* r(v) = S - d_v + P/d_v with P the product of all degrees.
+* r(v) = S - d_v + P/d_v, P the product of all degrees (computed lazily).
 
 Every index is thus exact arithmetic over a Profile, computed once per graph
-and cached on it.  The profile lists no edge: lattice_counts folds the prime
-exponents of n one at a time, counting divisor pairs a | b by
+and cached on it.  The profile lists no vertex or edge: lattice_counts folds
+the prime exponents of n one at a time, counting divisor pairs a | b by
 (tau(a), tau(n/a), tau(b), tau(n/b)), which fixes both degrees.  On Gamma_k
 that is O(k**2) states instead of 3**k edges.  The enumeration definitions
 these identities replace are kept as the oracle in tests/index_definitions.py.
@@ -24,10 +24,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from math import comb, gcd, lcm, prod
 from typing import Mapping
 
-from . import metric
 from .exact import RadicalSum, Value, normalize, sqf_decompose, value_to_json
 
 #: Canonical index names, in report order.
@@ -104,17 +104,21 @@ def lattice_counts(exponents: tuple[int, ...]) -> tuple[Counter, Counter]:
 
 class Profile:
     """Order, size, degree counts, (deg u, deg v) edge-pair counts and the
-    degree sum and product of one graph; every index reads only these."""
+    degree sum and product of one exponent lattice; every index reads only these."""
 
-    def __init__(self, g):
-        metric.require_universal_vertex(g)
-        self.degree_counts, self.pair_counts = lattice_counts(g.exponents)
-        self.order, self.size = g.order, sum(self.pair_counts.values())
+    def __init__(self, exponents: tuple[int, ...]):
+        self.degree_counts, self.pair_counts = lattice_counts(exponents)
+        self.order = sum(self.degree_counts.values())
+        self.size = sum(self.pair_counts.values())
         self.far_pairs = comb(self.order, 2) - self.size  # F
         self.degree_sum = sum(d * c for d, c in self.degree_counts.items())
-        self.degree_product = prod(d**c for d, c in self.degree_counts.items())
         self.zagreb1 = sum(d * d * c for d, c in self.degree_counts.items())
         self.zagreb2 = sum(a * b * c for (a, b), c in self.pair_counts.items())
+
+    @cached_property
+    def degree_product(self) -> int:
+        """P; only the R-indices read it."""
+        return prod(d**c for d, c in self.degree_counts.items())
 
     def transmission(self, d: int) -> int:
         """D_v of a vertex of degree d."""
@@ -127,10 +131,14 @@ class Profile:
 
 
 def profile(g) -> Profile:
-    """The graph's Profile, computed on first use and cached on the graph."""
+    """The graph's Profile, computed from g.exponents on first use and cached
+    on the graph; a graph without exponents is refused."""
     p = vars(g).get("_profile")
     if p is None:
-        p = vars(g)["_profile"] = Profile(g)
+        if getattr(g, "exponents", None) is None:
+            raise ValueError(f"the index profile needs the prime exponents of a divisor "
+                             f"lattice; {type(g).__name__} has none")
+        p = vars(g)["_profile"] = Profile(g.exponents)
     return p
 
 
@@ -231,7 +239,8 @@ def randic(g) -> Value:
 
 
 def r_degree(g, i: int) -> RDegree:
-    """S_v = sum of the other degrees; M_v = product of the other degrees."""
+    """S_v = sum of the other degrees; M_v = product of the other degrees.
+    The one index function that reads a per-vertex degree."""
     return profile(g).r_degree(g.degrees()[i])
 
 

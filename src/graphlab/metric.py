@@ -3,8 +3,10 @@
 Every graph the package builds follows one distance rule: 0 on the diagonal,
 1 between neighbours, 2 otherwise, because vertex 0 (the divisor 1) is
 adjacent to every other vertex.  So the transmission of v is 2(V-1) - deg v.
-require_universal_vertex is the one check of that condition; everything here
-and the index profile call it, and raise ValueError on a graph it fails.
+require_universal_vertex is the one check of that condition; every function
+here calls it, and raises ValueError on a graph it fails.  The index profile
+does not: it reads only the exponent lattice, where the condition holds by
+construction.
 Breadth-first search is not used: it is the tests' oracle, in
 tests/index_definitions.py.
 """
@@ -21,12 +23,6 @@ class DistanceMatrix:
 
     labels: list[str]
     rows: list[list[int]]
-
-    def entry(self, i: int, j: int) -> int:
-        return self.rows[i][j]
-
-    def __getitem__(self, i: int) -> list[int]:
-        return self.rows[i]
 
     def to_csv(self) -> str:
         """Header row of vertex labels, then one numeric row per vertex."""

@@ -50,6 +50,12 @@ def test_gamma_invalid_primes(capsys):
     code, _, err = run_cli(capsys, "gamma", "--k", "2", "--primes", "4,6")
     assert code == 2
     assert "not prime" in err
+    code, out, err = run_cli(capsys, "gamma", "--k", "2", "--primes", "")
+    assert (code, out) == (2, "")
+    assert "--primes expects comma-separated integers" in err
+    code, out, err = run_cli(capsys, "indices", "--n", "12", "--primes", "")
+    assert (code, out) == (2, "")
+    assert "--primes applies only to --k" in err
 
 
 def test_divisor_graph_json(capsys):

@@ -104,6 +104,14 @@ def test_basis_validation():
         build_gamma(3, (2, 3))
     with pytest.raises(ValueError):
         build_gamma(-1)
+    for p in (1, 0, -7):
+        with pytest.raises(ValueError, match=f"basis entry {p} is not prime"):
+            build_gamma(1, (p,))
+    # the check stops at the smallest factor: the cofactor 2**61 - 1 is a
+    # prime that a full factorisation would take minutes to confirm
+    with pytest.raises(ValueError, match="is not prime"):
+        build_gamma(1, (2 * (2**61 - 1),))
+    assert build_gamma(1, (2**31 - 1,)).divisors == (1, 2**31 - 1)
 
 
 def test_build_general_small():

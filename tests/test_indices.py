@@ -16,7 +16,13 @@ import pytest
 
 from graphlab import graphs, metric
 from graphlab.exact import RadicalSum, inv_sqrt, value_to_json, values_equal
-from graphlab.formulas import degree_formula
+from graphlab.formulas import (
+    degree_formula,
+    harary_formula,
+    hyper_wiener_formula,
+    wiener_formula,
+    zagreb1_formula,
+)
 from graphlab.graphs import build_gamma, build_general
 from graphlab.indices import (
     INDEX_NAMES,
@@ -336,17 +342,32 @@ def test_lattice_counts_gamma40_closed_forms():
 
 def test_indices_list_no_edges(monkeypatch):
     def refuse(*args):
-        raise AssertionError("edges listed at run time")
+        raise AssertionError("edges, degrees or vectors listed at run time")
 
     monkeypatch.setattr(graphs.DivisorGraph, "edges", refuse)
     monkeypatch.setattr(graphs.DivisorGraph, "adjacent", refuse)
+    monkeypatch.setattr(graphs.DivisorGraph, "degrees", refuse)
+    monkeypatch.setattr(graphs.DivisorGraph, "vectors", property(refuse))
     for g in (build_gamma(6), build_gamma(3, (2, 3, 5)), build_general(5040), build_general(1)):
         assert list(compute_indices(g)) == list(INDEX_NAMES)
 
 
+def test_gamma20_indices_read_only_the_exponents():
+    g = build_gamma(20)
+    names = [n for n in INDEX_NAMES if n not in ("r1", "r2", "r3")]
+    values = compute_indices(g, names)
+    assert len(values) == 11
+    assert values["wiener"] == wiener_formula(20) == 4**20 - 3**20
+    assert values["hyper_wiener"] == hyper_wiener_formula(20)
+    assert values["harary"] == harary_formula(20)
+    assert values["zagreb1"] == zagreb1_formula(20)
+    assert "vectors" not in vars(g)
+    assert "degree_product" not in vars(profile(g))
+
+
 def test_profile_refuses_graph_without_universal_vertex():
     for name in INDEX_NAMES:
-        with pytest.raises(ValueError, match="vertex 0 adjacent to every other vertex"):
+        with pytest.raises(ValueError, match="needs the prime exponents of a divisor lattice"):
             compute_index(Path3(), name)
 
 
