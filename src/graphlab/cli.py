@@ -21,8 +21,6 @@ import argparse
 import functools
 import os
 import sys
-from collections import Counter
-from itertools import chain
 
 from . import claims as claims_mod
 from . import formulas, indices, metric
@@ -40,27 +38,25 @@ def _parse_primes(text: str) -> tuple[int, ...]:
         raise ValueError(f"--primes expects comma-separated integers, got {text!r}")
 
 
-def _emit_graph(g, emit: str) -> str:
+def _emit_graph(g, emit: str) -> int:
     if emit == "json":
-        return json_text(g.to_json_dict())
-    if emit == "dot":
-        return g.to_dot()
-    if emit == "csv":
-        return metric.distance_matrix(g).to_csv()
-    raise ValueError(f"unknown emit format {emit!r}")
+        sys.stdout.write(json_text(g.to_json_dict()))
+    elif emit == "dot":
+        sys.stdout.write(g.to_dot())
+    elif emit == "csv":
+        sys.stdout.write(metric.distance_matrix(g).to_csv())
+    else:
+        raise ValueError(f"unknown emit format {emit!r}")
+    return 0
 
 
 def cmd_gamma(args: argparse.Namespace) -> int:
     basis = _parse_primes(args.primes) if args.primes is not None else None
-    g = build_gamma(args.k, basis)
-    sys.stdout.write(_emit_graph(g, args.emit))
-    return 0
+    return _emit_graph(build_gamma(args.k, basis), args.emit)
 
 
 def cmd_divisor_graph(args: argparse.Namespace) -> int:
-    g = build_general(args.n)
-    sys.stdout.write(_emit_graph(g, args.emit))
-    return 0
+    return _emit_graph(build_general(args.n), args.emit)
 
 
 def _indices_table(values: dict) -> str:
@@ -90,67 +86,14 @@ def cmd_indices(args: argparse.Namespace) -> int:
     return 0
 
 
-def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
-    """Per-(formula, k) pass/fail lines comparing closed forms to edge
-    enumeration and the index engine, plus a summary line."""
-    lines: list[str] = []
-    passed = failed = 0
-    for k in range(k_min, k_max + 1):
-        g = build_gamma(k)
-        edges = g.edges()
-        m = len(edges)
-        endpoints = Counter(chain.from_iterable(edges))
-        deg = tuple(endpoints[i] for i in range(g.order))
-        omega_counts = Counter(g.omega(i) for i in range(g.order))
-        checks = [
-            ("order", formulas.order_formula(k), g.order),
-            ("size", formulas.size_formula(k), m),
-            ("size_recursive", formulas.size_recursive(k), m),
-            (
-                "count_by_omega",
-                tuple(formulas.count_by_omega(k, j) for j in range(k + 1)),
-                tuple(omega_counts[j] for j in range(k + 1)),
-            ),
-            ("wiener", formulas.wiener_formula(k), indices.wiener(g)),
-            ("hyper_wiener", formulas.hyper_wiener_formula(k), indices.hyper_wiener(g)),
-            ("harary", formulas.harary_formula(k), indices.harary(g)),
-            ("zagreb1", formulas.zagreb1_formula(k), indices.zagreb1(g)),
-        ]
-        for name, formula_value, oracle_value in checks:
-            fv = format_value(formula_value) if not isinstance(formula_value, tuple) else str(formula_value)
-            ov = format_value(oracle_value) if not isinstance(oracle_value, tuple) else str(oracle_value)
-            if formula_value == oracle_value:
-                lines.append(f"k={k} {name}: formula {fv} == oracle {ov} [pass]")
-                passed += 1
-            else:
-                lines.append(f"k={k} {name}: formula {fv} != oracle {ov} [FAIL]")
-                failed += 1
-        formula_deg = tuple(formulas.degree_formula(k, g.omega(i)) for i in range(g.order))
-        if formula_deg == deg:
-            lines.append(f"k={k} degree: formula == oracle for all {g.order} vertices [pass]")
-            passed += 1
-        else:
-            bad = next(i for i in range(g.order) if formula_deg[i] != deg[i])
-            lines.append(
-                f"k={k} degree: formula {formula_deg[bad]} != oracle {deg[bad]} "
-                f"at vertex {g.labels()[bad]} [FAIL]"
-            )
-            failed += 1
-    lines.append(f"{passed} checks passed, {failed} failed")
-    return lines, failed == 0
-
-
 def cmd_verify(args: argparse.Namespace) -> int:
     cap = args.cap
     if cap is None:
-        env = os.environ.get(_KCAP_ENV)
-        if env is not None:
-            try:
-                cap = int(env)
-            except ValueError:
-                raise ValueError(f"{_KCAP_ENV} must be an integer, got {env!r}")
-        else:
-            cap = _DEFAULT_KCAP
+        env = os.environ.get(_KCAP_ENV, str(_DEFAULT_KCAP))
+        try:
+            cap = int(env)
+        except ValueError:
+            raise ValueError(f"{_KCAP_ENV} must be an integer, got {env!r}")
     if not 0 <= args.k_min <= args.k_max:
         raise ValueError(f"need 0 <= k-min <= k-max, got {args.k_min}..{args.k_max}")
     if args.k_max > cap:
@@ -158,7 +101,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"k-max {args.k_max} exceeds the cap of {cap} "
             f"(raise with --cap or {_KCAP_ENV}; the edge enumeration is O(3^k))"
         )
-    lines, ok = verification_lines(args.k_min, args.k_max)
+    lines, ok = formulas.verification_lines(args.k_min, args.k_max)
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 

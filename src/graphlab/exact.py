@@ -18,6 +18,7 @@ import re
 import sys
 from decimal import Decimal
 from fractions import Fraction
+from itertools import chain
 from math import isqrt
 from typing import Iterator, Mapping, Union
 
@@ -43,6 +44,30 @@ def factorize(n: int) -> Iterator[tuple[int, int]]:
         f += 1 if f == 2 else 2
     if rem > 1:
         yield rem, 1
+
+
+#: Miller-Rabin over the primes 2..41 is exact below MR_LIMIT, the least
+#: strong pseudoprime to all of them (Sorenson and Webster, 2015).
+MR_LIMIT = 3317044064679887385961981
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
+def is_prime(n: int) -> bool:
+    """Whether n is prime, by deterministic Miller-Rabin over the primes
+    2..41; n >= MR_LIMIT, where that is not proven, raises ValueError."""
+    if n >= MR_LIMIT:
+        raise ValueError(f"{n} is too large to prove prime: Miller-Rabin over the primes "
+                         f"2..41 is exact only below {MR_LIMIT}")
+    if n < 2 or 0 in map(n.__mod__, _MR_BASES):
+        return n in _MR_BASES
+    if n < 43 * 43:  # no prime factor up to 41, so none at all
+        return True
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
+    for a in _MR_BASES:
+        x = pow(a, (n - 1) >> s, n)
+        if x != 1 and all(pow(x, 1 << r, n) != n - 1 for r in range(s)):
+            return False
+    return True
 
 
 def sqf_decompose(m: int) -> tuple[int, int]:
@@ -361,7 +386,9 @@ _quote = json.encoder.encode_basestring_ascii  # the stdlib's C string quoting
 def _encoded(values, pad: str) -> list[str]:
     """json.dumps(v, indent=2) of each v in values, nested at pad (a newline
     and the indent of the enclosing line).  Strings and ints, the bulk of
-    every document, are written inline; each container is one join."""
+    every document, are written inline; each container is one join, and a
+    list of ints or of equal-length int rows (graph edges) is one join of
+    int.__repr__ or of a %d row template."""
     inner = pad + "  "
     out = []
     for v in values:
@@ -377,10 +404,20 @@ def _encoded(values, pad: str) -> list[str]:
             else:
                 out.append("{}")
         elif isinstance(v, (list, tuple)):
-            if v:
-                out.append("[" + inner + ("," + inner).join(_encoded(v, inner)) + pad + "]")
-            else:
+            if not v:
                 out.append("[]")
+                continue
+            if type(v[0]) is int and {*map(type, v)} == {int}:  # type() is int keeps out bool
+                items = map(int.__repr__, v)
+            elif (type(v[0]) in (list, tuple) and {*map(type, v)} <= {list, tuple}
+                  and len({*map(len, v)}) == 1 and v[0]
+                  and {*map(type, chain.from_iterable(v))} == {int}):  # one %d row template
+                deep = inner + "  "
+                row = "[" + deep + ("," + deep).join(["%d"] * len(v[0])) + inner + "]"
+                items = map(row.__mod__, map(tuple, v))
+            else:
+                items = _encoded(v, inner)
+            out.append("[" + inner + ("," + inner).join(items) + pad + "]")
         else:
             out.append(json.dumps(v))  # bool, None, float; TypeError like json
     return out

@@ -1,16 +1,20 @@
 """Closed forms for Gamma_k: order, degrees, size, and four distance indices.
 
-They are verified against edge enumeration and the index engine in indices
-(see the verify subcommand and the test suite).  Everything is exact; the
-k = 0 cases route through rationals where an intermediate 2**(k-1) appears.
+They are verified against edge enumeration and the index engine by
+verification_lines (the verify subcommand) and the test suite.  Everything is
+exact; k = 0 routes through rationals where an intermediate 2**(k-1) appears.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from itertools import chain
 from math import comb
 
-from .exact import Value, normalize
+from . import indices
+from .exact import Value, format_value, normalize
+from .graphs import build_gamma
 
 
 def _check_k(k: int) -> None:
@@ -89,3 +93,50 @@ def zagreb1_formula(k: int) -> int:
         comb(k, j) * (2**j + 2 ** (k - j) - 2) ** 2 for j in range(1, k)
     )
     return 2 * (2**k - 1) ** 2 + interior
+
+
+def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
+    """Per-(formula, k) pass/fail lines comparing closed forms to edge
+    enumeration and the index engine, plus a summary line.  Size and degrees
+    are counted from the rows of multiples(): a vertex's degree is its row
+    length plus the number of rows it appears in."""
+    lines: list[str] = []
+    for k in range(k_min, k_max + 1):
+        g = build_gamma(k)
+        rows = g.multiples()
+        m = sum(map(len, rows))
+        below = Counter(chain.from_iterable(rows))
+        deg = tuple(len(row) + below[i] for i, row in enumerate(rows))
+        omegas = [g.omega(i) for i in range(g.order)]
+        checks = [
+            ("order", order_formula(k), g.order),
+            ("size", size_formula(k), m),
+            ("size_recursive", size_recursive(k), m),
+            (
+                "count_by_omega",
+                tuple(count_by_omega(k, j) for j in range(k + 1)),
+                tuple(map(Counter(omegas).__getitem__, range(k + 1))),
+            ),
+            ("wiener", wiener_formula(k), indices.wiener(g)),
+            ("hyper_wiener", hyper_wiener_formula(k), indices.hyper_wiener(g)),
+            ("harary", harary_formula(k), indices.harary(g)),
+            ("zagreb1", zagreb1_formula(k), indices.zagreb1(g)),
+        ]
+        for name, formula_value, oracle_value in checks:
+            fv, ov = format_value(formula_value), format_value(oracle_value)  # tuples print by str()
+            same = formula_value == oracle_value
+            lines.append(f"k={k} {name}: formula {fv} {'==' if same else '!='} oracle {ov} "
+                         f"[{'pass' if same else 'FAIL'}]")
+        by_omega = [degree_formula(k, j) for j in range(k + 1)]
+        formula_deg = tuple(map(by_omega.__getitem__, omegas))
+        if formula_deg == deg:
+            lines.append(f"k={k} degree: formula == oracle for all {g.order} vertices [pass]")
+        else:
+            bad = next(i for i in range(g.order) if formula_deg[i] != deg[i])
+            lines.append(
+                f"k={k} degree: formula {formula_deg[bad]} != oracle {deg[bad]} "
+                f"at vertex {g.labels()[bad]} [FAIL]"
+            )
+    failed = sum(line.endswith("[FAIL]") for line in lines)
+    lines.append(f"{len(lines) - failed} checks passed, {failed} failed")
+    return lines, failed == 0

@@ -12,24 +12,25 @@ sorts by omega (number of prime factors), then by bitmask, bit i standing for
 p_{i+1}.  Any other divisor graph lists its divisors in ascending order.
 
 Everything is read off the lattice: the degree of a divisor d is
-tau(d) + tau(n/d) - 2, and the edges are listed as each vertex's proper
-multiples, found by adding mixed-radix offsets to its code.  In both
-canonical orders a divisor comes before its multiples, so listing the rows
-in vertex order gives the edges in lexicographic order in O(|E|).
+tau(d) + tau(n/d) - 2, and the edges are listed once, as multiples(): the
+proper multiples of d are d times the divisors of n/d, so in mixed-radix codes
+a row is the divisor codes of n/d shifted by the code of d, mapped to vertex
+indices and sorted by builtins.  A divisor precedes its multiples in both
+orders, so the rows list the edges in lexicographic order.
 
-A graph is immutable after construction.  Only its exponents, primes and
-order are set there; vertices, edges, degrees and neighbor lists are computed
-on first use and cached, which also keeps them safe to share across threads.
+A graph is immutable.  Only its exponents, primes and order are set at
+construction; vectors, rows of multiples, degrees and neighbor lists are
+computed on first use and cached, which keeps them safe to share across threads.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
-from itertools import repeat
+from itertools import accumulate, chain, repeat
 from math import prod
 from operator import mul
 
-from .exact import factorize
+from .exact import factorize, is_prime
 
 _DEFAULT_MAX_DIVISORS = 4096
 
@@ -72,15 +73,12 @@ class DivisorGraph:
 
     def omega(self, i: int) -> int:
         """Number of distinct prime factors of vertex i."""
-        return sum(1 for a in self.vectors[i] if a)
-
-    @cached_property
-    def _masks(self) -> tuple[int, ...]:
-        return tuple(sum(1 << p for p, a in enumerate(v) if a) for v in self.vectors)
+        return len(self.exponents) - self.vectors[i].count(0)
 
     def masks(self) -> tuple[int, ...]:
-        """Per vertex, the bitmask of the prime positions dividing it."""
-        return self._masks
+        """Per vertex, the bitmask of the prime positions dividing it (not
+        cached: nothing in the package reads it)."""
+        return tuple(sum(1 << p for p, a in enumerate(v) if a) for v in self.vectors)
 
     def labels(self) -> list[str]:
         """Divisor values when the primes are known, else products like p1p2."""
@@ -100,31 +98,32 @@ class DivisorGraph:
         return doc
 
     @cached_property
-    def _edges(self) -> tuple[tuple[int, int], ...]:
-        radix, r = [], 1
-        for e in self.exponents:
-            radix.append(r)
-            r *= e + 1
+    def _multiples(self) -> tuple[tuple[int, ...], ...]:
+        radix = list(accumulate((e + 1 for e in self.exponents[:-1]), mul, initial=1))
         codes = [sum(map(mul, v, radix)) for v in self.vectors]
-        index = [0] * self.order
-        for i, c in enumerate(codes):
-            index[c] = i
-        edges: list[tuple[int, int]] = []
-        for i, v in enumerate(self.vectors):
-            multiples = [codes[i]]
-            for a, e, w in zip(v, self.exponents, radix):
-                if a < e:
-                    multiples = [c + t * w for t in range(e - a + 1) for c in multiples]
-            # multiples[0] is vertex i itself; its proper multiples all come
-            # later in the canonical order, so i sorts first and is dropped.
-            row = sorted([index[c] for c in multiples])
-            edges.extend(zip(repeat(i), row[1:]))
-        return tuple(edges)
+        index = sorted(range(self.order), key=codes.__getitem__)  # index[code] = vertex
+        # down[c]: the codes of the divisors of code c, built prime by prime.
+        # With digit a >= 1 at weight w and none above, they are the divisors
+        # of c - w, then those with digit a: t = a*w plus a divisor of c - t.
+        down = [[0]]
+        for e, w in zip(self.exponents, radix):
+            for c in range(w, w * (e + 1)):
+                t = c - c % w
+                down.append(down[c - w] + list(map(t.__add__, down[c - t])))
+        # The multiples of v are v times the divisors of n/v, whose code is
+        # last - c; v itself sorts first in the canonical order and is dropped.
+        last = self.order - 1
+        return tuple(tuple(sorted(map(index.__getitem__, map(c.__add__, down[last - c])))[1:])
+                     for c in codes)
+
+    def multiples(self) -> tuple[tuple[int, ...], ...]:
+        """Per vertex, its proper multiples in ascending order: row i holds the edges (i, j > i)."""
+        return self._multiples
 
     def edges(self) -> tuple[tuple[int, int], ...]:
         """Edges as (i, j) with i < j, in canonical (lexicographic) order:
-        row i lists the proper multiples of vertex i."""
-        return self._edges
+        the rows of multiples(), one pair per entry."""
+        return tuple(chain.from_iterable(map(zip, map(repeat, range(self.order)), self.multiples())))
 
     def size(self) -> int:
         return sum(self.degrees()) // 2
@@ -149,11 +148,13 @@ class DivisorGraph:
 
     @cached_property
     def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        adj: list[list[int]] = [[] for _ in range(self.order)]
-        for i, j in self.edges():
-            adj[i].append(j)
-            adj[j].append(i)
-        return tuple(tuple(a) for a in adj)
+        # Vertex j's proper divisors are the rows holding j, met in ascending order.
+        rows = self.multiples()
+        below: list[list[int]] = [[] for _ in rows]
+        for i, row in enumerate(rows):
+            for j in row:
+                below[j].append(i)
+        return tuple(tuple(b) + row for b, row in zip(below, rows))
 
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
@@ -170,7 +171,7 @@ class DivisorGraph:
         else:
             doc["vertices"] = [{"value": d, "omega": self.omega(i)}
                                for i, d in enumerate(self.divisors)]
-        doc["edges"] = [list(e) for e in self.edges()]
+        doc["edges"] = list(map(list, self.edges()))
         return doc
 
     def to_dot(self) -> str:
@@ -178,7 +179,8 @@ class DivisorGraph:
         name = f"gamma_{doc['k']}" if self.gamma else f"divisors_{doc['n']}"
         lines = [f"graph {name} {{"]
         lines.extend(f'  v{i} [label="{label}"];' for i, label in enumerate(self.labels()))
-        lines.extend(f"  v{i} -- v{j};" for i, j in self.edges())
+        lines.extend(f"  v{i} -- v" + f";\n  v{i} -- v".join(map(str, row)) + ";"
+                     for i, row in enumerate(self.multiples()) if row)
         lines.append("}")
         return "\n".join(lines) + "\n"
 
@@ -198,7 +200,7 @@ def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
         if len(set(basis)) != len(basis):
             raise ValueError(f"basis primes must be distinct: {basis}")
         for p in basis:
-            if p < 2 or next(factorize(p)) != (p, 1):
+            if not is_prime(p):
                 raise ValueError(f"basis entry {p} is not prime")
     return DivisorGraph((1,) * k, basis, gamma=True)
 

@@ -25,10 +25,16 @@ class DistanceMatrix:
     rows: list[list[int]]
 
     def to_csv(self) -> str:
-        """Header row of vertex labels, then one numeric row per vertex."""
-        lines = [",".join(self.labels)]
-        lines.extend(",".join(str(d) for d in row) for row in self.rows)
-        return "\n".join(lines) + "\n"
+        """Header row of vertex labels, then one numeric row per vertex.  Digits
+        come from a table; any entry outside 0..9 prints every row by str()."""
+        try:
+            body = [",".join(map(_DIGITS.__getitem__, row)) for row in self.rows]
+        except KeyError:
+            body = [",".join(map(str, row)) for row in self.rows]
+        return "\n".join([",".join(self.labels), *body]) + "\n"
+
+
+_DIGITS = {d: str(d) for d in range(10)}
 
 
 def require_universal_vertex(g) -> None:

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from graphlab.cli import main, verification_lines
+from graphlab.cli import main
+from graphlab.formulas import verification_lines
 
 
 def run_cli(capsys, *argv):

@@ -10,9 +10,12 @@ import pytest
 
 from graphlab import exact
 from graphlab.exact import (
+    MR_LIMIT,
     RadicalSum,
+    factorize,
     format_value,
     inv_sqrt,
+    is_prime,
     normalize,
     sqf_decompose,
     to_decimal,
@@ -383,3 +386,19 @@ def test_integers_print_under_the_lowest_str_digit_limit():
             assert format_value(RadicalSum({2: F(n, 7)})) == f"{text}/7*sqrt(2)"
     finally:
         set_limit(old)
+
+
+def test_is_prime_agrees_with_factorize():
+    for p in range(-10, 10**5):
+        assert is_prime(p) == (p >= 2 and next(factorize(p)) == (p, 1)), p
+
+
+def test_is_prime_refuses_pseudoprimes_and_large_entries():
+    # Carmichael 561; strong pseudoprimes to base 2 (2047), to bases 2..7
+    # (3215031751) and to every prime base up to 37 (318665857834031151167461)
+    for n in (561, 2047, 3215031751, 318665857834031151167461, 2 * (2**61 - 1), 1, 0, -7):
+        assert not is_prime(n), n
+    assert is_prime(2**61 - 1)
+    assert not is_prime(MR_LIMIT - 1)  # even, and still below the bound
+    with pytest.raises(ValueError, match="too large to prove prime"):
+        is_prime(MR_LIMIT)

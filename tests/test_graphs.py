@@ -1,6 +1,7 @@
 """Graph construction: canonical order, adjacency, degrees, exports."""
 
 import json
+import time
 
 import pytest
 
@@ -61,15 +62,32 @@ def test_edges_canonical_order():
     assert all(i < j for i, j in e)
 
 
-def test_lattice_edges_and_degrees_equal_pair_scan():
+def lattice_graphs():
     graphs = [build_gamma(k) for k in range(10)] + [build_gamma(4, (2, 3, 5, 7))]
     graphs += [build_general(n) for n in range(1, 1201)]
     graphs += [build_general(n) for n in MIXED_SHAPES]
-    for g in graphs:
+    return graphs
+
+
+def test_lattice_edges_and_degrees_equal_pair_scan():
+    for g in lattice_graphs():
         edges, deg = edges_and_degrees(g)
         assert g.edges() == edges, g
         assert g.degrees() == deg, g
         assert g.size() == len(edges), g
+
+
+def test_multiples_and_neighbors_equal_pair_scan():
+    for g in lattice_graphs():
+        edges, _ = edges_and_degrees(g)
+        rows = [[] for _ in range(g.order)]
+        adjacent = [[] for _ in range(g.order)]
+        for i, j in edges:
+            rows[i].append(j)
+            adjacent[i].append(j)
+            adjacent[j].append(i)
+        assert g.multiples() == tuple(map(tuple, rows)), g
+        assert all(g.neighbors(i) == tuple(sorted(adjacent[i])) for i in range(g.order)), g
 
 
 def test_degree_sequences_match_printed_tables():
@@ -107,11 +125,22 @@ def test_basis_validation():
     for p in (1, 0, -7):
         with pytest.raises(ValueError, match=f"basis entry {p} is not prime"):
             build_gamma(1, (p,))
-    # the check stops at the smallest factor: the cofactor 2**61 - 1 is a
-    # prime that a full factorisation would take minutes to confirm
-    with pytest.raises(ValueError, match="is not prime"):
-        build_gamma(1, (2 * (2**61 - 1),))
+    # Carmichael 561, strong pseudoprimes 2047 (base 2) and 3215031751
+    # (bases 2, 3, 5, 7), and twice a 61-bit prime
+    for p in (561, 2047, 3215031751, 2 * (2**61 - 1)):
+        with pytest.raises(ValueError, match=f"basis entry {p} is not prime"):
+            build_gamma(1, (p,))
     assert build_gamma(1, (2**31 - 1,)).divisors == (1, 2**31 - 1)
+
+
+def test_basis_check_is_fast_and_bounded():
+    start = time.perf_counter()
+    assert build_gamma(1, (2**61 - 1,)).divisors == (1, 2**61 - 1)
+    assert build_gamma(2, (2**31 - 1, 2**61 - 1)).order == 4
+    assert time.perf_counter() - start < 1
+    # 2**89 - 1 is prime but above the bound the test is proven for
+    with pytest.raises(ValueError, match="too large to prove prime"):
+        build_gamma(1, (2**89 - 1,))
 
 
 def test_build_general_small():

@@ -56,6 +56,41 @@ def test_random_trees():
         assert_identical(doc)
 
 
+def random_int(rng):
+    return rng.choice((0, 1, -1, 7, 10**30, -10**30, rng.randrange(-10**30, 10**30)))
+
+
+def random_int_block(rng):
+    """Shapes the writer prints in one join: flat int lists and equal-length
+    int rows, next to near misses (bools, empty or ragged rows)."""
+    width = rng.randrange(4)
+    rows = [[random_int(rng) for _ in range(width)] for _ in range(rng.randrange(4))]
+    shape = rng.randrange(6)
+    if shape == 0:
+        return [random_int(rng) for _ in range(rng.randrange(6))]
+    if shape == 1:
+        return rows
+    if shape == 2:
+        return tuple(map(tuple, rows)) if rng.random() < 0.5 else list(map(tuple, rows))
+    if shape == 3:  # a bool among the ints
+        flat = [random_int(rng) for _ in range(rng.randrange(1, 5))]
+        flat[rng.randrange(len(flat))] = rng.choice((True, False))
+        return [flat, flat] if rng.random() < 0.5 else flat
+    if shape == 4:  # ragged rows
+        return rows + [[random_int(rng) for _ in range(width + 1)]]
+    return {random_text(rng): rows, "edges": [[0, 1], [0, 2]], "empty": [[], []]}
+
+
+def test_int_lists_and_matrices():
+    rng = random.Random(9)
+    for _ in range(3000):
+        assert_identical(random_int_block(rng))
+        assert_identical({"doc": [random_int_block(rng), {"m": random_int_block(rng)}]})
+    for doc in ([[]], [[], []], [()], [[1], []], [[1, 2], [3]], [[True, 1], [0, 1]],
+                [1, True], [[1, 2], (3, 4)], [[1], [2.0]]):
+        assert_identical(doc)
+
+
 def test_index_reports():
     graphs = [build_gamma(k) for k in range(9)]
     graphs.append(build_gamma(3, (101, 103, 107)))

@@ -4,7 +4,9 @@ import pytest
 
 from graphlab import graphs
 from graphlab.graphs import build_gamma, build_general
-from graphlab.metric import diameter, distance_matrix, distance_rows, transmission, transmissions
+from graphlab.metric import (
+    DistanceMatrix, diameter, distance_matrix, distance_rows, transmission, transmissions,
+)
 from index_definitions import (
     DisconnectedGraphError,
     Path3,
@@ -189,3 +191,11 @@ def test_csv_matrix():
     assert csv == "1,2,3,6\n0,1,1,1\n1,0,2,1\n1,2,0,1\n1,1,1,0\n"
     g = build_gamma(3)
     assert distance_matrix(g).to_csv() == distance_matrix(g).to_csv()
+
+
+def test_csv_entries_beyond_one_digit():
+    # not distances of any graph here: entries outside 0..9 print with str()
+    for value in (-1, 0, 9, 10, 255, 256, 10**20):
+        rows = [[0, value], [value, 0], [1, 2]]
+        expected = "a,b\n" + "".join(",".join(str(d) for d in row) + "\n" for row in rows)
+        assert DistanceMatrix(["a", "b"], rows).to_csv() == expected, value
