@@ -29,6 +29,7 @@ from .graphs import build_gamma, build_general
 
 _DEFAULT_KCAP = 10
 _KCAP_ENV = "GRAPHLAB_KCAP"
+_MAX_EXPORT_EDGES = 3**12 - 2**12  # |E(Gamma_12)|; every export lists each edge
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
@@ -39,6 +40,9 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 
 def _emit_graph(g, emit: str) -> int:
+    if g.size() > _MAX_EXPORT_EDGES:
+        raise ValueError(f"the graph has {g.size()} edges, "
+                         f"above the export budget of {_MAX_EXPORT_EDGES}")
     if emit == "json":
         sys.stdout.write(json_text(g.to_json_dict()))
     elif emit == "dot":

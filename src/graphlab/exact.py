@@ -387,8 +387,8 @@ def _encoded(values, pad: str) -> list[str]:
     """json.dumps(v, indent=2) of each v in values, nested at pad (a newline
     and the indent of the enclosing line).  Strings and ints, the bulk of
     every document, are written inline; each container is one join, and a
-    list of ints or of equal-length int rows (graph edges) is one join of
-    int.__repr__ or of a %d row template."""
+    list of ints is one join of int.__repr__, and a list of equal-length int
+    rows (graph edges) is one %d template formatted over all its entries."""
     inner = pad + "  "
     out = []
     for v in values:
@@ -411,10 +411,10 @@ def _encoded(values, pad: str) -> list[str]:
                 items = map(int.__repr__, v)
             elif (type(v[0]) in (list, tuple) and {*map(type, v)} <= {list, tuple}
                   and len({*map(len, v)}) == 1 and v[0]
-                  and {*map(type, chain.from_iterable(v))} == {int}):  # one %d row template
+                  and {*map(type, flat := tuple(chain.from_iterable(v)))} == {int}):
                 deep = inner + "  "
                 row = "[" + deep + ("," + deep).join(["%d"] * len(v[0])) + inner + "]"
-                items = map(row.__mod__, map(tuple, v))
+                items = [("," + inner).join([row] * len(v)) % flat]  # one % for all rows
             else:
                 items = _encoded(v, inner)
             out.append("[" + inner + ("," + inner).join(items) + pad + "]")

@@ -12,11 +12,11 @@ sorts by omega (number of prime factors), then by bitmask, bit i standing for
 p_{i+1}.  Any other divisor graph lists its divisors in ascending order.
 
 Everything is read off the lattice: the degree of a divisor d is
-tau(d) + tau(n/d) - 2, and the edges are listed once, as multiples(): the
-proper multiples of d are d times the divisors of n/d, so in mixed-radix codes
-a row is the divisor codes of n/d shifted by the code of d, mapped to vertex
-indices and sorted by builtins.  A divisor precedes its multiples in both
-orders, so the rows list the edges in lexicographic order.
+tau(d) + tau(n/d) - 2, |E| is prod C(e+2, 2) - prod (e+1), and the edges are
+listed once, as multiples(): per mixed-radix code, a list of vertex indices is
+extended prime by prime by the list one digit above it, so it ends holding
+every multiple, and each row is that list sorted.  A divisor precedes its
+multiples in both orders, so the rows list the edges in lexicographic order.
 
 A graph is immutable.  Only its exponents, primes and order are set at
 construction; vectors, rows of multiples, degrees and neighbor lists are
@@ -25,9 +25,10 @@ computed on first use and cached, which keeps them safe to share across threads.
 
 from __future__ import annotations
 
+from collections import deque
 from functools import cached_property
 from itertools import accumulate, chain, repeat
-from math import prod
+from math import comb, prod
 from operator import mul
 
 from .exact import factorize, is_prime
@@ -101,20 +102,17 @@ class DivisorGraph:
     def _multiples(self) -> tuple[tuple[int, ...], ...]:
         radix = list(accumulate((e + 1 for e in self.exponents[:-1]), mul, initial=1))
         codes = [sum(map(mul, v, radix)) for v in self.vectors]
-        index = sorted(range(self.order), key=codes.__getitem__)  # index[code] = vertex
-        # down[c]: the codes of the divisors of code c, built prime by prime.
-        # With digit a >= 1 at weight w and none above, they are the divisors
-        # of c - w, then those with digit a: t = a*w plus a divisor of c - t.
-        down = [[0]]
+        # up[c]: the vertices whose codes are multiples of code c, built prime
+        # by prime.  Codes go downwards, so up[c + w] already holds this prime.
+        up = [[] for _ in codes]
+        for i, c in enumerate(codes):
+            up[c].append(i)
         for e, w in zip(self.exponents, radix):
-            for c in range(w, w * (e + 1)):
-                t = c - c % w
-                down.append(down[c - w] + list(map(t.__add__, down[c - t])))
-        # The multiples of v are v times the divisors of n/v, whose code is
-        # last - c; v itself sorts first in the canonical order and is dropped.
-        last = self.order - 1
-        return tuple(tuple(sorted(map(index.__getitem__, map(c.__add__, down[last - c])))[1:])
-                     for c in codes)
+            for c in range(self.order - 1 - w, -1, -1):
+                if c // w % (e + 1) < e:
+                    up[c] += up[c + w]
+        # A vertex precedes its multiples in the canonical order: drop it.
+        return tuple(tuple(sorted(up[c])[1:]) for c in codes)
 
     def multiples(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its proper multiples in ascending order: row i holds the edges (i, j > i)."""
@@ -126,7 +124,8 @@ class DivisorGraph:
         return tuple(chain.from_iterable(map(zip, map(repeat, range(self.order)), self.multiples())))
 
     def size(self) -> int:
-        return sum(self.degrees()) // 2
+        """Comparable pairs a <= b per prime, less the pairs a == b: no edge is listed."""
+        return prod(comb(e + 2, 2) for e in self.exponents) - self.order
 
     def degree(self, i: int) -> int:
         return self.degrees()[i]
@@ -151,9 +150,8 @@ class DivisorGraph:
         # Vertex j's proper divisors are the rows holding j, met in ascending order.
         rows = self.multiples()
         below: list[list[int]] = [[] for _ in rows]
-        for i, row in enumerate(rows):
-            for j in row:
-                below[j].append(i)
+        deque(map(list.append, map(below.__getitem__, chain.from_iterable(rows)),
+                  chain.from_iterable(map(repeat, range(self.order), map(len, rows)))), 0)
         return tuple(tuple(b) + row for b, row in zip(below, rows))
 
     def neighbors(self, i: int) -> tuple[int, ...]:

@@ -13,7 +13,9 @@ tests/index_definitions.py.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
+from itertools import repeat
 from typing import Iterator
 
 
@@ -25,16 +27,25 @@ class DistanceMatrix:
     rows: list[list[int]]
 
     def to_csv(self) -> str:
-        """Header row of vertex labels, then one numeric row per vertex.  Digits
-        come from a table; any entry outside 0..9 prints every row by str()."""
-        try:
-            body = [",".join(map(_DIGITS.__getitem__, row)) for row in self.rows]
-        except KeyError:
-            body = [",".join(map(str, row)) for row in self.rows]
-        return "\n".join([",".join(self.labels), *body]) + "\n"
+        """Header row of vertex labels, then one numeric row per vertex.  A row
+        of single digits as long as the header is translated to ASCII digits and
+        written between the commas of one buffer; any other row prints by str()."""
+        line = bytearray(b"," * (2 * len(self.labels) - 1) + b"\n")
+        body = []
+        for row in self.rows:
+            try:
+                digits = bytes(row).translate(_DIGITS)
+            except (TypeError, ValueError):  # an entry that is not an int in 0..255
+                digits = b""
+            if digits.isdigit() and len(digits) == len(self.labels):
+                line[:-1:2] = digits
+                body.append(line.decode())
+            else:
+                body.append(",".join(map(str, row)) + "\n")
+        return ",".join(self.labels) + "\n" + "".join(body)
 
 
-_DIGITS = {d: str(d) for d in range(10)}
+_DIGITS = b"0123456789".ljust(256)  # bytes 10..255 become spaces, which fail isdigit()
 
 
 def require_universal_vertex(g) -> None:
@@ -49,8 +60,7 @@ def require_universal_vertex(g) -> None:
 
 def _rule_row(g, i: int) -> list[int]:
     row = [2] * g.order
-    for j in g.neighbors(i):
-        row[j] = 1
+    deque(map(row.__setitem__, g.neighbors(i), repeat(1)), 0)
     row[i] = 0
     return row
 

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import time
 from pathlib import Path
 
 import pytest
@@ -66,6 +67,17 @@ def test_divisor_graph_json(capsys):
     assert doc["n"] == 12
     assert len(doc["vertices"]) == 6
     assert len(doc["edges"]) == 12
+
+
+def test_exports_refuse_graphs_above_the_edge_budget(capsys):
+    for argv, edges in ((["gamma", "--k", "13", "--emit", "json"], 3**13 - 2**13),
+                        (["divisor-graph", "--n", str(2**4095)], 4096 * 4095 // 2),
+                        (["gamma", "--k", "40", "--emit", "csv"], 3**40 - 2**40)):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0, argv
+        assert (code, out) == (2, ""), argv
+        assert f"{edges} edges, above the export budget of 527345" in err, argv
 
 
 def test_indices_json_selection(capsys):

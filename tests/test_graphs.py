@@ -66,6 +66,8 @@ def lattice_graphs():
     graphs = [build_gamma(k) for k in range(10)] + [build_gamma(4, (2, 3, 5, 7))]
     graphs += [build_general(n) for n in range(1, 1201)]
     graphs += [build_general(n) for n in MIXED_SHAPES]
+    # a chain, (4, 4, 4) and (8, 1, 1, 1, 1): several digits per prime in the per-prime pass
+    graphs += [build_general(n) for n in (2**11, 810000, 2**8 * 3 * 5 * 7 * 11)]
     return graphs
 
 
@@ -253,3 +255,14 @@ def test_construction_lists_no_vertex():
     assert repr(build_gamma(2, (3, 2))) == "DivisorGraph(k=2, primes=[3, 2])"
     assert build_general(12).descriptor() == {"family": "divisor", "n": 12}
     assert repr(build_general(12)) == "DivisorGraph(n=12)"
+
+
+def test_size_is_closed_form():
+    """|E| = prod C(e+2, 2) - prod (e+1), read from the exponents alone."""
+    g = build_gamma(12)
+    assert g.size() == 3**12 - 2**12 == 527345
+    big = build_general(2**4095)
+    assert big.size() == 4096 * 4095 // 2
+    assert build_gamma(40).size() == 3**40 - 2**40
+    for h in (g, big):
+        assert not {"vectors", "_degrees", "_multiples"} & vars(h).keys()

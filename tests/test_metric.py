@@ -1,5 +1,7 @@
 """Distance layer: fast rule vs breadth-first oracle, transmissions, Mostar."""
 
+import random
+
 import pytest
 
 from graphlab import graphs
@@ -199,3 +201,21 @@ def test_csv_entries_beyond_one_digit():
         rows = [[0, value], [value, 0], [1, 2]]
         expected = "a,b\n" + "".join(",".join(str(d) for d in row) + "\n" for row in rows)
         assert DistanceMatrix(["a", "b"], rows).to_csv() == expected, value
+
+
+def test_csv_equals_str_join_definition():
+    def definition(m):
+        return "".join(",".join(map(str, row)) + "\n" for row in [m.labels, *m.rows])
+
+    rng = random.Random(10)
+    for width in (0, 1, 2, 7, 64):
+        for height in (0, 1, width, 5):
+            labels = [f"v{i}" for i in range(width)]
+            rows = [[rng.randrange(10) for _ in range(width)] for _ in range(height)]
+            m = DistanceMatrix(labels, rows)
+            assert m.to_csv() == definition(m), (width, height)
+            if rows:  # one row of another length, then one entry beyond a digit
+                for bad in (rows[0] + [rng.randrange(10)], rows[0][1:], [10] * width):
+                    m = DistanceMatrix(labels, [bad] + rows)
+                    assert m.to_csv() == definition(m), (width, height, bad)
+    assert DistanceMatrix([], []).to_csv() == "\n"
