@@ -6,9 +6,11 @@ square roots of squarefree integers (as produced by Randic- and Balaban-type
 edge sums).  All of them are kept canonical so that equality is literal
 structural equality; decimal strings are derived on demand and are correctly
 rounded (round half to even), by integer square-root bounds refined until
-they decide the rounding.  Integers print at any size: int <-> str goes
-through Decimal, which has no digit limit.  json_text writes every JSON
-document the package prints (index reports, graph exports, claim reports).
+they decide the rounding.  Integers print and parse at any size: up to 2000
+bits (603 digits, below every digit limit Python allows) they print with
+int.__repr__, and above that, and when parsed, they go through Decimal, which
+has no digit limit.  json_text writes every JSON document the package prints
+(index reports, graph exports, claim reports).
 """
 
 from __future__ import annotations
@@ -28,19 +30,24 @@ Q = Fraction  # rational shorthand
 Value = Union[int, Fraction, "RadicalSum"]
 
 
-def factorize(n: int) -> Iterator[tuple[int, int]]:
+def factorize(n: int, bound: int | None = None) -> Iterator[tuple[int, int]]:
     """Yield the prime factorization of n >= 1 as (p, e) pairs, p ascending,
     by trial division up to sqrt(n); the package's one factoriser.  The first
-    pair comes as soon as the smallest prime factor is found."""
+    pair comes as soon as the smallest prime factor is found.  With a bound,
+    trial division stops after it, and the cofactor left above 1 comes last
+    as (cofactor, 1), unproven: it has no prime factor up to the bound, so it
+    is prime below (bound + 1)**2."""
     rem = n
     f = 2
-    while f * f <= rem:
+    stop = isqrt(n) if bound is None else min(isqrt(n), bound)  # the last f to try
+    while f <= stop:
         if rem % f == 0:
             e = 0
             while rem % f == 0:
                 rem //= f
                 e += 1
             yield f, e
+            stop = min(stop, isqrt(rem))
         f += 1 if f == 2 else 2
     if rem > 1:
         yield rem, 1
@@ -215,10 +222,15 @@ class RadicalSum:
         return f"RadicalSum({{{inner}}})"
 
 
+#: Integers of at most this many bits have at most 603 digits, below the
+#: lowest digit limit sys.set_int_max_str_digits accepts (640).
+_REPR_BITS = 2000
+
+
 def _int_str(n: int) -> str:
-    """str(n) at any size: Python may refuse int -> str above a digit limit,
-    Decimal has none."""
-    return str(Decimal(n))
+    """str(n) at any size: int.__repr__ up to _REPR_BITS bits, which no digit
+    limit refuses; above, Decimal, which has no limit."""
+    return int.__repr__(n) if n.bit_length() <= _REPR_BITS else str(Decimal(n))
 
 
 #: What int() accepts as a base-10 string: surrounding whitespace, a sign,
@@ -386,9 +398,12 @@ _quote = json.encoder.encode_basestring_ascii  # the stdlib's C string quoting
 def _encoded(values, pad: str) -> list[str]:
     """json.dumps(v, indent=2) of each v in values, nested at pad (a newline
     and the indent of the enclosing line).  Strings and ints, the bulk of
-    every document, are written inline; each container is one join, and a
-    list of ints is one join of int.__repr__, and a list of equal-length int
-    rows (graph edges) is one %d template formatted over all its entries."""
+    every document, are written inline, and each container is one join.  A
+    list whose items are all str or all int is one map (_column).  Two list
+    shapes are one template formatted with one % over all their entries:
+    equal-length int rows (graph edges), and records, dicts sharing one key
+    order (radical terms, graph vertices), whose keys are quoted once into
+    the template and whose columns are each encoded by one _column call."""
     inner = pad + "  "
     out = []
     for v in values:
@@ -407,20 +422,37 @@ def _encoded(values, pad: str) -> list[str]:
             if not v:
                 out.append("[]")
                 continue
-            if type(v[0]) is int and {*map(type, v)} == {int}:  # type() is int keeps out bool
-                items = map(int.__repr__, v)
-            elif (type(v[0]) in (list, tuple) and {*map(type, v)} <= {list, tuple}
-                  and len({*map(len, v)}) == 1 and v[0]
-                  and {*map(type, flat := tuple(chain.from_iterable(v)))} == {int}):
-                deep = inner + "  "
+            deep = inner + "  "
+            if (type(v[0]) in (list, tuple) and {*map(type, v)} <= {list, tuple}
+                    and len({*map(len, v)}) == 1 and v[0]
+                    and {*map(type, flat := tuple(chain.from_iterable(v)))} == {int}):
                 row = "[" + deep + ("," + deep).join(["%d"] * len(v[0])) + inner + "]"
                 items = [("," + inner).join([row] * len(v)) % flat]  # one % for all rows
+            elif (type(v[0]) is dict and v[0] and {*map(type, v)} == {dict}
+                  and len(keys := {*map(tuple, v)}) == 1):
+                (names,) = keys
+                row = "{" + deep + ("," + deep).join(
+                    [_quote(k).replace("%", "%%") + ": %s" for k in names]) + inner + "}"
+                columns = [_column(c, deep) for c in zip(*map(dict.values, v))]
+                cells = tuple(chain.from_iterable(zip(*columns)))
+                items = [("," + inner).join([row] * len(v)) % cells]  # one % for all records
             else:
-                items = _encoded(v, inner)
+                items = _column(v, inner)
             out.append("[" + inner + ("," + inner).join(items) + pad + "]")
         else:
             out.append(json.dumps(v))  # bool, None, float; TypeError like json
     return out
+
+
+def _column(values, pad: str):
+    """_encoded(values, pad), as one map when the values are all str or all
+    int (exact types, so bool and other subclasses go to _encoded)."""
+    kinds = {*map(type, values)}
+    if kinds == {str}:
+        return map(_quote, values)
+    if kinds == {int}:
+        return map(int.__repr__, values)
+    return _encoded(values, pad)
 
 
 def _indented_json(doc) -> str:

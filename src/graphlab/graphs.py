@@ -34,6 +34,8 @@ from operator import mul
 from .exact import factorize, is_prime
 
 _DEFAULT_MAX_DIVISORS = 4096
+#: build_general trial-divides n only up to this bound (about 0.1 s).
+_TRIAL_BOUND = 10**6
 
 
 class DivisorGraph:
@@ -75,11 +77,6 @@ class DivisorGraph:
     def omega(self, i: int) -> int:
         """Number of distinct prime factors of vertex i."""
         return len(self.exponents) - self.vectors[i].count(0)
-
-    def masks(self) -> tuple[int, ...]:
-        """Per vertex, the bitmask of the prime positions dividing it (not
-        cached: nothing in the package reads it)."""
-        return tuple(sum(1 << p for p, a in enumerate(v) if a) for v in self.vectors)
 
     def labels(self) -> list[str]:
         """Divisor values when the primes are known, else products like p1p2."""
@@ -204,10 +201,16 @@ def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
 
 
 def build_general(n: int, max_divisors: int = _DEFAULT_MAX_DIVISORS) -> DivisorGraph:
-    """Divisor graph of n; refuses n with more than max_divisors divisors."""
+    """Divisor graph of n; refuses n with more than max_divisors divisors, and
+    n whose cofactor after trial division up to _TRIAL_BOUND is not proven
+    prime by is_prime."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
-    factorization = tuple(factorize(n))
+    factorization = tuple(factorize(n, _TRIAL_BOUND))
+    cofactor = factorization[-1][0] if factorization else 1
+    if cofactor >= _TRIAL_BOUND**2 and not is_prime(cofactor):
+        raise ValueError(f"n={n} leaves the composite cofactor {cofactor} after trial "
+                         f"division up to {_TRIAL_BOUND}, the factorisation budget")
     g = DivisorGraph(tuple(e for _, e in factorization), tuple(p for p, _ in factorization))
     if g.order > max_divisors:
         raise ValueError(f"n={n} has {g.order} divisors, above the cap of {max_divisors}")

@@ -35,6 +35,12 @@ def _label_of(g, i: int) -> str:
         return str(i)
 
 
+def masks(g) -> tuple[int, ...]:
+    """Per vertex of g, the bitmask of the prime positions dividing it (bit i
+    for the (i+1)-th prime), in canonical order."""
+    return tuple(sum(1 << p for p, a in enumerate(v) if a) for v in g.vectors)
+
+
 def bfs_row(g, source: int) -> list[int]:
     """Distances from one vertex by breadth-first search (any graph shape
     exposing order and neighbors); raises if some vertex is unreachable."""

@@ -16,7 +16,7 @@ from graphlab import indices
 from graphlab import metric
 from graphlab.exact import RadicalSum, to_decimal, values_equal
 from graphlab.graphs import build_gamma, build_general
-from index_definitions import distance_matrix_bfs
+from index_definitions import distance_matrix_bfs, masks
 
 F = Fraction
 
@@ -215,11 +215,9 @@ def test_criterion_9_general_divisor_graphs(criterion):
             gd = build_general(n)
             gg = build_gamma(k)
             assert gd.order == gg.order
-            order = sorted(
-                range(gd.order),
-                key=lambda i: (gd.omega(i), gd.masks()[i]),
-            )
-            assert [gd.masks()[i] for i in order] == list(gg.masks())
+            m = masks(gd)
+            order = sorted(range(gd.order), key=lambda i: (gd.omega(i), m[i]))
+            assert [m[i] for i in order] == list(masks(gg))
             for a in range(gd.order):
                 for b in range(a + 1, gd.order):
                     assert gd.adjacent(order[a], order[b]) == gg.adjacent(a, b)

@@ -80,6 +80,19 @@ def test_exports_refuse_graphs_above_the_edge_budget(capsys):
         assert f"{edges} edges, above the export budget of 527345" in err, argv
 
 
+def test_divisor_graph_factorisation_budget(capsys):
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "divisor-graph", "--n", str(2**61 - 1))
+    assert time.perf_counter() - start < 1.0
+    assert code == 0
+    assert len(json.loads(out)["vertices"]) == 2
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "divisor-graph", "--n", str(1000000007 * 1000000009))
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "trial division up to 1000000" in err
+
+
 def test_indices_json_selection(capsys):
     code, out, _ = run_cli(capsys, "indices", "--k", "3", "--index", "wiener,harary")
     assert code == 0

@@ -4,7 +4,7 @@ import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
-from math import gcd, isqrt
+from math import gcd, isqrt, prod
 
 import pytest
 
@@ -386,6 +386,32 @@ def test_integers_print_under_the_lowest_str_digit_limit():
             assert format_value(RadicalSum({2: F(n, 7)})) == f"{text}/7*sqrt(2)"
     finally:
         set_limit(old)
+
+
+def test_int_str_across_the_repr_threshold():
+    """_int_str switches from int.__repr__ to Decimal at 2000 bits (603
+    digits); both sides print what Decimal prints."""
+    cases = [10**602, 10**603, 10**604]
+    for k in range(1990, 2011):
+        cases += [2**k, 2**k - 1]
+    for n in cases:
+        assert exact._int_str(n) == str(Decimal(n)), n
+        assert exact._int_str(-n) == str(Decimal(-n)), n
+
+
+def test_factorize_with_a_bound():
+    """With a bound the pairs still multiply to n; those up to the bound are
+    the prime factors up to it, and a last pair above it is the cofactor."""
+    for n in range(1, 5000):
+        pairs = list(factorize(n, 10))
+        assert prod(p**e for p, e in pairs) == n
+        full = list(factorize(n))
+        small = [(p, e) for p, e in full if p <= 10]
+        assert pairs[:len(small)] == small
+        rest = pairs[len(small):]
+        assert len(rest) <= 1 and all(p > 10 and e == 1 for p, e in rest)
+        if rest and rest[0][0] < 121:
+            assert is_prime(rest[0][0])
 
 
 def test_is_prime_agrees_with_factorize():

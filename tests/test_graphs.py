@@ -2,11 +2,13 @@
 
 import json
 import time
+from collections import Counter
+from math import isqrt
 
 import pytest
 
 from graphlab.graphs import build_gamma, build_general
-from index_definitions import edges_and_degrees
+from index_definitions import edges_and_degrees, masks
 
 # 2^4*3^2*5, 2^5*3*5*7, 2^4*3^2*5*7, 2^3*3^3*5^2, 2^5*3^3*5^2*7*11*13,
 # 2^2*5^2*19^2*47*83^2
@@ -39,13 +41,13 @@ def test_gamma0_and_gamma1():
 def test_adjacency_rule():
     g = build_gamma(3)
     one, n = 0, 7
-    p1 = g.masks().index(0b001)
-    p2 = g.masks().index(0b010)
-    p1p2 = g.masks().index(0b011)
+    p1 = masks(g).index(0b001)
+    p2 = masks(g).index(0b010)
+    p1p2 = masks(g).index(0b011)
     assert g.adjacent(one, n)
     assert g.adjacent(p1, p1p2)
     assert not g.adjacent(p1, p2)
-    assert not g.adjacent(p1p2, g.masks().index(0b101))
+    assert not g.adjacent(p1p2, masks(g).index(0b101))
     assert not g.adjacent(p1, p1)
 
 
@@ -169,6 +171,40 @@ def test_build_general_validation():
         build_general(2**13, max_divisors=8)
 
 
+def test_build_general_factorisation_budget():
+    """Trial division stops at 10**6: a cofactor left above that is accepted
+    when is_prime proves it prime, and refused at once otherwise."""
+    start = time.perf_counter()
+    assert build_general(2**61 - 1).divisors == (1, 2**61 - 1)
+    assert build_general(2**20 * (2**61 - 1)).exponents == (20, 1)
+    assert time.perf_counter() - start < 1
+    for n in (1000000007 * 1000000009, 1000003**2):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match="trial division up to 1000000"):
+            build_general(n)
+        assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError, match="too large to prove prime"):
+        build_general(2**89 - 1)
+
+
+def test_build_general_factors_as_a_sieve_says():
+    limit = 10**5
+    spf = list(range(limit + 1))  # smallest prime factor
+    for p in range(2, isqrt(limit) + 1):
+        if spf[p] == p:
+            for m in range(p * p, limit + 1, p):
+                spf[m] = min(spf[m], p)
+    for n in range(1, limit + 1):
+        factors = Counter()
+        m = n
+        while m > 1:
+            factors[spf[m]] += 1
+            m //= spf[m]
+        g = build_general(n)
+        assert g.primes == tuple(sorted(factors))
+        assert g.exponents == tuple(factors[p] for p in g.primes)
+
+
 def test_general_squarefree_matches_gamma_small():
     # for k <= 3 the (omega, value) order coincides with the canonical order
     for n, k in [(6, 2), (30, 3)]:
@@ -185,11 +221,9 @@ def test_general_squarefree_matches_gamma_by_subset_map():
     for n, k in [(6, 2), (30, 3), (210, 4), (2310, 5)]:
         gd = build_general(n)
         gg = build_gamma(k)
-        order = sorted(
-            range(gd.order),
-            key=lambda i: (gd.omega(i), gd.masks()[i]),
-        )
-        assert [gd.masks()[i] for i in order] == list(gg.masks())
+        m = masks(gd)
+        order = sorted(range(gd.order), key=lambda i: (gd.omega(i), m[i]))
+        assert [m[i] for i in order] == list(masks(gg))
         for a in range(gd.order):
             for b in range(a + 1, gd.order):
                 assert gd.adjacent(order[a], order[b]) == gg.adjacent(a, b)
@@ -237,7 +271,7 @@ def test_dot_output_deterministic():
 
 def test_divisor_vertex_data():
     g = build_gamma(3, (2, 3, 5))
-    i = g.masks().index(0b101)
+    i = masks(g).index(0b101)
     assert g.to_json_dict()["vertices"][i]["subset"] == [1, 3]
     assert g.omega(i) == 2
     assert g.divisors[i] == 10

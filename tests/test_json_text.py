@@ -116,3 +116,41 @@ def test_claim_reports():
             "summary": claims.summary_counts(reports),
             "reports": [claims._report_entry(r) for r in reports],
         })
+
+
+#: Record keys: format directives and quotes, which the row template must
+#: escape, next to plain and non-ASCII names.
+RECORD_KEYS = ("num", "%", "%%", "%s", "%d%", '"q"', "ß☃", "", "a\\b", "\U0001f600")
+
+
+def random_records(rng):
+    """A list or tuple of dicts with one key order, or a near miss: one dict
+    reordered, one with an extra key, a non-dict item or an empty dict."""
+    keys = rng.sample(RECORD_KEYS, rng.randrange(1, 5))
+    records = [{k: random_tree(rng, 2) for k in keys} for _ in range(rng.randrange(1, 6))]
+    shape = rng.randrange(7)
+    i = rng.randrange(len(records))
+    if shape == 1 and len(keys) > 1:  # keys reordered
+        records[i] = dict(reversed(records[i].items()))
+    elif shape == 2:  # an extra key
+        records[i]["extra"] = random_scalar(rng)
+    elif shape == 3:  # a non-dict item
+        records[i] = rng.choice((random_scalar(rng), [1, 2], list(records[i].items())))
+    elif shape == 4:  # an empty dict
+        records[i] = {}
+    elif shape == 5:
+        records = tuple(records)
+    return records
+
+
+def test_records():
+    rng = random.Random(31)
+    for _ in range(1000):
+        assert_identical(random_records(rng))
+        assert_identical({"vertices": random_records(rng), "edges": [[0, 1]]})
+        assert_identical([random_records(rng), [random_records(rng)]])
+    for doc in ([{}], [{}, {}], [{"a": 1}, {}], [{}, {"a": 1}], [{"a": 1}, {"b": 1}],
+                [{"a": 1, "b": 2}, {"b": 2, "a": 1}], [{"a": 1}, {"a": 1, "b": 2}],
+                [{"a": 1}, [1]], ({"%": "%s"}, {"%": "%%"}), [{"a": {"b": [{"c": 1}]}}] * 3,
+                [{"subset": [], "omega": 0}, {"subset": [1, 2], "omega": 2}]):
+        assert_identical(doc)
