@@ -36,7 +36,6 @@ from .exact import (
     json_text,
     value_from_json,
     value_to_json,
-    values_equal,
 )
 from .graphs import build_gamma
 
@@ -189,7 +188,7 @@ def evaluate_claim(claim: Claim, graph=None) -> ClaimReport:
     if graph is None:
         graph = build_gamma(claim.k)
     oracle = indices.compute_index(graph, claim.index)
-    verdict = MATCH if values_equal(claim.claimed, oracle) else MISMATCH
+    verdict = MATCH if claim.claimed == oracle else MISMATCH
     return ClaimReport(claim, oracle, verdict, note=claim.note)
 
 

@@ -24,7 +24,7 @@ import sys
 
 from . import claims as claims_mod
 from . import formulas, indices, metric
-from .exact import format_value, json_text, to_decimal
+from .exact import _int_from_str, _int_str, format_value, json_text, to_decimal
 from .graphs import build_gamma, build_general
 
 _DEFAULT_KCAP = 10
@@ -34,7 +34,7 @@ _MAX_EXPORT_EDGES = 3**12 - 2**12  # |E(Gamma_12)|; every export lists each edge
 
 def _parse_primes(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(p) for p in text.split(","))
+        return tuple(map(_int_from_str, text.split(",")))
     except ValueError:
         raise ValueError(f"--primes expects comma-separated integers, got {text!r}")
 
@@ -48,7 +48,13 @@ def _emit_graph(g, emit: str) -> int:
     elif emit == "dot":
         sys.stdout.write(g.to_dot())
     elif emit == "csv":
-        sys.stdout.write(metric.distance_matrix(g).to_csv())
+        # The distance matrix: each row of digits fills the gaps of one comma buffer.
+        line = bytearray(b"," * (2 * g.order - 1) + b"\n")
+        text = [",".join(g.labels()) + "\n"]
+        for digits in metric.digit_rows(g):
+            line[:-1:2] = digits
+            text.append(line.decode())
+        sys.stdout.write("".join(text))
     else:
         raise ValueError(f"unknown emit format {emit!r}")
     return 0
@@ -95,14 +101,15 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if cap is None:
         env = os.environ.get(_KCAP_ENV, str(_DEFAULT_KCAP))
         try:
-            cap = int(env)
+            cap = _int_from_str(env)
         except ValueError:
             raise ValueError(f"{_KCAP_ENV} must be an integer, got {env!r}")
     if not 0 <= args.k_min <= args.k_max:
-        raise ValueError(f"need 0 <= k-min <= k-max, got {args.k_min}..{args.k_max}")
+        raise ValueError(f"need 0 <= k-min <= k-max, "
+                         f"got {_int_str(args.k_min)}..{_int_str(args.k_max)}")
     if args.k_max > cap:
         raise ValueError(
-            f"k-max {args.k_max} exceeds the cap of {cap} "
+            f"k-max {_int_str(args.k_max)} exceeds the cap of {_int_str(cap)} "
             f"(raise with --cap or {_KCAP_ENV}; the edge enumeration is O(3^k))"
         )
     lines, ok = formulas.verification_lines(args.k_min, args.k_max)
@@ -166,6 +173,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="exit 3 if any evaluated claim mismatches")
     p.set_defaults(func=cmd_claims)
 
+    for p in sub.choices.values():  # type=int reads integers of any length
+        p.register("type", int, _int_from_str)
     return parser
 
 

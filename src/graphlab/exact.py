@@ -24,8 +24,6 @@ from itertools import chain
 from math import isqrt
 from typing import Iterator, Mapping, Union
 
-Q = Fraction  # rational shorthand
-
 #: Anything the index engine may return.
 Value = Union[int, Fraction, "RadicalSum"]
 
@@ -63,8 +61,8 @@ def is_prime(n: int) -> bool:
     """Whether n is prime, by deterministic Miller-Rabin over the primes
     2..41; n >= MR_LIMIT, where that is not proven, raises ValueError."""
     if n >= MR_LIMIT:
-        raise ValueError(f"{n} is too large to prove prime: Miller-Rabin over the primes "
-                         f"2..41 is exact only below {MR_LIMIT}")
+        raise ValueError(f"{_int_str(n)} is too large to prove prime: Miller-Rabin over "
+                         f"the primes 2..41 is exact only below {MR_LIMIT}")
     if n < 2 or 0 in map(n.__mod__, _MR_BASES):
         return n in _MR_BASES
     if n < 43 * 43:  # no prime factor up to 41, so none at all
@@ -269,13 +267,6 @@ def normalize(v: Value) -> Value:
     return v
 
 
-def values_equal(a: Value, b: Value) -> bool:
-    """Exact equality across the three value shapes."""
-    if isinstance(a, RadicalSum) or isinstance(b, RadicalSum):
-        return RadicalSum.from_value(a) == RadicalSum.from_value(b)
-    return a == b
-
-
 def _round_half_even(num: int, den: int) -> int:
     """Nearest integer to num/den (den > 0), ties to even."""
     q, r = divmod(num, den)
@@ -352,8 +343,8 @@ def value_to_json(v: Value) -> dict | None:
     return {
         "kind": "radical",
         "terms": [
-            {"num": _int_str(q.numerator), "den": _int_str(q.denominator), "radicand": d}
-            for d, q in v.terms
+            {"num": _int_str(num), "den": _int_str(den), "radicand": d}
+            for d, (num, den) in ((d, q.as_integer_ratio()) for d, q in v.terms)
         ],
         "approx": to_decimal(v, 6),
     }

@@ -31,7 +31,7 @@ from itertools import accumulate, chain, repeat
 from math import comb, prod
 from operator import mul
 
-from .exact import factorize, is_prime
+from .exact import _int_str, factorize, is_prime
 
 _DEFAULT_MAX_DIVISORS = 4096
 #: build_general trial-divides n only up to this bound (about 0.1 s).
@@ -81,7 +81,7 @@ class DivisorGraph:
     def labels(self) -> list[str]:
         """Divisor values when the primes are known, else products like p1p2."""
         if self.primes is not None:
-            return [str(d) for d in self.divisors]
+            return list(map(_int_str, self.divisors))
         return ["".join(f"p{p + 1}" for p, a in enumerate(v) if a) or "1"
                 for v in self.vectors]
 
@@ -123,9 +123,6 @@ class DivisorGraph:
     def size(self) -> int:
         """Comparable pairs a <= b per prime, less the pairs a == b: no edge is listed."""
         return prod(comb(e + 2, 2) for e in self.exponents) - self.order
-
-    def degree(self, i: int) -> int:
-        return self.degrees()[i]
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
@@ -171,7 +168,7 @@ class DivisorGraph:
 
     def to_dot(self) -> str:
         doc = self.descriptor()
-        name = f"gamma_{doc['k']}" if self.gamma else f"divisors_{doc['n']}"
+        name = f"gamma_{doc['k']}" if self.gamma else f"divisors_{_int_str(doc['n'])}"
         lines = [f"graph {name} {{"]
         lines.extend(f'  v{i} [label="{label}"];' for i, label in enumerate(self.labels()))
         lines.extend(f"  v{i} -- v" + f";\n  v{i} -- v".join(map(str, row)) + ";"
@@ -187,13 +184,13 @@ class DivisorGraph:
 def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
     """Gamma_k, optionally realized on k explicit distinct primes."""
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ValueError(f"k must be >= 0, got {_int_str(k)}")
     if basis is not None:
         basis = tuple(basis)
         if len(basis) != k:
-            raise ValueError(f"basis has {len(basis)} entries, expected {k}")
+            raise ValueError(f"basis has {len(basis)} entries, expected {_int_str(k)}")
         if len(set(basis)) != len(basis):
-            raise ValueError(f"basis primes must be distinct: {basis}")
+            raise ValueError(f"basis primes must be distinct: ({', '.join(map(_int_str, basis))})")
         for p in basis:
             if not is_prime(p):
                 raise ValueError(f"basis entry {p} is not prime")
@@ -205,13 +202,14 @@ def build_general(n: int, max_divisors: int = _DEFAULT_MAX_DIVISORS) -> DivisorG
     n whose cofactor after trial division up to _TRIAL_BOUND is not proven
     prime by is_prime."""
     if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
+        raise ValueError(f"n must be >= 1, got {_int_str(n)}")
     factorization = tuple(factorize(n, _TRIAL_BOUND))
     cofactor = factorization[-1][0] if factorization else 1
     if cofactor >= _TRIAL_BOUND**2 and not is_prime(cofactor):
-        raise ValueError(f"n={n} leaves the composite cofactor {cofactor} after trial "
-                         f"division up to {_TRIAL_BOUND}, the factorisation budget")
+        raise ValueError(f"n={_int_str(n)} leaves the composite cofactor {cofactor} after "
+                         f"trial division up to {_TRIAL_BOUND}, the factorisation budget")
     g = DivisorGraph(tuple(e for _, e in factorization), tuple(p for p, _ in factorization))
     if g.order > max_divisors:
-        raise ValueError(f"n={n} has {g.order} divisors, above the cap of {max_divisors}")
+        raise ValueError(f"n={_int_str(n)} has {g.order} divisors, "
+                         f"above the cap of {max_divisors}")
     return g

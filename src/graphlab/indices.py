@@ -22,7 +22,6 @@ these identities replace are kept as the oracle in tests/index_definitions.py.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from math import comb, gcd, lcm, prod
@@ -47,18 +46,6 @@ INDEX_NAMES = (
     "r3",
     "mostar",
 )
-
-
-@dataclass(frozen=True)
-class RDegree:
-    """R-degree of a vertex: degree-sum part S_v plus degree-product part M_v."""
-
-    s: int
-    m: int
-
-    @property
-    def r(self) -> int:
-        return self.s + self.m
 
 
 def _exponent_pairs(e: int) -> list[tuple[int, int, int, int]]:
@@ -124,10 +111,10 @@ class Profile:
         """D_v of a vertex of degree d."""
         return 2 * (self.order - 1) - d
 
-    def r_degree(self, d: int) -> RDegree:
-        """R-degree of a vertex of degree d; d = 0 only on a single vertex,
-        where the product of the other degrees is empty."""
-        return RDegree(self.degree_sum - d, self.degree_product // d if d else 1)
+    def r(self, d: int) -> int:
+        """r(v) = S - d + P/d of a vertex of degree d; d = 0 only on a single
+        vertex, where the product of the other degrees is empty."""
+        return self.degree_sum - d + (self.degree_product // d if d else 1)
 
 
 def profile(g) -> Profile:
@@ -238,23 +225,17 @@ def randic(g) -> Value:
     return _inv_sqrt_sum(profile(g).pair_counts)
 
 
-def r_degree(g, i: int) -> RDegree:
-    """S_v = sum of the other degrees; M_v = product of the other degrees.
-    The one index function that reads a per-vertex degree."""
-    return profile(g).r_degree(g.degrees()[i])
-
-
 def r1(g) -> Value:
     """Vertex sum of r(v)**2."""
     p = profile(g)
-    return sum(p.r_degree(d).r ** 2 * c for d, c in p.degree_counts.items())
+    return sum(p.r(d) ** 2 * c for d, c in p.degree_counts.items())
 
 
 def r2(g) -> Value:
     """Edge sum of r(u) * r(v), with c * r(v) summed per degree of u first so
     there is one large product per distinct degree."""
     p = profile(g)
-    r = {d: p.r_degree(d).r for d in p.degree_counts}
+    r = {d: p.r(d) for d in p.degree_counts}
     partner: Counter = Counter()
     for (a, b), c in p.pair_counts.items():
         partner[a] += c * r[b]
@@ -264,7 +245,7 @@ def r2(g) -> Value:
 def r3(g) -> Value:
     """Edge sum of r(u) + r(v) = vertex sum of deg v * r(v)."""
     p = profile(g)
-    return sum(d * p.r_degree(d).r * c for d, c in p.degree_counts.items())
+    return sum(d * p.r(d) * c for d, c in p.degree_counts.items())
 
 
 def mostar(g) -> Value:

@@ -3,6 +3,8 @@
 Every graph the package builds follows one distance rule: 0 on the diagonal,
 1 between neighbours, 2 otherwise, because vertex 0 (the divisor 1) is
 adjacent to every other vertex.  So the transmission of v is 2(V-1) - deg v.
+The rule is written once, by digit_rows, as ASCII digits: the CSV export
+writes them as they are, and distance_rows reads them as ints.
 require_universal_vertex is the one check of that condition; every function
 here calls it, and raises ValueError on a graph it fails.  The index profile
 does not: it reads only the exponent lattice, where the condition holds by
@@ -27,25 +29,8 @@ class DistanceMatrix:
     rows: list[list[int]]
 
     def to_csv(self) -> str:
-        """Header row of vertex labels, then one numeric row per vertex.  A row
-        of single digits as long as the header is translated to ASCII digits and
-        written between the commas of one buffer; any other row prints by str()."""
-        line = bytearray(b"," * (2 * len(self.labels) - 1) + b"\n")
-        body = []
-        for row in self.rows:
-            try:
-                digits = bytes(row).translate(_DIGITS)
-            except (TypeError, ValueError):  # an entry that is not an int in 0..255
-                digits = b""
-            if digits.isdigit() and len(digits) == len(self.labels):
-                line[:-1:2] = digits
-                body.append(line.decode())
-            else:
-                body.append(",".join(map(str, row)) + "\n")
-        return ",".join(self.labels) + "\n" + "".join(body)
-
-
-_DIGITS = b"0123456789".ljust(256)  # bytes 10..255 become spaces, which fail isdigit()
+        """Header row of vertex labels, then one row of entries per vertex."""
+        return "".join(",".join(map(str, row)) + "\n" for row in [self.labels, *self.rows])
 
 
 def require_universal_vertex(g) -> None:
@@ -58,28 +43,32 @@ def require_universal_vertex(g) -> None:
         )
 
 
-def _rule_row(g, i: int) -> list[int]:
-    row = [2] * g.order
-    deque(map(row.__setitem__, g.neighbors(i), repeat(1)), 0)
-    row[i] = 0
-    return row
+def digit_rows(g) -> Iterator[bytearray]:
+    """The 0/1/2 rule, row by row, as ASCII digits: vertex i's row is
+    b"2" * V with b"1" at neighbors(i) and b"0" at i."""
+    require_universal_vertex(g)
+    twos = b"2" * g.order
+
+    def row(i: int) -> bytearray:
+        digits = bytearray(twos)
+        deque(map(digits.__setitem__, g.neighbors(i), repeat(ord("1"))), 0)
+        digits[i] = ord("0")
+        return digits
+
+    return map(row, range(g.order))
+
+
+_DISTANCES = bytes.maketrans(b"012", bytes((0, 1, 2)))
 
 
 def distance_rows(g) -> Iterator[list[int]]:
-    """Stream the distance matrix row by row by the 0/1/2 rule."""
-    require_universal_vertex(g)
-    return (_rule_row(g, i) for i in range(g.order))
+    """Stream the distance matrix row by row: digit_rows as ints."""
+    return (list(row.translate(_DISTANCES)) for row in digit_rows(g))
 
 
 def distance_matrix(g) -> DistanceMatrix:
     """Full matrix via distance_rows."""
     return DistanceMatrix(g.labels(), list(distance_rows(g)))
-
-
-def transmission(g, i: int) -> int:
-    """Sum of distances from vertex i to every vertex: 2(V-1) - deg i."""
-    require_universal_vertex(g)
-    return 2 * (g.order - 1) - g.degrees()[i]
 
 
 def transmissions(g) -> list[int]:

@@ -4,13 +4,17 @@ import contextlib
 import hashlib
 import io
 import json
+import sys
 import time
 from pathlib import Path
 
 import pytest
 
+from graphlab import metric
 from graphlab.cli import main
+from graphlab.exact import _int_str
 from graphlab.formulas import verification_lines
+from graphlab.graphs import build_gamma, build_general
 
 
 def run_cli(capsys, *argv):
@@ -71,13 +75,59 @@ def test_divisor_graph_json(capsys):
 
 def test_exports_refuse_graphs_above_the_edge_budget(capsys):
     for argv, edges in ((["gamma", "--k", "13", "--emit", "json"], 3**13 - 2**13),
-                        (["divisor-graph", "--n", str(2**4095)], 4096 * 4095 // 2),
+                        (["divisor-graph", "--n", _int_str(2**4095)], 4096 * 4095 // 2),
                         (["gamma", "--k", "40", "--emit", "csv"], 3**40 - 2**40)):
         start = time.perf_counter()
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0, argv
         assert (code, out) == (2, ""), argv
         assert f"{edges} edges, above the export budget of 527345" in err, argv
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the int/str digit limit exists from Python 3.11")
+def test_integer_options_read_any_length(capsys):
+    """Under the lowest int/str digit limit, integer options of any length
+    are read, and reach the check that names the real reason for a refusal."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        big = _int_str(2**4095)  # 1,233 digits
+        power = _int_str(9973**161)  # 644 digits, 162 divisors
+        for argv, code, text in (
+            (["divisor-graph", "--n", big], 2, "8386560 edges, above the export budget"),
+            (["indices", "--n", _int_str(2**5000)], 2, "has 5001 divisors, above the cap"),
+            (["gamma", "--k", "1", "--primes", big], 2, big + " is too large to prove prime"),
+            (["gamma", "--k", "-" + big], 2, "k must be >= 0, got -" + big),
+            (["verify", "--k-max", big], 2, f"k-max {big} exceeds the cap of 10"),
+            (["verify", "--k-max", "1", "--cap", big], 0, "checks passed, 0 failed"),
+            (["divisor-graph", "--n", power, "--emit", "dot"], 0, f"graph divisors_{power} {{"),
+            (["divisor-graph", "--n", power, "--emit", "csv"], 0, f",{power}\n0,"),
+        ):
+            got, out, err = run_cli(capsys, *argv)
+            assert got == code and text in (out if code == 0 else err), argv[:2]
+        with pytest.raises(SystemExit) as e:
+            main(["gamma", "--k", "1" + "x" * 700])
+        assert e.value.code == 2
+        assert "argument --k: invalid int value" in capsys.readouterr().err
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+def test_csv_export_builds_no_int_rows(capsys, monkeypatch):
+    """The CSV export writes the digit rows of the distance rule as they are:
+    no list of int distances and no DistanceMatrix is built."""
+    cases = ((["gamma", "--k", "6", "--emit", "csv"], build_gamma(6)),
+             (["divisor-graph", "--n", "5040", "--emit", "csv"], build_general(5040)))
+    want = [metric.distance_matrix(g).to_csv() for _, g in cases]
+
+    def refuse(*args):
+        raise AssertionError("int distance rows built for a CSV export")
+
+    monkeypatch.setattr(metric, "distance_rows", refuse)
+    monkeypatch.setattr(metric.DistanceMatrix, "to_csv", refuse)
+    for (argv, _), text in zip(cases, want):
+        assert run_cli(capsys, *argv) == (0, text, "")
 
 
 def test_divisor_graph_factorisation_budget(capsys):

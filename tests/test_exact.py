@@ -21,7 +21,6 @@ from graphlab.exact import (
     to_decimal,
     value_from_json,
     value_to_json,
-    values_equal,
 )
 
 F = Fraction
@@ -164,11 +163,19 @@ def test_normalize_most_constrained():
 
 
 def test_values_equal_across_shapes():
-    assert values_equal(4, F(4, 1))
-    assert values_equal(F(3, 2), RadicalSum({1: F(3, 2)}))
-    assert values_equal(RadicalSum({4: 1}), 2)
-    assert not values_equal(RadicalSum({7: 1}), RadicalSum({7: F(6, 7)}))
-    assert not values_equal(37, 38)
+    assert 4 == F(4, 1)
+    assert F(3, 2) == RadicalSum({1: F(3, 2)})
+    assert RadicalSum({4: 1}) == 2
+    assert not RadicalSum({7: 1}) == RadicalSum({7: F(6, 7)})
+    assert not 37 == 38
+    # == agrees with comparing canonical terms on every ordered pair of shapes
+    values = [0, 2, 37, F(3, 2), F(-1, 3), RadicalSum(), RadicalSum({4: 1}),
+              RadicalSum({1: F(3, 2)}), RadicalSum({1: F(-1, 3)}), RadicalSum({7: 1}),
+              RadicalSum({7: F(6, 7)}), RadicalSum({1: 1, 7: 1}), RadicalSum({3: 2, 5: -1})]
+    for a in values:
+        for b in values:
+            same = RadicalSum.from_value(a).terms == RadicalSum.from_value(b).terms
+            assert (a == b) is same, (a, b)
 
 
 def test_to_decimal_integers_print_bare():

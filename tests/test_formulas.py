@@ -99,4 +99,4 @@ def test_formulas_equal_definitions():
         assert harary_formula(k) == indices.harary(g)
         assert zagreb1_formula(k) == indices.zagreb1(g)
         for i in range(g.order):
-            assert degree_formula(k, g.omega(i)) == g.degree(i)
+            assert degree_formula(k, g.omega(i)) == g.degrees()[i]

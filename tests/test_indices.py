@@ -15,7 +15,7 @@ from math import comb, prod
 import pytest
 
 from graphlab import graphs, metric
-from graphlab.exact import RadicalSum, inv_sqrt, value_to_json, values_equal
+from graphlab.exact import RadicalSum, inv_sqrt, value_to_json
 from graphlab.formulas import (
     degree_formula,
     harary_formula,
@@ -41,7 +41,6 @@ from graphlab.indices import (
     r1,
     r2,
     r3,
-    r_degree,
     randic,
     report_dict,
     wiener,
@@ -142,7 +141,7 @@ def test_diameter_two_identities():
 def test_edge_degree_sum_identity():
     for k in range(7):
         g = build_gamma(k)
-        assert sum(g.degree(i) + g.degree(j) for i, j in g.edges()) == zagreb1(g)
+        assert sum(g.degrees()[i] + g.degrees()[j] for i, j in g.edges()) == zagreb1(g)
 
 
 def test_balaban():
@@ -184,18 +183,19 @@ def test_randic_definition_cross_check():
         g = build_gamma(k)
         acc = RadicalSum()
         for i, j in g.edges():
-            acc = acc + inv_sqrt(g.degree(i) * g.degree(j))
-        assert values_equal(randic(g), acc)
+            acc = acc + inv_sqrt(g.degrees()[i] * g.degrees()[j])
+        assert randic(g) == acc
 
 
 def test_r_degree_gamma3():
     # degree product 7^2 * 4^6; printed constants s, t
     s = 7 * 4**6 + 31
     t = 7**2 * 4**5 + 34
-    assert r_degree(G3, 0).s == 31 and r_degree(G3, 0).m == 7 * 4**6
-    assert r_degree(G3, 0).r == s
-    assert r_degree(G3, 1).r == t
-    assert r_degree(G3, 7).r == s
+    p = profile(G3)
+    assert G3.degrees()[0] == 7 and p.degree_sum - 7 == 31 and p.degree_product // 7 == 7 * 4**6
+    assert p.r(G3.degrees()[0]) == s
+    assert p.r(G3.degrees()[1]) == t
+    assert p.r(G3.degrees()[7]) == s
 
 
 def test_r_indices_gamma3():
@@ -213,7 +213,7 @@ def test_r_indices_gamma4_derived():
     a = total - 15 + prod // 15  # omega 0 or 4
     b = total - 8 + prod // 8    # omega 1 or 3
     c = total - 6 + prod // 6    # omega 2
-    assert [r_degree(G4, i).r for i in range(16)] == [a] + [b] * 4 + [c] * 6 + [b] * 4 + [a]
+    assert [profile(G4).r(d) for d in G4.degrees()] == [a] + [b] * 4 + [c] * 6 + [b] * 4 + [a]
     assert r1(G4) == 2 * a**2 + 8 * b**2 + 6 * c**2
     assert r2(G4) == a * a + 16 * a * b + 12 * a * c + 12 * b * b + 24 * b * c
     assert r3(G4) == 30 * a + 64 * b + 36 * c
@@ -238,7 +238,7 @@ def test_r_indices_tiny():
     g0 = build_gamma(0)
     assert r1(g0) == 1 and r2(g0) == 0 and r3(g0) == 0
     g1 = build_gamma(1)
-    assert [r_degree(g1, i).r for i in range(2)] == [2, 2]
+    assert [profile(g1).r(d) for d in g1.degrees()] == [2, 2]
     assert r1(g1) == 8 and r2(g1) == 4 and r3(g1) == 4
 
 
@@ -254,7 +254,7 @@ def test_general_graph_matches_gamma():
     gd = build_general(6)
     gg = build_gamma(2)
     for name in INDEX_NAMES:
-        assert values_equal(compute_index(gd, name), compute_index(gg, name))
+        assert compute_index(gd, name) == compute_index(gg, name)
 
 
 def test_general_graph_non_squarefree():
@@ -396,4 +396,4 @@ def test_inv_sqrt_sum_equals_term_by_term_sum():
         want = want * Fraction(num, den)
         got = _inv_sqrt_sum(pairs, num, den)
         assert RadicalSum.from_value(got).terms == want.terms
-        assert values_equal(got, want)
+        assert got == want

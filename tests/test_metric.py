@@ -5,9 +5,10 @@ import random
 import pytest
 
 from graphlab import graphs
+from graphlab.cli import main
 from graphlab.graphs import build_gamma, build_general
 from graphlab.metric import (
-    DistanceMatrix, diameter, distance_matrix, distance_rows, transmission, transmissions,
+    DistanceMatrix, diameter, digit_rows, distance_matrix, distance_rows, transmissions,
 )
 from index_definitions import (
     DisconnectedGraphError,
@@ -65,7 +66,7 @@ def test_fast_rule_equals_bfs():
 def test_distance_rule_refuses_graph_without_universal_vertex():
     g = Path3()
     assert max(bfs_row(g, 0)) == 2  # diameter 2, yet vertex 0 is not universal
-    for query in (distance_rows, transmissions, diameter, lambda g: transmission(g, 1),
+    for query in (digit_rows, distance_rows, transmissions, diameter,
                   lambda g: mostar_counts(g, (0, 1))):
         with pytest.raises(ValueError, match="vertex 0 adjacent to every other vertex"):
             query(g)
@@ -101,8 +102,8 @@ def test_general_divisor_graph_diameter_two():
 
 def test_transmissions_gamma3():
     g = build_gamma(3)
-    assert transmission(g, 0) == 7
-    assert transmission(g, 1) == 10
+    assert transmissions(g)[0] == 7
+    assert transmissions(g)[1] == 10
     assert transmissions(g) == [7, 10, 10, 10, 10, 10, 10, 7]
 
 
@@ -195,6 +196,16 @@ def test_csv_matrix():
     assert csv == "1,2,3,6\n0,1,1,1\n1,0,2,1\n1,2,0,1\n1,1,1,0\n"
     g = build_gamma(3)
     assert distance_matrix(g).to_csv() == distance_matrix(g).to_csv()
+
+
+def test_csv_export_equals_distance_matrix_csv(capsys):
+    exports = [(["gamma", "--k", str(k)], build_gamma(k)) for k in range(9)]
+    exports += [(["divisor-graph", "--n", str(n)], build_general(n))
+                for n in (*range(1, 601), *MIXED_SHAPES)]
+    for argv, g in exports:
+        assert main([*argv, "--emit", "csv"]) == 0
+        want = DistanceMatrix(g.labels(), list(distance_rows(g))).to_csv()
+        assert capsys.readouterr().out == want, argv
 
 
 def test_csv_entries_beyond_one_digit():
