@@ -12,7 +12,9 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 claim
 mismatch under --strict.  Output for identical invocations is byte
 identical: no timestamps, canonical orderings throughout.  JSON text (graph
 exports, index reports, claim reports) comes from exact.json_text, the
-bytes of json.dumps(doc, indent=2) plus a newline.
+bytes of json.dumps(doc, indent=2) plus a newline.  The claims and formulas
+modules are imported by the subcommands that use them, so the other
+subcommands start without them.
 """
 
 from __future__ import annotations
@@ -22,8 +24,7 @@ import functools
 import os
 import sys
 
-from . import claims as claims_mod
-from . import formulas, indices, metric
+from . import indices, metric
 from .exact import _int_from_str, _int_str, format_value, json_text, to_decimal
 from .graphs import build_gamma, build_general
 
@@ -112,12 +113,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
             f"k-max {_int_str(args.k_max)} exceeds the cap of {_int_str(cap)} "
             f"(raise with --cap or {_KCAP_ENV}; the edge enumeration is O(3^k))"
         )
+    from . import formulas
+
     lines, ok = formulas.verification_lines(args.k_min, args.k_max)
     sys.stdout.write("\n".join(lines) + "\n")
     return 0 if ok else 1
 
 
 def cmd_claims(args: argparse.Namespace) -> int:
+    from . import claims as claims_mod
+
     reports = claims_mod.run_all(args.k)
     sys.stdout.write(claims_mod.render_report(reports, args.format))
     if args.strict and any(r.verdict == claims_mod.MISMATCH for r in reports):

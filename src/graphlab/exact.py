@@ -4,13 +4,17 @@ Index computations stay in exact arithmetic end to end.  Three value shapes
 occur: plain integers, rationals, and finite sums of rational multiples of
 square roots of squarefree integers (as produced by Randic- and Balaban-type
 edge sums).  All of them are kept canonical so that equality is literal
-structural equality; decimal strings are derived on demand and are correctly
-rounded (round half to even), by integer square-root bounds refined until
-they decide the rounding.  Integers print and parse at any size: up to 2000
-bits (603 digits, below every digit limit Python allows) they print with
-int.__repr__, and above that, and when parsed, they go through Decimal, which
-has no digit limit.  json_text writes every JSON document the package prints
-(index reports, graph exports, claim reports).
+structural equality.  A radical sum stores each coefficient as a reduced int
+pair (num, den), den > 0: the index engine builds the pairs with integer
+gcds and the decimal and JSON renderers read them, so that path makes no
+Fraction per term (RadicalSum.terms gives Fractions to other callers).
+Decimal strings are derived on demand and are correctly rounded (round half
+to even), by integer square-root bounds refined until they decide the
+rounding.  Integers print and parse at any size: up to 2000 bits (603
+digits, below every digit limit Python allows) they print with
+int.__repr__, and above that, and when parsed, they go through Decimal,
+which has no digit limit.  json_text writes every JSON document the package
+prints (index reports, graph exports, claim reports).
 """
 
 from __future__ import annotations
@@ -98,7 +102,9 @@ class RadicalSum:
     The radicand 1 carries the rational part.  Squarefree radicands are
     linearly independent over the rationals, so two sums are equal exactly
     when their canonical term maps are identical; __eq__ relies on that.
-    Instances are immutable.
+    Each coefficient is stored as a reduced int pair (num, den), den > 0, so
+    sums built by the index engine and read by the renderers make no
+    Fraction; terms gives them as Fractions.  Instances are immutable.
     """
 
     __slots__ = ("_terms",)
@@ -112,14 +118,14 @@ class RadicalSum:
                     continue
                 c, d = sqf_decompose(rad)
                 folded[d] = folded.get(d, Fraction(0)) + coef * c
-        object.__setattr__(
-            self, "_terms", {d: q for d, q in sorted(folded.items()) if q != 0}
-        )
+        object.__setattr__(self, "_terms", {
+            d: q.as_integer_ratio() for d, q in sorted(folded.items()) if q != 0})
 
     @classmethod
-    def _canonical(cls, terms: Mapping[int, Fraction]) -> "RadicalSum":
-        """Wrap terms that are canonical already (squarefree radicands, nonzero
-        Fraction coefficients) without decomposing the radicands again."""
+    def _canonical(cls, terms: Mapping[int, tuple[int, int]]) -> "RadicalSum":
+        """Wrap terms that are canonical already (squarefree radicands, reduced
+        (num, den) pairs with num != 0 and den > 0) without decomposing the
+        radicands again."""
         self = object.__new__(cls)
         object.__setattr__(self, "_terms", dict(sorted(terms.items())))
         return self
@@ -137,7 +143,7 @@ class RadicalSum:
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         """Canonical (radicand, coefficient) pairs, radicand ascending."""
-        return tuple(self._terms.items())
+        return tuple((d, Fraction(num, den)) for d, (num, den) in self._terms.items())
 
     def is_rational(self) -> bool:
         return all(d == 1 for d in self._terms)
@@ -145,12 +151,12 @@ class RadicalSum:
     def as_fraction(self) -> Fraction:
         if not self.is_rational():
             raise ValueError(f"{self} is irrational")
-        return self._terms.get(1, Fraction(0))
+        return Fraction(*self._terms.get(1, (0, 1)))
 
     def __add__(self, other: "RadicalSum | Fraction | int") -> "RadicalSum":
         if isinstance(other, RadicalSum):
-            merged = dict(self._terms)
-            for d, q in other._terms.items():
+            merged = dict(self.terms)
+            for d, q in other.terms:
                 merged[d] = merged.get(d, Fraction(0)) + q
             return RadicalSum(merged)
         if isinstance(other, (int, Fraction)):
@@ -160,7 +166,7 @@ class RadicalSum:
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalSum":
-        return RadicalSum({d: -q for d, q in self._terms.items()})
+        return RadicalSum._canonical({d: (-num, den) for d, (num, den) in self._terms.items()})
 
     def __sub__(self, other: "RadicalSum | Fraction | int") -> "RadicalSum":
         if isinstance(other, (RadicalSum, int, Fraction)):
@@ -173,11 +179,11 @@ class RadicalSum:
     def __mul__(self, other: "RadicalSum | Fraction | int") -> "RadicalSum":
         """Product; sqrt(a)*sqrt(b) folds through squarefree decomposition."""
         if isinstance(other, (int, Fraction)):
-            return RadicalSum({d: q * other for d, q in self._terms.items()})
+            return RadicalSum({d: q * other for d, q in self.terms})
         if isinstance(other, RadicalSum):
             out: dict[int, Fraction] = {}
-            for da, qa in self._terms.items():
-                for db, qb in other._terms.items():
+            for da, qa in self.terms:
+                for db, qb in other.terms:
                     c, d = sqf_decompose(da * db)
                     out[d] = out.get(d, Fraction(0)) + qa * qb * c
             return RadicalSum(out)
@@ -192,7 +198,7 @@ class RadicalSum:
         if isinstance(other, RadicalSum):
             return self._terms == other._terms
         if isinstance(other, (int, Fraction)):
-            return self._terms == RadicalSum.from_value(other)._terms
+            return self._terms == ({1: other.as_integer_ratio()} if other else {})
         return NotImplemented
 
     def __hash__(self) -> int:
@@ -204,19 +210,19 @@ class RadicalSum:
         if not self._terms:
             return "0"
         parts: list[str] = []
-        for d, q in self._terms.items():
-            mag = _fraction_str(-q if q < 0 else q)
+        for d, (num, den) in self._terms.items():
+            mag = _ratio_str(abs(num), den)
             body = mag if d == 1 else (
                 f"sqrt({d})" if mag == "1" else f"{mag}*sqrt({d})"
             )
             if not parts:
-                parts.append(f"-{body}" if q < 0 else body)
+                parts.append(f"-{body}" if num < 0 else body)
             else:
-                parts.append(f"- {body}" if q < 0 else f"+ {body}")
+                parts.append(f"- {body}" if num < 0 else f"+ {body}")
         return " ".join(parts)
 
     def __repr__(self) -> str:
-        inner = ", ".join(f"{d}: {q!r}" for d, q in self._terms.items())
+        inner = ", ".join(f"{d}: {q!r}" for d, q in self.terms)
         return f"RadicalSum({{{inner}}})"
 
 
@@ -243,10 +249,10 @@ def _int_from_str(text: str) -> int:
     return int(Decimal(text))
 
 
-def _fraction_str(q: Fraction) -> str:
-    """str(q) ("5", "-47/2") at any size."""
-    num = _int_str(q.numerator)
-    return num if q.denominator == 1 else f"{num}/{_int_str(q.denominator)}"
+def _ratio_str(num: int, den: int) -> str:
+    """str(Fraction(num, den)) ("5", "-47/2") at any size, for a reduced
+    pair with den > 0."""
+    return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
 def inv_sqrt(q: Fraction | int) -> RadicalSum:
@@ -281,12 +287,13 @@ def _format_scaled(scaled: int, digits: int) -> str:
     return f"{sign}{_int_str(ip)}.{_int_str(fp).zfill(digits)}"
 
 
-def _radical_scaled(v: RadicalSum, digits: int) -> int:
-    """round_half_even(v * 10**digits) for an irrational v, proven exact.
+def _radical_scaled(terms: list[tuple[int, int, int]], digits: int) -> int:
+    """round_half_even(v * 10**digits) for the irrational v with these
+    (radicand, num, den) terms, proven exact.
 
-    With P = digits + G for a guard G, each term q*sqrt(d) of v has
-    |q|*sqrt(d)*10**P in [f, f + 1), where f = isqrt(d * (|num| * 10**P)**2)
-    // den for q = num/den, so summing the signed ends gives integers
+    With P = digits + G for a guard G, each term (num/den)*sqrt(d) of v has
+    |num/den|*sqrt(d)*10**P in [f, f + 1), where f = isqrt(d * (|num| *
+    10**P)**2) // den, so summing the signed ends gives integers
     lo <= v*10**P <= hi.  Rounding half to even is monotone, so when lo and
     hi round to the same integer at unit 10**G, that integer is the correctly
     rounded result; otherwise G doubles and the bounds are recomputed.  The
@@ -298,9 +305,8 @@ def _radical_scaled(v: RadicalSum, digits: int) -> int:
     while True:
         power = 10 ** (digits + guard)
         lo = hi = 0
-        for d, q in v.terms:
-            num = q.numerator
-            f = isqrt(d * (num * power) ** 2) // q.denominator
+        for d, num, den in terms:
+            f = isqrt(d * (num * power) ** 2) // den
             if num > 0:
                 lo, hi = lo + f, hi + f + 1
             else:
@@ -310,6 +316,11 @@ def _radical_scaled(v: RadicalSum, digits: int) -> int:
         if low == _round_half_even(hi, unit):
             return low
         guard *= 2
+
+
+def _triples(v: RadicalSum) -> list[tuple[int, int, int]]:
+    """v's terms as (radicand, num, den), read once from the stored pairs."""
+    return [(d, num, den) for d, (num, den) in v._terms.items()]
 
 
 def to_decimal(v: Value, digits: int = 6) -> str:
@@ -328,7 +339,7 @@ def to_decimal(v: Value, digits: int = 6) -> str:
     if isinstance(v, Fraction):
         scaled = _round_half_even(v.numerator * 10**digits, v.denominator)
         return _format_scaled(scaled, digits)
-    return _format_scaled(_radical_scaled(v, digits), digits)
+    return _format_scaled(_radical_scaled(_triples(v), digits), digits)
 
 
 def value_to_json(v: Value) -> dict | None:
@@ -340,13 +351,12 @@ def value_to_json(v: Value) -> dict | None:
         return {"kind": "integer", "value": _int_str(v)}
     if isinstance(v, Fraction):
         return {"kind": "rational", "num": _int_str(v.numerator), "den": _int_str(v.denominator)}
+    terms = _triples(v)
     return {
         "kind": "radical",
-        "terms": [
-            {"num": _int_str(num), "den": _int_str(den), "radicand": d}
-            for d, (num, den) in ((d, q.as_integer_ratio()) for d, q in v.terms)
-        ],
-        "approx": to_decimal(v, 6),
+        "terms": [{"num": _int_str(num), "den": _int_str(den), "radicand": d}
+                  for d, num, den in terms],
+        "approx": _format_scaled(_radical_scaled(terms, 6), 6),
     }
 
 
@@ -379,7 +389,7 @@ def format_value(v: Value | None) -> str:
     if isinstance(v, int):
         return _int_str(v)
     if isinstance(v, Fraction):
-        return _fraction_str(v)
+        return _ratio_str(v.numerator, v.denominator)
     return str(v)
 
 

@@ -36,6 +36,10 @@ from .exact import _int_str, factorize, is_prime
 _DEFAULT_MAX_DIVISORS = 4096
 #: build_general trial-divides n only up to this bound (about 0.1 s).
 _TRIAL_BOUND = 10**6
+#: build_gamma refuses larger k: `indices --k 100 --index wiener` takes about
+#: 0.5 s as a whole process (Python 3.11, 2-core host; mostly the lattice
+#: fold), and k = 150 about 2 s.
+_MAX_GAMMA_K = 100
 
 
 class DivisorGraph:
@@ -177,7 +181,9 @@ class DivisorGraph:
         return "\n".join(lines) + "\n"
 
     def __repr__(self) -> str:
-        fields = [f"{key}={value}" for key, value in self.descriptor().items() if key != "family"]
+        fields = [f"{key}=[{', '.join(map(_int_str, value))}]" if isinstance(value, list)
+                  else f"{key}={_int_str(value)}"
+                  for key, value in self.descriptor().items() if key != "family"]
         return f"DivisorGraph({', '.join(fields)})"
 
 
@@ -185,6 +191,8 @@ def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
     """Gamma_k, optionally realized on k explicit distinct primes."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {_int_str(k)}")
+    if k > _MAX_GAMMA_K:
+        raise ValueError(f"k={_int_str(k)} is above the bound of {_MAX_GAMMA_K} on k for Gamma_k")
     if basis is not None:
         basis = tuple(basis)
         if len(basis) != k:

@@ -24,6 +24,7 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 from math import comb, gcd, lcm, prod
 from typing import Mapping
 
@@ -132,18 +133,16 @@ def profile(g) -> Profile:
 def _inv_sqrt_sum(pairs: Mapping[tuple[int, int], int], num: int = 1, den: int = 1) -> Value:
     """num/den times the sum of c/sqrt(x*y) over pairs {(x, y): c}.
 
-    Each distinct factor is split once: with x = s*s*d, y = t*t*e (d, e
-    squarefree) and g = gcd(d, e), x*y = (s*t*g)**2 * r for the squarefree
-    r = (d/g)*(e/g), so c/sqrt(x*y) = c/(s*t*g*r) * sqrt(r).  Terms sharing
-    an r are added as integers over the lcm of their denominators, and each
-    r gets one Fraction.
+    Each distinct factor is split once, up front: with x = s*s*d, y = t*t*e
+    (d, e squarefree) and g = gcd(d, e), x*y = (s*t*g)**2 * r for the
+    squarefree r = (d/g)*(e/g), so c/sqrt(x*y) = c/(s*t*g*r) * sqrt(r).
+    Terms sharing an r are added as integers over the lcm of their
+    denominators, and each r's (n*num, q*den) is reduced by one gcd into the
+    int pair RadicalSum stores; no Fraction is made.
     """
-    split: dict[int, tuple[int, int]] = {}
+    split = {f: sqf_decompose(f) for f in {*chain.from_iterable(pairs)}}
     sums: dict[int, tuple[int, int]] = {}  # r -> (numerator, denominator)
     for (x, y), c in pairs.items():
-        for f in (x, y):
-            if f not in split:
-                split[f] = sqf_decompose(f)
         (s, d), (t, e) = split[x], split[y]
         g = gcd(d, e)
         r = (d // g) * (e // g)
@@ -154,8 +153,12 @@ def _inv_sqrt_sum(pairs: Mapping[tuple[int, int], int], num: int = 1, den: int =
             sums[r] = (n0 * (both // q0) + c * (both // q), both)
         else:
             sums[r] = (c, q)
-    return normalize(RadicalSum._canonical(
-        {r: Fraction(n * num, q * den) for r, (n, q) in sums.items()}))
+    terms = {}
+    for r, (n, q) in sums.items():
+        n, q = n * num, q * den
+        g = gcd(n, q)
+        terms[r] = (n // g, q // g)
+    return normalize(RadicalSum._canonical(terms))
 
 
 def wiener(g) -> Value:
@@ -203,9 +206,8 @@ def balaban(g) -> Value:
     p = profile(g)
     if p.size == 0:
         return 0
-    transmissions = {
-        (p.transmission(a), p.transmission(b)): c for (a, b), c in p.pair_counts.items()
-    }
+    t = p.transmission(0)  # D_v = t - d_v
+    transmissions = {(t - a, t - b): c for (a, b), c in p.pair_counts.items()}
     mu = p.size - p.order + 1
     return _inv_sqrt_sum(transmissions, p.size, mu + 1)
 

@@ -16,13 +16,11 @@ tests/index_definitions.py.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
 from itertools import repeat
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 
-@dataclass
-class DistanceMatrix:
+class DistanceMatrix(NamedTuple):
     """Symmetric all-pairs distance matrix in canonical vertex order."""
 
     labels: list[str]

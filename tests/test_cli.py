@@ -84,6 +84,14 @@ def test_exports_refuse_graphs_above_the_edge_budget(capsys):
         assert f"{edges} edges, above the export budget of 527345" in err, argv
 
 
+def test_gamma_k_above_the_bound_exits_2(capsys):
+    for argv in (["indices", "--k", "100000000000000000000", "--index", "wiener"],
+                 ["gamma", "--k", "101", "--emit", "csv"]):
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, ""), argv
+        assert f"k={argv[2]} is above the bound of 100 on k for Gamma_k" in err, argv
+
+
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
                     reason="the int/str digit limit exists from Python 3.11")
 def test_integer_options_read_any_length(capsys):
@@ -346,6 +354,33 @@ def _fresh_process_stdout(*argv):
     out = subprocess.run([sys.executable, "-m", "graphlab.cli", *argv],
                          capture_output=True, text=True, env=env, check=True)
     return out.stdout
+
+
+def test_cli_import_loads_neither_claims_nor_formulas():
+    """A fresh `import graphlab.cli` leaves claims and formulas to the
+    subcommands that use them, and loads dataclasses only if a bare
+    interpreter already has it."""
+    import os
+    import subprocess
+
+    import graphlab
+
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(graphlab.__file__).resolve().parents[1]), env.get("PYTHONPATH")) if p)
+    names = ("graphlab.claims", "graphlab.formulas", "dataclasses")
+
+    def loaded(code):
+        out = subprocess.run([sys.executable, "-c", f"{code}\nimport sys\n"
+                              f"print(*[m in sys.modules for m in {names!r}])"],
+                             capture_output=True, text=True, env=env, check=True)
+        last = out.stdout.splitlines()[-1]  # after any CLI output
+        return dict(zip(names, (word == "True" for word in last.split()), strict=True))
+
+    bare, cli = loaded("pass"), loaded("import graphlab.cli")
+    assert not cli["graphlab.claims"] and not cli["graphlab.formulas"]
+    assert cli["dataclasses"] == bare["dataclasses"]
+    assert loaded("import graphlab.cli; graphlab.cli.main(['claims', '--k', '3'])")["graphlab.claims"]
 
 
 def test_parser_built_once_per_process(capsys, monkeypatch):

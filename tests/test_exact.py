@@ -148,6 +148,48 @@ def test_randic_style_accumulation():
     assert acc == RadicalSum({1: F(23, 14), 7: F(6, 7)})
 
 
+def test_coefficients_stored_as_reduced_int_pairs():
+    """Every stored coefficient is an int pair (num, den) in lowest terms with
+    den > 0 and num != 0, through construction and every operation; terms
+    gives the same coefficients as Fractions."""
+    rng = random.Random(1301)
+
+    def rand_sum():
+        return RadicalSum({rng.randint(1, 200): F(rng.randint(-40, 40), rng.randint(1, 40))
+                           for _ in range(rng.randint(0, 6))})
+
+    for _ in range(200):
+        a, b = rand_sum(), rand_sum()
+        q = F(rng.randint(-9, 9), rng.randint(1, 9))
+        for v in (a, a + b, a - b, -a, a * b, a * q, q - a, a + rng.randint(-5, 5)):
+            for d, pair in v._terms.items():
+                assert type(pair) is tuple and len(pair) == 2, (d, pair)
+                num, den = pair
+                assert type(num) is int and type(den) is int, (d, pair)
+                assert num != 0 and den > 0 and gcd(num, den) == 1, (d, pair)
+            assert [type(c) for _, c in v.terms] == [Fraction] * len(v._terms)
+            assert v.terms == tuple((d, F(n, q)) for d, (n, q) in v._terms.items())
+            assert RadicalSum(dict(v.terms)) == v
+
+
+def test_radical_text_and_hash():
+    """str, repr, hash and as_fraction read the pairs as the Fractions they stand for."""
+    v = RadicalSum({1: F(23, 14), 7: F(6, 7)})
+    assert v._terms == {1: (23, 14), 7: (6, 7)}
+    assert str(v) == "23/14 + 6/7*sqrt(7)"
+    assert str(-v) == "-23/14 - 6/7*sqrt(7)"
+    assert repr(v) == "RadicalSum({1: Fraction(23, 14), 7: Fraction(6, 7)})"
+    assert repr(RadicalSum({7: F(3, 2)})) == "RadicalSum({7: Fraction(3, 2)})"
+    assert str(RadicalSum({7: 1, 3: -2})) == "-2*sqrt(3) + sqrt(7)"
+    assert str(RadicalSum({2: F(-1, 3)})) == "-1/3*sqrt(2)"
+    assert (str(RadicalSum()), repr(RadicalSum())) == ("0", "RadicalSum({})")
+    assert hash(v) == hash(((1, F(23, 14)), (7, F(6, 7))))
+    rational = RadicalSum({4: F(3, 2)})
+    assert repr(rational.as_fraction()) == "Fraction(3, 1)"
+    assert RadicalSum().as_fraction() == 0 and type(RadicalSum().as_fraction()) is Fraction
+    assert hash(rational) == hash(3)
+
+
 def test_terms_sorted_by_radicand():
     v = RadicalSum({70: F(1, 3), 1: F(2, 5), 7: F(1, 2)})
     assert [d for d, _ in v.terms] == [1, 7, 70]

@@ -1,12 +1,15 @@
 """Graph construction: canonical order, adjacency, degrees, exports."""
 
 import json
+import sys
 import time
 from collections import Counter
 from math import isqrt
 
 import pytest
 
+from graphlab import graphs
+from graphlab.exact import _int_str
 from graphlab.graphs import build_gamma, build_general
 from index_definitions import edges_and_degrees, masks
 
@@ -289,6 +292,31 @@ def test_construction_lists_no_vertex():
     assert repr(build_gamma(2, (3, 2))) == "DivisorGraph(k=2, primes=[3, 2])"
     assert build_general(12).descriptor() == {"family": "divisor", "n": 12}
     assert repr(build_general(12)) == "DivisorGraph(n=12)"
+
+
+def test_build_gamma_refuses_k_above_the_bound():
+    """k above graphs._MAX_GAMMA_K is refused before any tuple of k exponents
+    is made; the bound itself is still built."""
+    bound = graphs._MAX_GAMMA_K
+    assert build_gamma(bound).order == 2**bound
+    for k in (bound + 1, 10**20, 10**700):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"is above the bound of {bound} on k for Gamma_k"):
+            build_gamma(k)
+        assert time.perf_counter() - start < 0.5, k
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the int/str digit limit exists from Python 3.11")
+def test_repr_prints_any_size_under_the_digit_limit():
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        n = 9973**161  # 644 digits
+        assert repr(build_general(n)) == f"DivisorGraph(n={_int_str(n)})"
+        assert repr(build_gamma(2, (3, 2))) == "DivisorGraph(k=2, primes=[3, 2])"
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_size_is_closed_form():

@@ -10,7 +10,7 @@ before the engine existed, and are frozen here.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, prod
+from math import comb, gcd, prod
 
 import pytest
 
@@ -306,6 +306,53 @@ def test_profile_engine_equals_definitions():
         got = {name: value_to_json(v) for name, v in compute_indices(g).items()}
         expected = {name: value_to_json(v) for name, v in reference_indices(g).items()}
         assert got == expected, g
+
+
+def _fractions_made(monkeypatch, call):
+    """call() and the number of Fractions constructed during it (the
+    constructor, and from Python 3.12 the coprime-pair shortcut that
+    Fraction arithmetic uses)."""
+    made = []
+    new = Fraction.__new__
+
+    def counted_new(cls, *args, **kwargs):
+        made.append(cls)
+        return new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(Fraction, "__new__", counted_new)
+    if "_from_coprime_ints" in vars(Fraction):
+        coprime = Fraction._from_coprime_ints.__func__
+
+        def counted_coprime(cls, *args):
+            made.append(cls)
+            return coprime(cls, *args)
+
+        monkeypatch.setattr(Fraction, "_from_coprime_ints", classmethod(counted_coprime))
+    try:
+        return call(), len(made)
+    finally:
+        monkeypatch.undo()
+
+
+def test_randic_balaban_store_reduced_int_pairs(monkeypatch):
+    """randic and balaban hold each coefficient as an int pair in lowest terms
+    (den > 0, num != 0), equal to the enumeration oracle, and make no Fraction
+    on the way to an irrational value."""
+    graphs = [build_gamma(k) for k in range(8)] + [build_general(n) for n in range(1, 601)]
+    for g in graphs:
+        want = reference_indices(g)
+        profile(g)
+        for index in (randic, balaban):
+            got, made = _fractions_made(monkeypatch, lambda: index(g))
+            terms = RadicalSum.from_value(got)._terms
+            for pair in terms.values():
+                assert type(pair) is tuple and len(pair) == 2, (g, index, pair)
+                num, den = pair
+                assert type(num) is int and type(den) is int, (g, index, pair)
+                assert num != 0 and den > 0 and gcd(num, den) == 1, (g, index, pair)
+            assert terms == RadicalSum.from_value(want[index.__name__])._terms, (g, index)
+            if isinstance(got, RadicalSum):
+                assert made == 0, (g, index)
 
 
 def test_profile_equals_pair_scan_counts():
