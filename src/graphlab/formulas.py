@@ -14,7 +14,7 @@ from math import comb
 
 from . import indices
 from .exact import Value, format_value, normalize
-from .graphs import build_gamma
+from .graphs import build_gamma, require_gamma_k_bound
 
 
 def _check_k(k: int) -> None:
@@ -100,6 +100,7 @@ def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
     enumeration and the index engine, plus a summary line.  Size and degrees
     are counted from the rows of multiples(): a vertex's degree is its row
     length plus the number of rows it appears in."""
+    require_gamma_k_bound(k_max)
     lines: list[str] = []
     for k in range(k_min, k_max + 1):
         g = build_gamma(k)

@@ -187,12 +187,17 @@ class DivisorGraph:
         return f"DivisorGraph({', '.join(fields)})"
 
 
+def require_gamma_k_bound(k: int) -> None:
+    """Refuse k above _MAX_GAMMA_K, before anything of size k is built."""
+    if k > _MAX_GAMMA_K:
+        raise ValueError(f"k={_int_str(k)} is above the bound of {_MAX_GAMMA_K} on k for Gamma_k")
+
+
 def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
     """Gamma_k, optionally realized on k explicit distinct primes."""
     if k < 0:
         raise ValueError(f"k must be >= 0, got {_int_str(k)}")
-    if k > _MAX_GAMMA_K:
-        raise ValueError(f"k={_int_str(k)} is above the bound of {_MAX_GAMMA_K} on k for Gamma_k")
+    require_gamma_k_bound(k)
     if basis is not None:
         basis = tuple(basis)
         if len(basis) != k:

@@ -15,8 +15,12 @@ Every index is thus exact arithmetic over a Profile, computed once per graph
 and cached on it.  The profile lists no vertex or edge: lattice_counts folds
 the prime exponents of n one at a time, counting divisor pairs a | b by
 (tau(a), tau(n/a), tau(b), tau(n/b)), which fixes both degrees.  On Gamma_k
-that is O(k**2) states instead of 3**k edges.  The enumeration definitions
-these identities replace are kept as the oracle in tests/index_definitions.py.
+that is O(k**2) states instead of 3**k edges.  The map a -> n/a reverses
+divisibility and keeps every degree tau(a) + tau(n/a) - 2, so it sends the
+pair a | b to n/b | n/a with the two degrees swapped and the sorted degree
+pair unchanged; the last prime's fold therefore visits one state of each
+mirror pair, at twice its count.  The enumeration definitions these
+identities replace are kept as the oracle in tests/index_definitions.py.
 """
 
 from __future__ import annotations
@@ -48,6 +52,12 @@ INDEX_NAMES = (
     "mostar",
 )
 
+#: Profile refuses to form a degree product P of more bits, judged by the
+#: bound sum c * d.bit_length(): Gamma_16 (692,782 by the bound, P itself
+#: 648,869) is kept and Gamma_17 (1,463,972) is refused; P of Gamma_20 has
+#: about 1.3e7 bits.
+_MAX_PRODUCT_BITS = 2**20
+
 
 def _exponent_pairs(e: int) -> list[tuple[int, int, int, int]]:
     """(a+1, e-a+1, b+1, e-b+1) for every 0 <= a <= b <= e: the factors one
@@ -64,6 +74,13 @@ def lattice_counts(exponents: tuple[int, ...]) -> tuple[Counter, Counter]:
     (tau(a), tau(n/a), tau(b), tau(n/b)).  The last (largest) exponent is
     folded straight into the degrees: a divisor has degree
     tau(a) + tau(n/a) - 2, and tau(a) = tau(b) with a | b only when a = b.
+
+    The mirror (a, b) -> (n/b, n/a) maps the state (x, y, z, w) to
+    (w, z, y, x), which the head primes reach equally often, and the last
+    prime's step (p, q, r, s) to (s, r, q, p); a pair and its mirror give the
+    same sorted degree key.  So the last stage skips every state whose mirror
+    is smaller, folds the others with weight 2c, and folds a self-mirror
+    state with weight c over all of its steps.
     """
     *head, last = sorted(exponents) or [0]
     states = {(1, 1, 1, 1): 1}
@@ -78,7 +95,13 @@ def lattice_counts(exponents: tuple[int, ...]) -> tuple[Counter, Counter]:
     steps = _exponent_pairs(last)
     degree_counts: Counter = Counter()
     pair_counts: Counter = Counter()
-    for (x, y, z, w), c in states.items():
+    for state, c in states.items():
+        x, y, z, w = state
+        mirror = (w, z, y, x)
+        if mirror < state:
+            continue
+        if mirror != state:
+            c *= 2
         for p, q, r, s in steps:
             ta, tb = x * p, z * r
             du, dv = ta + y * q - 2, tb + w * s - 2
@@ -105,7 +128,13 @@ class Profile:
 
     @cached_property
     def degree_product(self) -> int:
-        """P; only the R-indices read it."""
+        """P; only the R-indices read it.  Refused before it is formed when its
+        bit length, bounded by the sum of c * d.bit_length(), may exceed
+        _MAX_PRODUCT_BITS."""
+        bits = sum(c * d.bit_length() for d, c in self.degree_counts.items())
+        if bits > _MAX_PRODUCT_BITS:
+            raise ValueError(f"the R-indices need the degree product P of up to {bits} bits, "
+                             f"above the budget of {_MAX_PRODUCT_BITS} bits")
         return prod(d**c for d, c in self.degree_counts.items())
 
     def transmission(self, d: int) -> int:

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from graphlab import metric
+from graphlab import formulas, indices, metric
 from graphlab.cli import main
 from graphlab.exact import _int_str
 from graphlab.formulas import verification_lines
@@ -220,6 +220,31 @@ def test_verify_cap_flag_and_env(capsys, monkeypatch):
     code, _, err = run_cli(capsys, "verify", "--k-min", "0", "--k-max", "3")
     assert code == 2
     assert "GRAPHLAB_KCAP" in err
+
+
+def test_verify_refuses_k_above_the_bound_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was built before the bound on k was checked")
+
+    monkeypatch.setattr(formulas, "build_gamma", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--k-max", "101", "--cap", "200")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "k=101 is above the bound of 100 on k for Gamma_k" in err
+
+
+def test_r_indices_refuse_a_degree_product_above_the_budget(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the degree product was formed")
+
+    monkeypatch.setattr(indices, "prod", refuse)
+    for k in ("17", "20"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "indices", "--k", k, "--index", "r3")
+        assert time.perf_counter() - start < 1.0, k
+        assert (code, out) == (2, ""), k
+        assert "above the budget of 1048576 bits" in err, k
 
 
 def test_verify_bad_range(capsys):

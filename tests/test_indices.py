@@ -295,6 +295,11 @@ def test_report_dict_shape():
 
 
 MIXED_SHAPES = (720, 3360, 5040, 5400)  # 2^4*3^2*5, 2^5*3*5*7, 2^4*3^2*5*7, 2^3*3^3*5^2
+#: The nine divisor-indices benchmark shapes on the smallest primes: (2,2,1,1,1,1),
+#: (2,2,2,2,1), (1,)*7, (4,4,4), (8,1,1,1,1), (5,3,1,1), (4,2,2,1), (3,2,1,1,1),
+#: (5,2,1,1).  Shapes like (4,4,4) and (8,1,1,1,1), whose self-mirror states
+#: of the last fold keep weight c, lie beyond the n <= 1200 sweep.
+BENCHMARK_SHAPES = (180180, 485100, 510510, 810000, 295680, 30240, 25200, 27720, 10080)
 
 
 def test_profile_engine_equals_definitions():
@@ -358,7 +363,7 @@ def test_randic_balaban_store_reduced_int_pairs(monkeypatch):
 def test_profile_equals_pair_scan_counts():
     sample = [build_gamma(k) for k in range(10)] + [build_gamma(4, (2, 3, 5, 7))]
     sample += [build_general(n) for n in range(1, 1201)]
-    sample += [build_general(n) for n in MIXED_SHAPES + (21621600, 11688566300)]
+    sample += [build_general(n) for n in MIXED_SHAPES + BENCHMARK_SHAPES + (21621600, 11688566300)]
     for g in sample:
         edges, deg = edges_and_degrees(g)
         pair_counts = Counter(tuple(sorted((deg[i], deg[j]))) for i, j in edges)
@@ -369,6 +374,35 @@ def test_profile_equals_pair_scan_counts():
         assert (p.degree_sum, p.degree_product) == (sum(deg), prod(deg)), g
         assert p.zagreb1 == sum(d * d for d in deg), g
         assert p.zagreb2 == sum(deg[i] * deg[j] for i, j in edges), g
+
+
+def test_lattice_counts_on_random_shapes():
+    """Seeded random exponent tuples with at most 200 divisors, realised on
+    the smallest primes, against a scan of every vertex pair."""
+    rng = random.Random(14)
+    primes = (2, 3, 5, 7, 11, 13, 17)
+    shapes = set()
+    while len(shapes) < 40:
+        shape = tuple(sorted((rng.randint(1, 12) for _ in range(rng.randint(1, 7))), reverse=True))
+        if prod(e + 1 for e in shape) <= 200:
+            shapes.add(shape)
+    for shape in sorted(shapes):
+        g = build_general(prod(p**e for p, e in zip(primes, shape)))
+        edges, deg = edges_and_degrees(g)
+        pair_counts = Counter(tuple(sorted((deg[i], deg[j]))) for i, j in edges)
+        assert lattice_counts(rng.sample(shape, len(shape))) == (Counter(deg), pair_counts), shape
+
+
+def test_degree_product_budget():
+    """P is formed up to Gamma_16 and refused before it is formed from
+    Gamma_17 on; the indices that do not read P are never refused."""
+    assert profile(build_gamma(16)).degree_product.bit_length() == 648869
+    for k in (17, 20, 100):
+        g = build_gamma(k)
+        with pytest.raises(ValueError, match="above the budget of 1048576 bits"):
+            r3(g)
+        assert "degree_product" not in vars(profile(g))
+        assert wiener(g) == wiener_formula(k)
 
 
 def test_lattice_counts_gamma40_closed_forms():
