@@ -25,7 +25,7 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from math import isqrt
+from math import gcd, isqrt
 from typing import Iterator, Mapping, Union
 
 #: Anything the index engine may return.
@@ -79,17 +79,33 @@ def is_prime(n: int) -> bool:
     return True
 
 
+#: Trial division stops after this bound in graphs.build_general and
+#: sqf_decompose (about 0.1 s).
+_TRIAL_BOUND = 10**6
+
+
 def sqf_decompose(m: int) -> tuple[int, int]:
     """Split m >= 1 into (c, d) with m = c*c*d and d squarefree.
 
-    The index engine calls it on single vertex degrees and transmissions
-    (each distinct one once per sum), never on their products, so the trial
-    division in factorize stays small.
+    Trial division stops after _TRIAL_BOUND = B, so the cofactor r left
+    above 1 has no prime factor up to B.  Below (B+1)**3 it has at most two
+    prime factors, so it is squarefree unless it is the square of a prime.
+    Above that, r must be a prime or the square of a prime, proven by
+    is_prime; any other cofactor raises ValueError naming the budget.
     """
     if m < 1:
         raise ValueError(f"expected a positive integer, got {m!r}")
     c = d = 1
-    for p, e in factorize(m):
+    for p, e in factorize(m, _TRIAL_BOUND):
+        if p > _TRIAL_BOUND:  # the cofactor
+            q = isqrt(p)
+            if q * q == p and (q < (_TRIAL_BOUND + 1) ** 2 or (q < MR_LIMIT and is_prime(q))):
+                c *= q
+                continue
+            if p >= (_TRIAL_BOUND + 1) ** 3 and (p >= MR_LIMIT or not is_prime(p)):
+                raise ValueError(f"the squarefree split of {_int_str(m)} leaves the cofactor "
+                                 f"{_int_str(p)} after trial division up to {_TRIAL_BOUND}, "
+                                 f"the factorisation budget")
         c *= p ** (e // 2)
         if e % 2:
             d *= p
@@ -130,6 +146,12 @@ class RadicalSum:
         object.__setattr__(self, "_terms", dict(sorted(terms.items())))
         return self
 
+    @classmethod
+    def _from_fractions(cls, terms: Mapping[int, Fraction]) -> "RadicalSum":
+        """Wrap {squarefree radicand: Fraction}, dropping zero coefficients;
+        the sum of two canonical sums, or their product, needs no new split."""
+        return cls._canonical({d: q.as_integer_ratio() for d, q in terms.items() if q})
+
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RadicalSum is immutable")
 
@@ -158,7 +180,7 @@ class RadicalSum:
             merged = dict(self.terms)
             for d, q in other.terms:
                 merged[d] = merged.get(d, Fraction(0)) + q
-            return RadicalSum(merged)
+            return RadicalSum._from_fractions(merged)
         if isinstance(other, (int, Fraction)):
             return self + RadicalSum.from_value(other)
         return NotImplemented
@@ -177,16 +199,18 @@ class RadicalSum:
         return RadicalSum.from_value(other) + (-self)
 
     def __mul__(self, other: "RadicalSum | Fraction | int") -> "RadicalSum":
-        """Product; sqrt(a)*sqrt(b) folds through squarefree decomposition."""
+        """Product; with g = gcd(a, b) of squarefree a and b,
+        sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)), whose radicand is squarefree."""
         if isinstance(other, (int, Fraction)):
-            return RadicalSum({d: q * other for d, q in self.terms})
+            return RadicalSum._from_fractions({d: q * other for d, q in self.terms})
         if isinstance(other, RadicalSum):
             out: dict[int, Fraction] = {}
             for da, qa in self.terms:
                 for db, qb in other.terms:
-                    c, d = sqf_decompose(da * db)
-                    out[d] = out.get(d, Fraction(0)) + qa * qb * c
-            return RadicalSum(out)
+                    g = gcd(da, db)
+                    d = (da // g) * (db // g)
+                    out[d] = out.get(d, Fraction(0)) + qa * qb * g
+            return RadicalSum._from_fractions(out)
         return NotImplemented
 
     __rmul__ = __mul__

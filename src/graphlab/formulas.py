@@ -108,7 +108,7 @@ def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
         m = sum(map(len, rows))
         below = Counter(chain.from_iterable(rows))
         deg = tuple(len(row) + below[i] for i, row in enumerate(rows))
-        omegas = [g.omega(i) for i in range(g.order)]
+        omegas = list(map(sum, g.vectors))  # 0/1 vectors on Gamma_k
         checks = [
             ("order", order_formula(k), g.order),
             ("size", size_formula(k), m),

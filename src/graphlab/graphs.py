@@ -31,14 +31,13 @@ from itertools import accumulate, chain, repeat
 from math import comb, prod
 from operator import mul
 
-from .exact import _int_str, factorize, is_prime
+from .exact import _TRIAL_BOUND, _int_str, factorize, is_prime
 
 _DEFAULT_MAX_DIVISORS = 4096
-#: build_general trial-divides n only up to this bound (about 0.1 s).
-_TRIAL_BOUND = 10**6
 #: build_gamma refuses larger k: `indices --k 100 --index wiener` takes about
-#: 0.5 s as a whole process (Python 3.11, 2-core host; mostly the lattice
-#: fold), and k = 150 about 2 s.
+#: 0.08 s as a whole process (Python 3.11, 2-core host; mostly start-up), and
+#: the nine indices other than Balaban, Randic and R1-R3 about 0.4 s, most
+#: of it harmonic's lcm of the degree sums, which takes 1.8 s at k = 150.
 _MAX_GAMMA_K = 100
 
 

@@ -9,13 +9,18 @@ summing to S, and F = C(V, 2) - m pairs at distance 2:
 * the transmission D_v = 2(V-1) - d_v, so DD = sum d_v * D_v and
   Gut = S**2 - M1 - M2, and Balaban reads D from the edge degree pairs;
 * n_u - n_v = d_u - d_v on an edge uv, so Mo = edge sum of |d_u - d_v|;
-* r(v) = S - d_v + P/d_v, P the product of all degrees (computed lazily).
+* r(v) = S - d_v + P/d_v, P the product of all degrees (computed lazily);
+  with L the lcm of the distinct degrees and Q = P/L, r(v) = a + Q*u for
+  a = S - d_v and u = L/d_v, so R1 and R2 are quadratics in Q with small
+  coefficients, and R3 = sum d_v * r(v) = S**2 - M1 + V*P.
 
 Every index is thus exact arithmetic over a Profile, computed once per graph
-and cached on it.  The profile lists no vertex or edge: lattice_counts folds
-the prime exponents of n one at a time, counting divisor pairs a | b by
-(tau(a), tau(n/a), tau(b), tau(n/b)), which fixes both degrees.  On Gamma_k
-that is O(k**2) states instead of 3**k edges.  The map a -> n/a reverses
+and cached on it.  The profile lists no vertex or edge: lattice_counts
+counts divisor pairs a | b by (tau(a), tau(n/a), tau(b), tau(n/b)), which
+fixes both degrees.  The exponent-1 primes give their states in closed form,
+by how many of them lie in a, in b only and in neither; only the exponents
+>= 2 are folded one prime at a time.  On Gamma_k that is O(k**2) states,
+written down at once, instead of 3**k edges.  The map a -> n/a reverses
 divisibility and keeps every degree tau(a) + tau(n/a) - 2, so it sends the
 pair a | b to n/b | n/a with the two degrees swapped and the sorted degree
 pair unchanged; the last prime's fold therefore visits one state of each
@@ -65,25 +70,36 @@ def _exponent_pairs(e: int) -> list[tuple[int, int, int, int]]:
     return [(a + 1, e - a + 1, b + 1, e - b + 1) for b in range(e + 1) for a in range(b + 1)]
 
 
+def _squarefree_states(m: int) -> dict[tuple[int, int, int, int], int]:
+    """The states of all m exponent-1 primes at once.  A pair a | b with l of
+    them in a, j in b only and i = m - l - j in neither has the state
+    (2**l, 2**(m-l), 2**(j+l), 2**i), reached C(m, l) * C(m-l, j) times."""
+    return {(1 << l, 1 << (m - l), 1 << (j + l), 1 << (m - l - j)): comb(m, l) * comb(m - l, j)
+            for l in range(m + 1) for j in range(m - l + 1)}
+
+
 def lattice_counts(exponents: tuple[int, ...]) -> tuple[Counter, Counter]:
     """Degree counts {d: vertices} and sorted edge-pair counts
     {(deg u, deg v): edges} of the divisor graph of any n with these prime
     exponents, with no vertex or edge listed.
 
-    Pairs of exponent vectors a <= b are folded one prime at a time, keyed by
-    (tau(a), tau(n/a), tau(b), tau(n/b)).  The last (largest) exponent is
-    folded straight into the degrees: a divisor has degree
-    tau(a) + tau(n/a) - 2, and tau(a) = tau(b) with a | b only when a = b.
+    Pairs of exponent vectors a <= b are counted by the state
+    (tau(a), tau(n/a), tau(b), tau(n/b)).  The exponent-1 primes give their
+    states in closed form (_squarefree_states); only exponents >= 2 are then
+    folded prime by prime.  The last (largest) of them, or the identity step
+    (1, 1, 1, 1) when there is none (Gamma_k, any squarefree n), is folded
+    straight into the degrees: a divisor has degree tau(a) + tau(n/a) - 2,
+    and tau(a) = tau(b) with a | b only when a = b.
 
     The mirror (a, b) -> (n/b, n/a) maps the state (x, y, z, w) to
-    (w, z, y, x), which the head primes reach equally often, and the last
+    (w, z, y, x), which the earlier primes reach equally often, and the last
     prime's step (p, q, r, s) to (s, r, q, p); a pair and its mirror give the
     same sorted degree key.  So the last stage skips every state whose mirror
     is smaller, folds the others with weight 2c, and folds a self-mirror
     state with weight c over all of its steps.
     """
-    *head, last = sorted(exponents) or [0]
-    states = {(1, 1, 1, 1): 1}
+    *head, last = sorted(e for e in exponents if e > 1) or [0]
+    states = _squarefree_states(exponents.count(1))
     for e in head:
         steps = _exponent_pairs(e)
         folded: dict[tuple[int, int, int, int], int] = {}
@@ -136,6 +152,16 @@ class Profile:
             raise ValueError(f"the R-indices need the degree product P of up to {bits} bits, "
                              f"above the budget of {_MAX_PRODUCT_BITS} bits")
         return prod(d**c for d, c in self.degree_counts.items())
+
+    @cached_property
+    def r_quadratic(self) -> tuple[int, int, int]:
+        """(L, Q, Q**2) with L the lcm of the distinct degrees and Q = P/L, so
+        that r(v) = a + Q*u with a = S - d_v and u = L/d_v: the R-indices are
+        quadratics in Q with small coefficients, and Q is squared once.  Not
+        defined on a single vertex (degree 0)."""
+        L = lcm(*self.degree_counts)
+        Q = self.degree_product // L
+        return L, Q, Q * Q
 
     def transmission(self, d: int) -> int:
         """D_v of a vertex of degree d."""
@@ -257,26 +283,43 @@ def randic(g) -> Value:
 
 
 def r1(g) -> Value:
-    """Vertex sum of r(v)**2."""
+    """Vertex sum of r(v)**2 = sum c*a**2 + 2Q * sum c*a*u + Q**2 * sum c*u**2,
+    with a = S - d and u = L/d (Profile.r_quadratic)."""
     p = profile(g)
-    return sum(p.r(d) ** 2 * c for d, c in p.degree_counts.items())
+    if p.order == 1:
+        return 1  # r = 1 on the single vertex
+    L, Q, QQ = p.r_quadratic
+    S = p.degree_sum
+    c0 = c1 = c2 = 0
+    for d, c in p.degree_counts.items():
+        a, u = S - d, L // d
+        c0 += c * a * a
+        c1 += c * a * u
+        c2 += c * u * u
+    return c0 + 2 * c1 * Q + c2 * QQ
 
 
 def r2(g) -> Value:
-    """Edge sum of r(u) * r(v), with c * r(v) summed per degree of u first so
-    there is one large product per distinct degree."""
+    """Edge sum of r(u) * r(v), over the edge classes {(x, y): c}:
+    sum c*a_x*a_y + Q * sum c*(a_x*u_y + a_y*u_x) + Q**2 * sum c*u_x*u_y."""
     p = profile(g)
-    r = {d: p.r(d) for d in p.degree_counts}
-    partner: Counter = Counter()
-    for (a, b), c in p.pair_counts.items():
-        partner[a] += c * r[b]
-    return sum(r[a] * s for a, s in partner.items())
+    if p.order == 1:
+        return 0
+    L, Q, QQ = p.r_quadratic
+    S = p.degree_sum
+    c0 = c1 = c2 = 0
+    for (x, y), c in p.pair_counts.items():
+        ax, ay, ux, uy = S - x, S - y, L // x, L // y
+        c0 += c * ax * ay
+        c1 += c * (ax * uy + ay * ux)
+        c2 += c * ux * uy
+    return c0 + c1 * Q + c2 * QQ
 
 
 def r3(g) -> Value:
-    """Edge sum of r(u) + r(v) = vertex sum of deg v * r(v)."""
+    """Edge sum of r(u) + r(v) = vertex sum of deg v * r(v) = S**2 - M1 + V*P."""
     p = profile(g)
-    return sum(d * p.r(d) * c for d, c in p.degree_counts.items())
+    return p.degree_sum**2 - p.zagreb1 + p.order * p.degree_product
 
 
 def mostar(g) -> Value:

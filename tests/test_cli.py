@@ -247,6 +247,19 @@ def test_r_indices_refuse_a_degree_product_above_the_budget(capsys, monkeypatch)
         assert "above the budget of 1048576 bits" in err, k
 
 
+def test_radical_indices_refuse_degrees_above_the_factorisation_budget(capsys):
+    """Randic and Balaban on Gamma_100 split degrees and transmissions near
+    2**100: one leaves a composite cofactor past trial division up to 10**6,
+    which exits 2 in well under a second per distinct value instead of
+    dividing up to its square root."""
+    for index in ("randic", "balaban"):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, "indices", "--k", "100", "--index", index)
+        assert time.perf_counter() - start < 5.0, index
+        assert (code, out) == (2, ""), index
+        assert "trial division up to 1000000, the factorisation budget" in err, index
+
+
 def test_verify_bad_range(capsys):
     code, _, err = run_cli(capsys, "verify", "--k-min", "5", "--k-max", "2")
     assert code == 2

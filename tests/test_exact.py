@@ -2,6 +2,7 @@
 
 import random
 import sys
+import time
 from decimal import Decimal
 from fractions import Fraction
 from math import gcd, isqrt, prod
@@ -73,6 +74,52 @@ def test_sqf_decompose_sampled_to_a_million():
         assert c * c * d == m
         assert is_squarefree(d)
         assert (c, d) == brute_sqf(m)
+
+
+def test_sqf_decompose_budget():
+    """Trial division stops at exact._TRIAL_BOUND = B.  The cofactor left has
+    no prime factor up to B: below (B+1)**3 it is a prime, a product of two
+    primes or a prime squared; above that it is accepted only when proven
+    prime or the square of a proven prime, and refused otherwise."""
+    p, q, r = 1000003, 1000033, 1000037  # the first primes after 10**6 + 1
+    assert exact._TRIAL_BOUND == 10**6 and is_prime(p) and is_prime(q) and is_prime(r)
+    start = time.perf_counter()
+    for m in (p * q * r, 12 * p * q * r, p**3 * q, p * p * q, (p * q) ** 2 * r):
+        with pytest.raises(ValueError, match="trial division up to 1000000, the factorisation budget"):
+            sqf_decompose(m)
+    assert time.perf_counter() - start < 2.0
+    assert sqf_decompose(p * p) == (p, 1)
+    assert sqf_decompose(12 * p * p) == (2 * p, 3)
+    assert sqf_decompose(p * q) == (1, p * q)
+    assert sqf_decompose(50 * p * q) == (5, 2 * p * q)
+    for prime in (999999999989, 1000002000007):  # either side of (B+1)**2
+        assert sqf_decompose(18 * prime) == (3, 2 * prime)
+    m61 = 2**61 - 1  # above (B+1)**3
+    assert sqf_decompose(20 * m61) == (2, 5 * m61)
+    assert sqf_decompose(m61 * m61) == (m61, 1)
+    with pytest.raises(ValueError, match="the factorisation budget"):
+        sqf_decompose(m61 * (2**89 - 1))  # above MR_LIMIT
+
+
+def test_radical_arithmetic_splits_no_radicand():
+    """Sums and products of canonical radical sums keep squarefree radicands
+    without splitting them again, so a radicand beyond the sqf_decompose
+    budget still adds and multiplies."""
+    p, q, r = 1000003, 1000033, 1000037
+    root = RadicalSum._canonical({p * q * r: (1, 1)})
+    with pytest.raises(ValueError, match="factorisation budget"):
+        RadicalSum({p * q * r: 1})
+    assert (root + root).terms == ((p * q * r, F(2)),)
+    assert root * root == p * q * r
+    assert (root * RadicalSum({p: 1})).terms == ((q * r, F(p)),)
+    assert (root * F(1, 3) - root).terms == ((p * q * r, F(-2, 3)),)
+    assert not root - root
+    assert RadicalSum({2: 1, 3: 1}) * RadicalSum({6: 1}) == RadicalSum({3: 2, 2: 3})
+    # Randic writes 1/sqrt(x*y) with such a radicand p*q for degrees x = p, y = q,
+    # and a report holding it reads back.
+    pair = inv_sqrt(p * q)
+    assert pair.terms == ((p * q, F(1, p * q)),)
+    assert value_from_json(value_to_json(pair)) == pair
 
 
 def test_inv_sqrt_examples():

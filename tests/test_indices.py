@@ -14,7 +14,7 @@ from math import comb, gcd, prod
 
 import pytest
 
-from graphlab import graphs, metric
+from graphlab import graphs, indices, metric
 from graphlab.exact import RadicalSum, inv_sqrt, value_to_json
 from graphlab.formulas import (
     degree_formula,
@@ -405,20 +405,76 @@ def test_degree_product_budget():
         assert wiener(g) == wiener_formula(k)
 
 
-def test_lattice_counts_gamma40_closed_forms():
-    k = 40
-    degree_counts, pair_counts = lattice_counts((1,) * k)
-    assert sum(degree_counts.values()) == 2**k
-    assert sum(pair_counts.values()) == 3**k - 2**k
-    expected_degrees = Counter()
+def gamma_counts(k):
+    """Degree and sorted degree-pair counts of Gamma_k from the omega classes."""
+    degrees = Counter()
     for j in range(k + 1):
-        expected_degrees[degree_formula(k, j)] += comb(k, j)
-    assert degree_counts == expected_degrees
-    expected_pairs = Counter()
+        degrees[degree_formula(k, j)] += comb(k, j)
+    pairs = Counter()
     for (a, b), c in edge_class_counts(k).items():
         du, dv = degree_formula(k, a), degree_formula(k, b)
-        expected_pairs[min(du, dv), max(du, dv)] += c
-    assert pair_counts == expected_pairs
+        pairs[min(du, dv), max(du, dv)] += c
+    return degrees, pairs
+
+
+def test_lattice_counts_gamma40_closed_forms():
+    """Gamma_0..Gamma_12, Gamma_40 and Gamma_100 against the omega classes."""
+    for k in (*range(13), 40, 100):
+        degree_counts, pair_counts = lattice_counts((1,) * k)
+        assert sum(degree_counts.values()) == 2**k, k
+        assert sum(pair_counts.values()) == 3**k - 2**k, k
+        assert (degree_counts, pair_counts) == gamma_counts(k), k
+
+
+def pair_scan_counts(exponents):
+    """Degree and sorted degree-pair counts of the divisor graph with these
+    exponents, realised on the smallest primes, by testing every vertex pair."""
+    primes = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+    g = build_general(prod(p**e for p, e in zip(primes, exponents)))
+    edges, deg = edges_and_degrees(g)
+    return Counter(deg), Counter(tuple(sorted((deg[i], deg[j]))) for i, j in edges)
+
+
+def test_lattice_counts_places_exponent_one_primes_in_closed_form(monkeypatch):
+    """No exponent-1 prime is folded one at a time: with _exponent_pairs
+    refusing e == 1, Gamma_100 and mixed shapes still give their counts."""
+    exponent_pairs = indices._exponent_pairs
+
+    def refuse_one(e):
+        assert e != 1, "an exponent-1 prime was folded on its own"
+        return exponent_pairs(e)
+
+    want = {shape: pair_scan_counts(shape) for shape in ((3, 1, 2, 1, 1), (1, 1, 4, 1), (2, 2, 1))}
+    want[(1,) * 100] = gamma_counts(100)
+    monkeypatch.setattr(indices, "_exponent_pairs", refuse_one)
+    for shape, counts in want.items():
+        assert lattice_counts(shape) == counts, shape
+
+
+def test_lattice_counts_on_mixed_squarefree_shapes():
+    """Seeded shapes of 3 to 9 exponent-1 primes plus 0 to 2 larger
+    exponents, at most 300 divisors, against a scan of every vertex pair."""
+    rng = random.Random(15)
+    shapes = set()
+    while len(shapes) < 30:
+        shape = [1] * rng.randint(3, 9) + [rng.randint(2, 6) for _ in range(rng.randint(0, 2))]
+        if prod(e + 1 for e in shape) <= 300:
+            rng.shuffle(shape)
+            shapes.add(tuple(shape))
+    for shape in sorted(shapes):
+        assert lattice_counts(shape) == pair_scan_counts(shape), shape
+
+
+def test_r_indices_equal_sums_of_r():
+    """r1, r2 and r3, quadratics in Q = P/L, equal the sums over Profile.r
+    of r(v)**2, r(u)*r(v) and deg v * r(v)."""
+    graphs = [build_gamma(k) for k in range(13)]
+    graphs += [build_general(n) for n in (*BENCHMARK_SHAPES, *range(1, 601))]
+    for g in graphs:
+        p = profile(g)
+        assert r1(g) == sum(c * p.r(d) ** 2 for d, c in p.degree_counts.items()), g
+        assert r2(g) == sum(c * p.r(x) * p.r(y) for (x, y), c in p.pair_counts.items()), g
+        assert r3(g) == sum(c * d * p.r(d) for d, c in p.degree_counts.items()), g
 
 
 def test_indices_list_no_edges(monkeypatch):
