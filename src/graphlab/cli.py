@@ -9,28 +9,25 @@ Subcommands:
 * claims        evaluate the bundled claim registry (json or markdown)
 
 Exit codes: 0 success, 1 verification failure, 2 usage error, 3 claim
-mismatch under --strict.  Output for identical invocations is byte
-identical: no timestamps, canonical orderings throughout.  JSON text (graph
-exports, index reports, claim reports) comes from exact.json_text, the
-bytes of json.dumps(doc, indent=2) plus a newline.  The claims and formulas
-modules are imported by the subcommands that use them, so the other
-subcommands start without them.
+mismatch under --strict.  The exports and verify list every edge, so they
+refuse a graph above graphs._MAX_LISTED_EDGES edges before listing any.
+Output for identical invocations is byte identical: no timestamps,
+canonical orderings throughout.  JSON text (graph exports, index reports,
+claim reports) comes from exact.json_text, the bytes of
+json.dumps(doc, indent=2) plus a newline.  The claims and formulas modules
+are imported by the subcommands that use them, so the other subcommands
+start without them.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
-import os
 import sys
 
 from . import indices, metric
 from .exact import _int_from_str, _int_str, format_value, json_text, to_decimal
-from .graphs import build_gamma, build_general
-
-_DEFAULT_KCAP = 10
-_KCAP_ENV = "GRAPHLAB_KCAP"
-_MAX_EXPORT_EDGES = 3**12 - 2**12  # |E(Gamma_12)|; every export lists each edge
+from .graphs import build_gamma, build_general, require_edge_budget
 
 
 def _parse_primes(text: str) -> tuple[int, ...]:
@@ -41,9 +38,7 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 
 
 def _emit_graph(g, emit: str) -> int:
-    if g.size() > _MAX_EXPORT_EDGES:
-        raise ValueError(f"the graph has {g.size()} edges, "
-                         f"above the export budget of {_MAX_EXPORT_EDGES}")
+    require_edge_budget(g.size())
     if emit == "json":
         sys.stdout.write(json_text(g.to_json_dict()))
     elif emit == "dot":
@@ -98,21 +93,9 @@ def cmd_indices(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
-    cap = args.cap
-    if cap is None:
-        env = os.environ.get(_KCAP_ENV, str(_DEFAULT_KCAP))
-        try:
-            cap = _int_from_str(env)
-        except ValueError:
-            raise ValueError(f"{_KCAP_ENV} must be an integer, got {env!r}")
     if not 0 <= args.k_min <= args.k_max:
         raise ValueError(f"need 0 <= k-min <= k-max, "
                          f"got {_int_str(args.k_min)}..{_int_str(args.k_max)}")
-    if args.k_max > cap:
-        raise ValueError(
-            f"k-max {_int_str(args.k_max)} exceeds the cap of {_int_str(cap)} "
-            f"(raise with --cap or {_KCAP_ENV}; the edge enumeration is O(3^k))"
-        )
     from . import formulas
 
     lines, ok = formulas.verification_lines(args.k_min, args.k_max)
@@ -165,9 +148,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="check closed forms against the oracle")
     p.add_argument("--k-min", type=int, default=0)
-    p.add_argument("--k-max", type=int, default=_DEFAULT_KCAP)
-    p.add_argument("--cap", type=int, default=None,
-                   help=f"largest allowed k-max (default {_DEFAULT_KCAP}, or {_KCAP_ENV})")
+    p.add_argument("--k-max", type=int, default=10)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("claims", help="evaluate the bundled claim registry")

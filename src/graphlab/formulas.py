@@ -13,13 +13,13 @@ from itertools import chain
 from math import comb
 
 from . import indices
-from .exact import Value, format_value, normalize
-from .graphs import build_gamma, require_gamma_k_bound
+from .exact import Value, _int_str, format_value, normalize
+from .graphs import build_gamma, require_edge_budget, require_gamma_k_bound
 
 
 def _check_k(k: int) -> None:
     if k < 0:
-        raise ValueError(f"k must be >= 0, got {k}")
+        raise ValueError(f"k must be >= 0, got {_int_str(k)}")
 
 
 def order_formula(k: int) -> int:
@@ -38,7 +38,7 @@ def count_by_omega(k: int, j: int) -> int:
     """Number of vertices with exactly j prime factors: C(k, j)."""
     _check_k(k)
     if not 0 <= j <= k:
-        raise ValueError(f"omega must be in [0, {k}], got {j}")
+        raise ValueError(f"omega must be in [0, {_int_str(k)}], got {_int_str(j)}")
     return comb(k, j)
 
 
@@ -46,7 +46,7 @@ def degree_formula(k: int, omega: int) -> int:
     """deg v = 2**k - 1 at omega in {0, k}, else 2**omega + 2**(k-omega) - 2."""
     _check_k(k)
     if not 0 <= omega <= k:
-        raise ValueError(f"omega must be in [0, {k}], got {omega}")
+        raise ValueError(f"omega must be in [0, {_int_str(k)}], got {_int_str(omega)}")
     if omega in (0, k):
         return 2**k - 1
     return 2**omega + 2 ** (k - omega) - 2
@@ -99,8 +99,11 @@ def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
     """Per-(formula, k) pass/fail lines comparing closed forms to edge
     enumeration and the index engine, plus a summary line.  Size and degrees
     are counted from the rows of multiples(): a vertex's degree is its row
-    length plus the number of rows it appears in."""
+    length plus the number of rows it appears in.  Before any graph is built,
+    k_max is checked against the bound on k, then the edges of Gamma_{k_max}
+    against the budget of listed edges."""
     require_gamma_k_bound(k_max)
+    require_edge_budget(size_formula(k_max))
     lines: list[str] = []
     for k in range(k_min, k_max + 1):
         g = build_gamma(k)

@@ -18,6 +18,10 @@ extended prime by prime by the list one digit above it, so it ends holding
 every multiple, and each row is that list sorted.  A divisor precedes its
 multiples in both orders, so the rows list the edges in lexicographic order.
 
+Limits are constants no caller overrides: the builders refuse k above
+_MAX_GAMMA_K and n with more than _MAX_DIVISORS divisors, and the exports and
+verify call require_edge_budget before listing more than _MAX_LISTED_EDGES edges.
+
 A graph is immutable.  Only its exponents, primes and order are set at
 construction; vectors, rows of multiples, degrees and neighbor lists are
 computed on first use and cached, which keeps them safe to share across threads.
@@ -33,7 +37,10 @@ from operator import mul
 
 from .exact import _TRIAL_BOUND, _int_str, factorize, is_prime
 
-_DEFAULT_MAX_DIVISORS = 4096
+_MAX_DIVISORS = 4096
+#: Exports and verify list every edge; |E(Gamma_12)|.  `gamma --k 12 --emit
+#: json` takes about a second and 165 MB as a whole process.
+_MAX_LISTED_EDGES = 3**12 - 2**12
 #: build_gamma refuses larger k: `indices --k 100 --index wiener` takes about
 #: 0.08 s as a whole process (Python 3.11, 2-core host; mostly start-up), and
 #: the nine indices other than Balaban, Randic and R1-R3 about 0.4 s, most
@@ -192,6 +199,13 @@ def require_gamma_k_bound(k: int) -> None:
         raise ValueError(f"k={_int_str(k)} is above the bound of {_MAX_GAMMA_K} on k for Gamma_k")
 
 
+def require_edge_budget(m: int) -> None:
+    """Refuse to list m edges above _MAX_LISTED_EDGES, before any is listed."""
+    if m > _MAX_LISTED_EDGES:
+        raise ValueError(f"the graph has {_int_str(m)} edges, "
+                         f"above the budget of {_MAX_LISTED_EDGES} listed edges")
+
+
 def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
     """Gamma_k, optionally realized on k explicit distinct primes."""
     if k < 0:
@@ -209,8 +223,8 @@ def build_gamma(k: int, basis: tuple[int, ...] | None = None) -> DivisorGraph:
     return DivisorGraph((1,) * k, basis, gamma=True)
 
 
-def build_general(n: int, max_divisors: int = _DEFAULT_MAX_DIVISORS) -> DivisorGraph:
-    """Divisor graph of n; refuses n with more than max_divisors divisors, and
+def build_general(n: int) -> DivisorGraph:
+    """Divisor graph of n; refuses n with more than _MAX_DIVISORS divisors, and
     n whose cofactor after trial division up to _TRIAL_BOUND is not proven
     prime by is_prime."""
     if n < 1:
@@ -221,7 +235,7 @@ def build_general(n: int, max_divisors: int = _DEFAULT_MAX_DIVISORS) -> DivisorG
         raise ValueError(f"n={_int_str(n)} leaves the composite cofactor {cofactor} after "
                          f"trial division up to {_TRIAL_BOUND}, the factorisation budget")
     g = DivisorGraph(tuple(e for _, e in factorization), tuple(p for p, _ in factorization))
-    if g.order > max_divisors:
+    if g.order > _MAX_DIVISORS:
         raise ValueError(f"n={_int_str(n)} has {g.order} divisors, "
-                         f"above the cap of {max_divisors}")
+                         f"above the cap of {_MAX_DIVISORS}")
     return g

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from graphlab import formulas, indices, metric
+from graphlab import formulas, graphs, indices, metric
 from graphlab.cli import main
 from graphlab.exact import _int_str
 from graphlab.formulas import verification_lines
@@ -81,7 +81,7 @@ def test_exports_refuse_graphs_above_the_edge_budget(capsys):
         code, out, err = run_cli(capsys, *argv)
         assert time.perf_counter() - start < 1.0, argv
         assert (code, out) == (2, ""), argv
-        assert f"{edges} edges, above the export budget of 527345" in err, argv
+        assert f"{edges} edges, above the budget of 527345 listed edges" in err, argv
 
 
 def test_gamma_k_above_the_bound_exits_2(capsys):
@@ -103,12 +103,11 @@ def test_integer_options_read_any_length(capsys):
         big = _int_str(2**4095)  # 1,233 digits
         power = _int_str(9973**161)  # 644 digits, 162 divisors
         for argv, code, text in (
-            (["divisor-graph", "--n", big], 2, "8386560 edges, above the export budget"),
+            (["divisor-graph", "--n", big], 2, "8386560 edges, above the budget"),
             (["indices", "--n", _int_str(2**5000)], 2, "has 5001 divisors, above the cap"),
             (["gamma", "--k", "1", "--primes", big], 2, big + " is too large to prove prime"),
             (["gamma", "--k", "-" + big], 2, "k must be >= 0, got -" + big),
-            (["verify", "--k-max", big], 2, f"k-max {big} exceeds the cap of 10"),
-            (["verify", "--k-max", "1", "--cap", big], 0, "checks passed, 0 failed"),
+            (["verify", "--k-max", big], 2, f"k={big} is above the bound of 100 on k"),
             (["divisor-graph", "--n", power, "--emit", "dot"], 0, f"graph divisors_{power} {{"),
             (["divisor-graph", "--n", power, "--emit", "csv"], 0, f",{power}\n0,"),
         ):
@@ -203,23 +202,45 @@ def test_verify_passes(capsys):
     assert sum(1 for l in out.splitlines() if l.endswith("[pass]")) == per_k * 6
 
 
-def test_verify_cap_exceeded(capsys):
-    code, _, err = run_cli(capsys, "verify", "--k-min", "0", "--k-max", "99")
-    assert code == 2
-    assert "exceeds the cap" in err
+def test_verify_cap_exceeded(capsys, monkeypatch):
+    """k-max 99 is within the bound on k, but Gamma_99's edges are far
+    above the budget of listed edges: refused before any graph is built."""
+    monkeypatch.setattr(formulas, "build_gamma", None)
+    code, out, err = run_cli(capsys, "verify", "--k-min", "0", "--k-max", "99")
+    assert (code, out) == (2, "")
+    assert f"{3**99 - 2**99} edges, above the budget of 527345 listed edges" in err
 
 
-def test_verify_cap_flag_and_env(capsys, monkeypatch):
-    code, _, _ = run_cli(capsys, "verify", "--k-min", "0", "--k-max", "11", "--cap", "11")
+def test_verify_runs_up_to_the_edge_budget(capsys):
+    """Gamma_12 has 527,345 edges, exactly the budget: verify lists them."""
+    code, out, _ = run_cli(capsys, "verify", "--k-max", "12")
     assert code == 0
-    monkeypatch.setenv("GRAPHLAB_KCAP", "4")
-    code, _, err = run_cli(capsys, "verify", "--k-min", "0", "--k-max", "5")
-    assert code == 2
-    assert "exceeds the cap of 4" in err
-    monkeypatch.setenv("GRAPHLAB_KCAP", "not-a-number")
-    code, _, err = run_cli(capsys, "verify", "--k-min", "0", "--k-max", "3")
-    assert code == 2
-    assert "GRAPHLAB_KCAP" in err
+    assert out.endswith("k=12 degree: formula == oracle for all 4096 vertices [pass]\n"
+                        "117 checks passed, 0 failed\n")
+
+
+def test_verify_refuses_gamma_13_before_building(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a graph was built before the edge budget was checked")
+
+    monkeypatch.setattr(formulas, "build_gamma", refuse)
+    start = time.perf_counter()
+    code, out, err = run_cli(capsys, "verify", "--k-max", "13")
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert "the graph has 1586131 edges, above the budget of 527345 listed edges" in err
+
+
+def test_one_edge_budget_bounds_exports_and_verify(capsys, monkeypatch):
+    """Lowering graphs._MAX_LISTED_EDGES to |E(Gamma_4)| = 65 moves the
+    refusal of both the exports and verify from Gamma_13 to Gamma_5."""
+    monkeypatch.setattr(graphs, "_MAX_LISTED_EDGES", 65)
+    for k, code in (("4", 0), ("5", 2)):
+        for argv in (["gamma", "--k", k, "--emit", "dot"], ["verify", "--k-max", k]):
+            got, out, err = run_cli(capsys, *argv)
+            assert got == code, argv
+            if code == 2:
+                assert out == "" and "above the budget of 65 listed edges" in err, argv
 
 
 def test_verify_refuses_k_above_the_bound_before_building(capsys, monkeypatch):
@@ -228,7 +249,7 @@ def test_verify_refuses_k_above_the_bound_before_building(capsys, monkeypatch):
 
     monkeypatch.setattr(formulas, "build_gamma", refuse)
     start = time.perf_counter()
-    code, out, err = run_cli(capsys, "verify", "--k-max", "101", "--cap", "200")
+    code, out, err = run_cli(capsys, "verify", "--k-max", "101")
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert "k=101 is above the bound of 100 on k for Gamma_k" in err
@@ -314,11 +335,10 @@ def cli_digest(argv):
     return [code, hashlib.sha256(out.getvalue().encode()).hexdigest()]
 
 
-def test_output_matches_recorded_digests(monkeypatch):
+def test_output_matches_recorded_digests():
     """The bytes and exit codes of a fixed set of invocations are the output
     contract; tests/cli_digests.json holds [argv, exit code, stdout sha256]
     for each, as cli_digest computed them."""
-    monkeypatch.delenv("GRAPHLAB_KCAP", raising=False)
     cases = json.loads(Path(__file__).with_name("cli_digests.json").read_text())
     assert len(cases) >= 100
     for argv, code, digest in cases:

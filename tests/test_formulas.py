@@ -1,5 +1,6 @@
 """Closed forms: frozen examples and equality with the index engine."""
 
+import sys
 from fractions import Fraction
 
 import pytest
@@ -15,6 +16,7 @@ from graphlab.formulas import (
     wiener_formula,
     zagreb1_formula,
 )
+from graphlab.exact import _int_str
 from graphlab.graphs import build_gamma
 from graphlab import indices
 
@@ -87,6 +89,27 @@ def test_negative_k_rejected():
                hyper_wiener_formula, harary_formula, zagreb1_formula):
         with pytest.raises(ValueError):
             fn(-1)
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="the int/str digit limit exists from Python 3.11")
+def test_range_errors_print_integers_of_any_length():
+    """Under the lowest int/str digit limit, a k, j or omega of 701 digits is
+    refused for being out of range, not for being too long to print."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(640)
+    try:
+        big = 10**700
+        for call, message in (
+            (lambda: order_formula(-big), "k must be >= 0, got -" + _int_str(big)),
+            (lambda: count_by_omega(3, big), "omega must be in [0, 3], got " + _int_str(big)),
+            (lambda: degree_formula(big, -1), f"omega must be in [0, {_int_str(big)}], got -1"),
+        ):
+            with pytest.raises(ValueError) as e:
+                call()
+            assert str(e.value) == message
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def test_formulas_equal_definitions():

@@ -170,8 +170,8 @@ def test_build_general_12():
 def test_build_general_validation():
     with pytest.raises(ValueError):
         build_general(0)
-    with pytest.raises(ValueError):
-        build_general(2**13, max_divisors=8)
+    with pytest.raises(ValueError, match="has 4097 divisors, above the cap of 4096"):
+        build_general(2**4096)
 
 
 def test_build_general_factorisation_budget():
