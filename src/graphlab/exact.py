@@ -5,16 +5,17 @@ occur: plain integers, rationals, and finite sums of rational multiples of
 square roots of squarefree integers (as produced by Randic- and Balaban-type
 edge sums).  All of them are kept canonical so that equality is literal
 structural equality.  A radical sum stores each coefficient as a reduced int
-pair (num, den), den > 0: the index engine builds the pairs with integer
-gcds and the decimal and JSON renderers read them, so that path makes no
-Fraction per term (RadicalSum.terms gives Fractions to other callers).
-Decimal strings are derived on demand and are correctly rounded (round half
-to even), by integer square-root bounds refined until they decide the
-rounding.  Integers print and parse at any size: up to 2000 bits (603
-digits, below every digit limit Python allows) they print with
-int.__repr__, and above that, and when parsed, they go through Decimal,
-which has no digit limit.  json_text writes every JSON document the package
-prints (index reports, graph exports, claim reports).
+pair (num, den), den > 0, and every sum (constructor, +, -, *, the Randic
+and Balaban sums of inv_sqrt_sum) is folded by RadicalSum._fold with integer
+lcms and gcds, so no Fraction is made per term (RadicalSum.terms gives
+Fractions to other callers).  Decimal strings are derived on demand and are
+correctly rounded (round half to even), by integer square-root bounds
+refined until they decide the rounding.  Integers print and parse at any
+size, in JSON documents too: up to 2000 bits (603 digits, below every digit
+limit Python allows) they print with int.__repr__, and above that, and when
+parsed, they go through Decimal, which has no digit limit.  json_text
+writes every JSON document the package prints (index reports, graph
+exports, claim reports).
 """
 
 from __future__ import annotations
@@ -25,23 +26,28 @@ import sys
 from decimal import Decimal
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt
-from typing import Iterator, Mapping, Union
+from math import gcd, isqrt, lcm
+from typing import Iterable, Iterator, Mapping, Union
 
 #: Anything the index engine may return.
 Value = Union[int, Fraction, "RadicalSum"]
 
 
-def factorize(n: int, bound: int | None = None) -> Iterator[tuple[int, int]]:
+#: Trial division stops after this bound in factorize, so in
+#: graphs.build_general and sqf_decompose (about 0.1 s).
+_TRIAL_BOUND = 10**6
+
+
+def factorize(n: int) -> Iterator[tuple[int, int]]:
     """Yield the prime factorization of n >= 1 as (p, e) pairs, p ascending,
-    by trial division up to sqrt(n); the package's one factoriser.  The first
-    pair comes as soon as the smallest prime factor is found.  With a bound,
-    trial division stops after it, and the cofactor left above 1 comes last
-    as (cofactor, 1), unproven: it has no prime factor up to the bound, so it
-    is prime below (bound + 1)**2."""
+    by trial division up to min(sqrt(n), _TRIAL_BOUND); the package's one
+    factoriser.  The first pair comes as soon as the smallest prime factor
+    is found.  The cofactor left above 1 comes last as (cofactor, 1): it has
+    no prime factor up to the bound, so it is prime below
+    (_TRIAL_BOUND + 1)**2 and unproven above."""
     rem = n
     f = 2
-    stop = isqrt(n) if bound is None else min(isqrt(n), bound)  # the last f to try
+    stop = min(isqrt(n), _TRIAL_BOUND)  # the last f to try
     while f <= stop:
         if rem % f == 0:
             e = 0
@@ -79,11 +85,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-#: Trial division stops after this bound in graphs.build_general and
-#: sqf_decompose (about 0.1 s).
-_TRIAL_BOUND = 10**6
-
-
 def sqf_decompose(m: int) -> tuple[int, int]:
     """Split m >= 1 into (c, d) with m = c*c*d and d squarefree.
 
@@ -96,7 +97,7 @@ def sqf_decompose(m: int) -> tuple[int, int]:
     if m < 1:
         raise ValueError(f"expected a positive integer, got {m!r}")
     c = d = 1
-    for p, e in factorize(m, _TRIAL_BOUND):
+    for p, e in factorize(m):
         if p > _TRIAL_BOUND:  # the cofactor
             q = isqrt(p)
             if q * q == p and (q < (_TRIAL_BOUND + 1) ** 2 or (q < MR_LIMIT and is_prime(q))):
@@ -112,45 +113,57 @@ def sqf_decompose(m: int) -> tuple[int, int]:
     return c, d
 
 
+def _triples(v: "RadicalSum") -> list[tuple[int, int, int]]:
+    """v's terms as (radicand, num, den), read once from the stored pairs."""
+    return [(d, num, den) for d, (num, den) in v._terms.items()]
+
+
 class RadicalSum:
     """Canonical finite sum  sum_d q_d * sqrt(d)  with squarefree d and q_d != 0.
 
     The radicand 1 carries the rational part.  Squarefree radicands are
     linearly independent over the rationals, so two sums are equal exactly
     when their canonical term maps are identical; __eq__ relies on that.
-    Each coefficient is stored as a reduced int pair (num, den), den > 0, so
-    sums built by the index engine and read by the renderers make no
-    Fraction; terms gives them as Fractions.  Instances are immutable.
+    Each coefficient is stored as a reduced int pair (num, den), den > 0,
+    and folded by _fold; terms gives them as Fractions.  Instances are
+    immutable.
     """
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms: Mapping[int, Fraction | int] | None = None):
-        folded: dict[int, Fraction] = {}
-        if terms:
-            for rad, coef in terms.items():
-                coef = Fraction(coef)
-                if coef == 0:
-                    continue
+        triples = []
+        for rad, coef in (terms or {}).items():
+            coef = Fraction(coef)
+            if coef:
                 c, d = sqf_decompose(rad)
-                folded[d] = folded.get(d, Fraction(0)) + coef * c
-        object.__setattr__(self, "_terms", {
-            d: q.as_integer_ratio() for d, q in sorted(folded.items()) if q != 0})
+                triples.append((d, coef.numerator * c, coef.denominator))
+        object.__setattr__(self, "_terms", RadicalSum._fold(triples)._terms)
 
     @classmethod
-    def _canonical(cls, terms: Mapping[int, tuple[int, int]]) -> "RadicalSum":
-        """Wrap terms that are canonical already (squarefree radicands, reduced
-        (num, den) pairs with num != 0 and den > 0) without decomposing the
-        radicands again."""
+    def _fold(cls, triples: Iterable[tuple[int, int, int]], num=1, den=1) -> "RadicalSum":
+        """num/den (den > 0) times the sum of (n/q) * sqrt(d) over (d, n, q)
+        with squarefree d, not split again, and q > 0; the one place that
+        adds radical coefficients.  Terms sharing a d are added as integers
+        over the lcm of their q; each sum is scaled once, reduced by one gcd,
+        and dropped if zero."""
+        sums: dict[int, tuple[int, int]] = {}  # d -> (numerator, denominator)
+        for d, n, q in triples:
+            if d in sums:
+                n0, q0 = sums[d]
+                both = lcm(q0, q)
+                sums[d] = (n0 * (both // q0) + n * (both // q), both)
+            else:
+                sums[d] = (n, q)
+        terms = {}
+        for d, (n, q) in sorted(sums.items()):
+            n, q = n * num, q * den
+            if n:
+                g = gcd(n, q)
+                terms[d] = (n // g, q // g)
         self = object.__new__(cls)
-        object.__setattr__(self, "_terms", dict(sorted(terms.items())))
+        object.__setattr__(self, "_terms", terms)
         return self
-
-    @classmethod
-    def _from_fractions(cls, terms: Mapping[int, Fraction]) -> "RadicalSum":
-        """Wrap {squarefree radicand: Fraction}, dropping zero coefficients;
-        the sum of two canonical sums, or their product, needs no new split."""
-        return cls._canonical({d: q.as_integer_ratio() for d, q in terms.items() if q})
 
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RadicalSum is immutable")
@@ -160,7 +173,7 @@ class RadicalSum:
         """Promote an int, Fraction, or RadicalSum to a RadicalSum."""
         if isinstance(v, RadicalSum):
             return v
-        return cls({1: Fraction(v)})
+        return cls._fold([(1, *v.as_integer_ratio())])
 
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
@@ -176,19 +189,14 @@ class RadicalSum:
         return Fraction(*self._terms.get(1, (0, 1)))
 
     def __add__(self, other: "RadicalSum | Fraction | int") -> "RadicalSum":
-        if isinstance(other, RadicalSum):
-            merged = dict(self.terms)
-            for d, q in other.terms:
-                merged[d] = merged.get(d, Fraction(0)) + q
-            return RadicalSum._from_fractions(merged)
-        if isinstance(other, (int, Fraction)):
-            return self + RadicalSum.from_value(other)
+        if isinstance(other, (RadicalSum, int, Fraction)):
+            return RadicalSum._fold(_triples(self) + _triples(RadicalSum.from_value(other)))
         return NotImplemented
 
     __radd__ = __add__
 
     def __neg__(self) -> "RadicalSum":
-        return RadicalSum._canonical({d: (-num, den) for d, (num, den) in self._terms.items()})
+        return RadicalSum._fold(_triples(self), -1)
 
     def __sub__(self, other: "RadicalSum | Fraction | int") -> "RadicalSum":
         if isinstance(other, (RadicalSum, int, Fraction)):
@@ -202,15 +210,14 @@ class RadicalSum:
         """Product; with g = gcd(a, b) of squarefree a and b,
         sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)), whose radicand is squarefree."""
         if isinstance(other, (int, Fraction)):
-            return RadicalSum._from_fractions({d: q * other for d, q in self.terms})
+            return RadicalSum._fold(_triples(self), *other.as_integer_ratio())
         if isinstance(other, RadicalSum):
-            out: dict[int, Fraction] = {}
-            for da, qa in self.terms:
-                for db, qb in other.terms:
+            products = []
+            for da, na, qa in _triples(self):
+                for db, nb, qb in _triples(other):
                     g = gcd(da, db)
-                    d = (da // g) * (db // g)
-                    out[d] = out.get(d, Fraction(0)) + qa * qb * g
-            return RadicalSum._from_fractions(out)
+                    products.append(((da // g) * (db // g), na * nb * g, qa * qb))
+            return RadicalSum._fold(products)
         return NotImplemented
 
     __rmul__ = __mul__
@@ -288,6 +295,22 @@ def inv_sqrt(q: Fraction | int) -> RadicalSum:
     return RadicalSum({a * b: Fraction(1, a)})
 
 
+def inv_sqrt_sum(pairs: Mapping[tuple[int, int], int], num: int = 1, den: int = 1) -> Value:
+    """num/den (ints, den > 0) times the sum of c/sqrt(x*y) over pairs
+    {(x, y): c}: the edge sums of Randic and Balaban.  Each distinct factor
+    is split once: with x = s*s*d, y = t*t*e (d, e squarefree) and
+    g = gcd(d, e), x*y = (s*t*g)**2 * r for the squarefree r = (d/g)*(e/g),
+    so c/sqrt(x*y) = c/(s*t*g*r) * sqrt(r), a term for RadicalSum._fold."""
+    split = {f: sqf_decompose(f) for f in {*chain.from_iterable(pairs)}}
+    triples = []
+    for (x, y), c in pairs.items():
+        (s, d), (t, e) = split[x], split[y]
+        g = gcd(d, e)
+        r = (d // g) * (e // g)
+        triples.append((r, c, s * t * g * r))
+    return normalize(RadicalSum._fold(triples, num, den))
+
+
 def normalize(v: Value) -> Value:
     """Collapse a value to its most constrained shape (radical -> rational -> int)."""
     if isinstance(v, RadicalSum) and v.is_rational():
@@ -340,11 +363,6 @@ def _radical_scaled(terms: list[tuple[int, int, int]], digits: int) -> int:
         if low == _round_half_even(hi, unit):
             return low
         guard *= 2
-
-
-def _triples(v: RadicalSum) -> list[tuple[int, int, int]]:
-    """v's terms as (radicand, num, den), read once from the stored pairs."""
-    return [(d, num, den) for d, (num, den) in v._terms.items()]
 
 
 def to_decimal(v: Value, digits: int = 6) -> str:
@@ -423,19 +441,20 @@ _quote = json.encoder.encode_basestring_ascii  # the stdlib's C string quoting
 def _encoded(values, pad: str) -> list[str]:
     """json.dumps(v, indent=2) of each v in values, nested at pad (a newline
     and the indent of the enclosing line).  Strings and ints, the bulk of
-    every document, are written inline, and each container is one join.  A
-    list whose items are all str or all int is one map (_column).  Two list
-    shapes are one template formatted with one % over all their entries:
-    equal-length int rows (graph edges), and records, dicts sharing one key
-    order (radical terms, graph vertices), whose keys are quoted once into
-    the template and whose columns are each encoded by one _column call."""
+    every document, are written inline (ints past _REPR_BITS bits by
+    _int_str), and each container is one join.  A list whose items are all
+    str or all int is one map (_column).  Two list shapes are one template
+    formatted with one % over all their entries: equal-length int rows
+    (graph edges), and records, dicts sharing one key order (radical terms,
+    graph vertices), whose keys are quoted once into the template and whose
+    columns are each encoded by one _column call."""
     inner = pad + "  "
     out = []
     for v in values:
         if isinstance(v, str):
             out.append(_quote(v))
         elif isinstance(v, int) and not isinstance(v, bool):
-            out.append(int.__repr__(v))
+            out.append(_int_str(v))
         elif isinstance(v, dict):
             if v:
                 items = zip(v, _encoded(v.values(), inner))
@@ -451,7 +470,9 @@ def _encoded(values, pad: str) -> list[str]:
             if (type(v[0]) in (list, tuple) and {*map(type, v)} <= {list, tuple}
                     and len({*map(len, v)}) == 1 and v[0]
                     and {*map(type, flat := tuple(chain.from_iterable(v)))} == {int}):
-                row = "[" + deep + ("," + deep).join(["%d"] * len(v[0])) + inner + "]"
+                if not _fits_repr(flat):
+                    flat = tuple(map(_int_str, flat))
+                row = "[" + deep + ("," + deep).join(["%s"] * len(v[0])) + inner + "]"
                 items = [("," + inner).join([row] * len(v)) % flat]  # one % for all rows
             elif (type(v[0]) is dict and v[0] and {*map(type, v)} == {dict}
                   and len(keys := {*map(tuple, v)}) == 1):
@@ -476,8 +497,13 @@ def _column(values, pad: str):
     if kinds == {str}:
         return map(_quote, values)
     if kinds == {int}:
-        return map(int.__repr__, values)
+        return map(int.__repr__ if _fits_repr(values) else _int_str, values)
     return _encoded(values, pad)
+
+
+def _fits_repr(ints) -> bool:
+    """Whether int.__repr__ prints every int of a non-empty sequence under any digit limit."""
+    return max(max(ints).bit_length(), min(ints).bit_length()) <= _REPR_BITS
 
 
 def _indented_json(doc) -> str:
@@ -490,9 +516,12 @@ def _indented_json(doc) -> str:
 
 if sys.version_info >= (3, 13):
     # json.dumps uses its C encoder with indent from 3.13 on and beats the
-    # writer there; delete _indented_json once requires-python reaches 3.13.
+    # writer there, but refuses ints past the int/str digit limit.
     def json_text(doc) -> str:
         """json.dumps(doc, indent=2) plus a newline."""
-        return json.dumps(doc, indent=2) + "\n"
+        try:
+            return json.dumps(doc, indent=2) + "\n"
+        except ValueError:  # an int past the int/str digit limit
+            return _indented_json(doc)
 else:
     json_text = _indented_json

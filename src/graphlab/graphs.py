@@ -229,7 +229,7 @@ def build_general(n: int) -> DivisorGraph:
     prime by is_prime."""
     if n < 1:
         raise ValueError(f"n must be >= 1, got {_int_str(n)}")
-    factorization = tuple(factorize(n, _TRIAL_BOUND))
+    factorization = tuple(factorize(n))
     cofactor = factorization[-1][0] if factorization else 1
     if cofactor >= _TRIAL_BOUND**2 and not is_prime(cofactor):
         raise ValueError(f"n={_int_str(n)} leaves the composite cofactor {cofactor} after "

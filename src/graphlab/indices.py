@@ -15,16 +15,17 @@ summing to S, and F = C(V, 2) - m pairs at distance 2:
   coefficients, and R3 = sum d_v * r(v) = S**2 - M1 + V*P.
 
 Every index is thus exact arithmetic over a Profile, computed once per graph
-and cached on it.  The profile lists no vertex or edge: lattice_counts
-counts divisor pairs a | b by (tau(a), tau(n/a), tau(b), tau(n/b)), which
-fixes both degrees.  The exponent-1 primes give their states in closed form,
-by how many of them lie in a, in b only and in neither; only the exponents
->= 2 are folded one prime at a time.  On Gamma_k that is O(k**2) states,
-written down at once, instead of 3**k edges.  The map a -> n/a reverses
-divisibility and keeps every degree tau(a) + tau(n/a) - 2, so it sends the
-pair a | b to n/b | n/a with the two degrees swapped and the sorted degree
-pair unchanged; the last prime's fold therefore visits one state of each
-mirror pair, at twice its count.  The enumeration definitions these
+and cached on it; Randic and Balaban pass their edge-pair counts (Balaban's as
+transmissions) to exact.inv_sqrt_sum.  The profile lists no vertex or edge:
+lattice_counts counts divisor pairs a | b by (tau(a), tau(n/a), tau(b),
+tau(n/b)), which fixes both degrees.  The exponent-1 primes give their states
+in closed form, by how many of them lie in a, in b only and in neither; only
+the exponents >= 2 are folded one prime at a time.  On Gamma_k that is O(k**2)
+states, written down at once, instead of 3**k edges.  The map a -> n/a
+reverses divisibility and keeps every degree tau(a) + tau(n/a) - 2, so it
+sends the pair a | b to n/b | n/a with the two degrees swapped and the sorted
+degree pair unchanged; the last prime's fold therefore visits one state of
+each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
 """
 
@@ -33,11 +34,9 @@ from __future__ import annotations
 from collections import Counter
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
-from math import comb, gcd, lcm, prod
-from typing import Mapping
+from math import comb, lcm, prod
 
-from .exact import RadicalSum, Value, normalize, sqf_decompose, value_to_json
+from .exact import Value, inv_sqrt_sum, normalize, value_to_json
 
 #: Canonical index names, in report order.
 INDEX_NAMES = (
@@ -185,37 +184,6 @@ def profile(g) -> Profile:
     return p
 
 
-def _inv_sqrt_sum(pairs: Mapping[tuple[int, int], int], num: int = 1, den: int = 1) -> Value:
-    """num/den times the sum of c/sqrt(x*y) over pairs {(x, y): c}.
-
-    Each distinct factor is split once, up front: with x = s*s*d, y = t*t*e
-    (d, e squarefree) and g = gcd(d, e), x*y = (s*t*g)**2 * r for the
-    squarefree r = (d/g)*(e/g), so c/sqrt(x*y) = c/(s*t*g*r) * sqrt(r).
-    Terms sharing an r are added as integers over the lcm of their
-    denominators, and each r's (n*num, q*den) is reduced by one gcd into the
-    int pair RadicalSum stores; no Fraction is made.
-    """
-    split = {f: sqf_decompose(f) for f in {*chain.from_iterable(pairs)}}
-    sums: dict[int, tuple[int, int]] = {}  # r -> (numerator, denominator)
-    for (x, y), c in pairs.items():
-        (s, d), (t, e) = split[x], split[y]
-        g = gcd(d, e)
-        r = (d // g) * (e // g)
-        q = s * t * g * r
-        if r in sums:
-            n0, q0 = sums[r]
-            both = lcm(q0, q)
-            sums[r] = (n0 * (both // q0) + c * (both // q), both)
-        else:
-            sums[r] = (c, q)
-    terms = {}
-    for r, (n, q) in sums.items():
-        n, q = n * num, q * den
-        g = gcd(n, q)
-        terms[r] = (n // g, q // g)
-    return normalize(RadicalSum._canonical(terms))
-
-
 def wiener(g) -> Value:
     """Sum of distances over unordered pairs: m + 2F."""
     p = profile(g)
@@ -264,7 +232,7 @@ def balaban(g) -> Value:
     t = p.transmission(0)  # D_v = t - d_v
     transmissions = {(t - a, t - b): c for (a, b), c in p.pair_counts.items()}
     mu = p.size - p.order + 1
-    return _inv_sqrt_sum(transmissions, p.size, mu + 1)
+    return inv_sqrt_sum(transmissions, p.size, mu + 1)
 
 
 def harmonic(g) -> Value:
@@ -279,7 +247,7 @@ def harmonic(g) -> Value:
 
 def randic(g) -> Value:
     """Edge sum of 1/sqrt(deg u * deg v)."""
-    return _inv_sqrt_sum(profile(g).pair_counts)
+    return inv_sqrt_sum(profile(g).pair_counts)
 
 
 def r1(g) -> Value:

@@ -12,7 +12,7 @@ import pytest
 
 from graphlab import formulas, graphs, indices, metric
 from graphlab.cli import main
-from graphlab.exact import _int_str
+from graphlab.exact import _int_from_str, _int_str
 from graphlab.formulas import verification_lines
 from graphlab.graphs import build_gamma, build_general
 
@@ -119,6 +119,27 @@ def test_integer_options_read_any_length(capsys):
         assert "argument --k: invalid int value" in capsys.readouterr().err
     finally:
         sys.set_int_max_str_digits(limit)
+
+
+def test_json_prints_integers_past_the_str_digit_limit(capsys):
+    """n of 642 digits is past the lowest int/str digit limit (640); the JSON
+    index report and graph export still print it, and it reads back."""
+    set_limit = getattr(sys, "set_int_max_str_digits", None)
+    limit = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(640)
+    try:
+        n = 999983**107  # 108 divisors
+        for argv in (["indices", "--n", _int_str(n), "--index", "wiener,randic"],
+                     ["divisor-graph", "--n", _int_str(n), "--emit", "json"]):
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0, (argv[0], err)
+            doc = json.loads(out, parse_int=_int_from_str)
+            assert doc.get("graph", doc)["n"] == n, argv[0]
+        assert doc["vertices"][-1]["value"] == n
+    finally:
+        if set_limit:
+            set_limit(limit)
 
 
 def test_csv_export_builds_no_int_rows(capsys, monkeypatch):

@@ -106,7 +106,7 @@ def test_radical_arithmetic_splits_no_radicand():
     without splitting them again, so a radicand beyond the sqf_decompose
     budget still adds and multiplies."""
     p, q, r = 1000003, 1000033, 1000037
-    root = RadicalSum._canonical({p * q * r: (1, 1)})
+    root = RadicalSum._fold([(p * q * r, 1, 1)])
     with pytest.raises(ValueError, match="factorisation budget"):
         RadicalSum({p * q * r: 1})
     assert (root + root).terms == ((p * q * r, F(2)),)
@@ -165,6 +165,46 @@ def test_radical_canonicalization_idempotent():
         for d, q in once.terms:
             assert is_squarefree(d)
             assert q != 0
+
+
+def reference_terms(triples):
+    """Independent oracle: the canonical terms of the sum of q * sqrt(m) over
+    (m, q) pairs, m >= 1 and q a Fraction, as (squarefree radicand, (num,
+    den)) items in radicand order, added as Fractions per radicand."""
+    sums = {}
+    for m, q in triples:
+        c, d = brute_sqf(m)
+        sums[d] = sums.get(d, F(0)) + q * c
+    return [(d, sums[d].as_integer_ratio()) for d in sorted(sums) if sums[d]]
+
+
+def test_radical_arithmetic_matches_a_fraction_reference():
+    """+, -, * and scalar * on random canonical sums give the terms of a
+    per-radicand Fraction sum: sqrt(a)*sqrt(b) is split as sqrt(a*b), not by
+    the gcd rule of RadicalSum.__mul__.  The stored items are compared, so
+    zero sums, reduced pairs and the radicand order are checked too."""
+    rng = random.Random(20261019)
+    radicands = [d for d in range(1, 80) if is_squarefree(d)]
+
+    def rand_terms():
+        return {rng.choice(radicands): F(rng.randint(-12, 12), rng.randint(1, 12))
+                for _ in range(rng.randint(0, 5))}
+
+    def stored(v):
+        return list(v._terms.items())
+
+    for _ in range(300):
+        ta, tb = rand_terms(), rand_terms()
+        a, b = RadicalSum(ta), RadicalSum(tb)
+        s = F(rng.randint(-20, 20), rng.randint(1, 20))
+        assert stored(a) == reference_terms(ta.items())
+        assert stored(a + b) == reference_terms([*ta.items(), *tb.items()])
+        assert stored(a - b) == reference_terms([*ta.items(), *((d, -q) for d, q in tb.items())])
+        assert stored(a * b) == reference_terms(
+            [(da * db, qa * qb) for da, qa in ta.items() for db, qb in tb.items()])
+        assert stored(a * s) == stored(s * a) == reference_terms([(d, q * s) for d, q in ta.items()])
+        assert stored(a + s) == reference_terms([*ta.items(), (1, s)])
+        assert stored(a - a) == []
 
 
 def test_radical_sum_ops_commute():
@@ -495,13 +535,30 @@ def test_int_str_across_the_repr_threshold():
         assert exact._int_str(-n) == str(Decimal(-n)), n
 
 
-def test_factorize_with_a_bound():
-    """With a bound the pairs still multiply to n; those up to the bound are
-    the prime factors up to it, and a last pair above it is the cofactor."""
+def full_factorization(n):
+    """Independent oracle: the prime factorization of n by trial division
+    with no bound."""
+    pairs, f = [], 2
+    while f * f <= n:
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        if e:
+            pairs.append((f, e))
+        f += 1
+    return pairs + [(n, 1)] * (n > 1)
+
+
+def test_factorize_with_a_bound(monkeypatch):
+    """Trial division stops after exact._TRIAL_BOUND; with it at 10 the
+    pairs still multiply to n, those up to the bound are the prime factors
+    up to it, and a last pair above it is the cofactor."""
+    monkeypatch.setattr(exact, "_TRIAL_BOUND", 10)
     for n in range(1, 5000):
-        pairs = list(factorize(n, 10))
+        pairs = list(factorize(n))
         assert prod(p**e for p, e in pairs) == n
-        full = list(factorize(n))
+        full = full_factorization(n)
         small = [(p, e) for p, e in full if p <= 10]
         assert pairs[:len(small)] == small
         rest = pairs[len(small):]

@@ -10,12 +10,12 @@ before the engine existed, and are frozen here.
 import random
 from collections import Counter
 from fractions import Fraction
-from math import comb, gcd, prod
+from math import comb, gcd, isqrt, prod
 
 import pytest
 
 from graphlab import graphs, indices, metric
-from graphlab.exact import RadicalSum, inv_sqrt, value_to_json
+from graphlab.exact import RadicalSum, inv_sqrt, inv_sqrt_sum, normalize, value_to_json
 from graphlab.formulas import (
     degree_formula,
     harary_formula,
@@ -26,7 +26,6 @@ from graphlab.formulas import (
 from graphlab.graphs import build_gamma, build_general
 from graphlab.indices import (
     INDEX_NAMES,
-    _inv_sqrt_sum,
     balaban,
     compute_index,
     compute_indices,
@@ -518,19 +517,26 @@ def test_indices_run_no_breadth_first_search(monkeypatch):
 
 
 def test_inv_sqrt_sum_equals_term_by_term_sum():
-    """The per-factor fold equals adding c * inv_sqrt(x*y) one term at a
-    time, scaled, down to the canonical term order."""
+    """The engine's sum equals num/den times c/sqrt(x*y) added term by term as
+    Fractions per squarefree radicand, with x*y split by trial division here,
+    down to the canonical term order."""
     rng = random.Random(20241018)
+    split = {}  # m -> (f, d) with m = f*f*d, d squarefree
     for _ in range(100):
         pairs = Counter({
             (rng.randint(1, 400), rng.randint(1, 400)): rng.randint(1, 30)
             for _ in range(rng.randint(1, 40))
         })
         num, den = rng.randint(1, 500), rng.randint(1, 500)
-        want = RadicalSum()
+        sums = {}
         for (x, y), c in pairs.items():
-            want = want + c * inv_sqrt(x * y)
-        want = want * Fraction(num, den)
-        got = _inv_sqrt_sum(pairs, num, den)
-        assert RadicalSum.from_value(got).terms == want.terms
-        assert got == want
+            m = x * y
+            if m not in split:
+                f = max(f for f in range(1, isqrt(m) + 1) if m % (f * f) == 0)
+                split[m] = f, m // (f * f)
+            f, d = split[m]
+            sums[d] = sums.get(d, Fraction(0)) + Fraction(c, f * d)  # c/sqrt(m) = c/(f*d) * sqrt(d)
+        want = tuple((d, sums[d] * Fraction(num, den)) for d in sorted(sums))
+        got = inv_sqrt_sum(pairs, num, den)
+        assert RadicalSum.from_value(got).terms == want
+        assert got == normalize(RadicalSum(dict(want)))

@@ -8,6 +8,7 @@ module and calling each test function.
 
 import json
 import random
+import sys
 
 from graphlab import claims, exact, indices
 from graphlab.graphs import build_gamma, build_general
@@ -154,3 +155,25 @@ def test_records():
                 [{"a": 1}, [1]], ({"%": "%s"}, {"%": "%%"}), [{"a": {"b": [{"c": 1}]}}] * 3,
                 [{"subset": [], "omega": 0}, {"subset": [1, 2], "omega": 2}]):
         assert_identical(doc)
+
+
+def test_ints_past_the_str_digit_limit():
+    """Ints above exact._REPR_BITS bits print wherever an int can sit (alone,
+    in an int list, in int rows, in a record column, among other values),
+    through both writers and under the lowest int/str digit limit (640)."""
+    big = (10**700, -(2**2001), 2**2000 - 1)
+    doc = {"n": big[0], "list": [*big, 1], "rows": [[1, big[1]], [big[2], 0]],
+           "records": [{"v": b, "s": "x"} for b in big], "mixed": [big[0], "x", None]}
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # from Python 3.11
+    old = sys.get_int_max_str_digits() if set_limit else None
+    try:
+        if set_limit:
+            set_limit(0)
+        want = json.dumps(doc, indent=2) + "\n"
+        if set_limit:
+            set_limit(640)
+        assert exact._indented_json(doc) == want
+        assert exact.json_text(doc) == want
+    finally:
+        if set_limit:
+            set_limit(old)
