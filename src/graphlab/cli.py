@@ -12,11 +12,11 @@ Exit codes: 0 success, 1 verification failure, 2 usage error, 3 claim
 mismatch under --strict.  The exports and verify list every edge, so they
 refuse a graph above graphs._MAX_LISTED_EDGES edges before listing any.
 Output for identical invocations is byte identical: no timestamps,
-canonical orderings throughout.  JSON text (graph exports, index reports,
-claim reports) comes from exact.json_text, the bytes of
-json.dumps(doc, indent=2) plus a newline.  The claims and formulas modules
-are imported by the subcommands that use them, so the other subcommands
-start without them.
+canonical orderings throughout.  JSON text is the bytes of
+json.dumps(doc, indent=2) plus a newline: graph exports and claim reports
+come from exact.json_text, index reports from indices.report_text.  The
+claims and formulas modules are imported by the subcommands that use them,
+so the other subcommands start without them.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def cmd_indices(args: argparse.Namespace) -> int:
     names = None if args.index == "all" else [s.strip() for s in args.index.split(",")]
     values = indices.compute_indices(g, names)
     if args.format == "json":
-        sys.stdout.write(json_text(indices.report_dict(g, values)))
+        sys.stdout.write(indices.report_text(g, values))
     else:
         sys.stdout.write(_indices_table(values))
     return 0

@@ -9,13 +9,16 @@ pair (num, den), den > 0, and every sum (constructor, +, -, *, the Randic
 and Balaban sums of inv_sqrt_sum) is folded by RadicalSum._fold with integer
 lcms and gcds, so no Fraction is made per term (RadicalSum.terms gives
 Fractions to other callers).  Decimal strings are derived on demand and are
-correctly rounded (round half to even), by integer square-root bounds
-refined until they decide the rounding.  Integers print and parse at any
-size, in JSON documents too: up to 2000 bits (603 digits, below every digit
-limit Python allows) they print with int.__repr__, and above that, and when
-parsed, they go through Decimal, which has no digit limit.  json_text
-writes every JSON document the package prints (index reports, graph
-exports, claim reports).
+correctly rounded (round half to even): a float interval with a proven
+error bound settles almost every radical at up to 15 places, and integer
+square-root bounds refined until they decide the rounding settle the rest.
+Integers print and parse at any size, in JSON documents too: up to 2000
+bits (603 digits, below every digit limit Python allows) they print with
+int.__repr__, above that by a binary split into exact Decimal arithmetic
+(subquadratic), and they are parsed through Decimal, which has no digit
+limit.  value_text writes one value's JSON text from % templates, for the
+index reports; json_text writes every other JSON document the package
+prints (graph exports, claim reports).
 """
 
 from __future__ import annotations
@@ -23,10 +26,10 @@ from __future__ import annotations
 import json
 import re
 import sys
-from decimal import Decimal
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import chain
-from math import gcd, isqrt, lcm
+from math import fsum, gcd, isqrt, lcm, sqrt
 from typing import Iterable, Iterator, Mapping, Union
 
 #: Anything the index engine may return.
@@ -262,10 +265,34 @@ class RadicalSum:
 _REPR_BITS = 2000
 
 
+#: Exact Decimal arithmetic for _int_str: unbounded precision, and a
+#: rounded result raises.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, traps=[Inexact])
+
+
 def _int_str(n: int) -> str:
     """str(n) at any size: int.__repr__ up to _REPR_BITS bits, which no digit
-    limit refuses; above, Decimal, which has no limit."""
-    return int.__repr__(n) if n.bit_length() <= _REPR_BITS else str(Decimal(n))
+    limit refuses.  Above, the method of CPython 3.12's
+    _pylong.int_to_decimal_string, in subquadratic time where str(Decimal(n))
+    is quadratic (Python 3.10 and 3.11): |n| is split in binary halves down to
+    leaves of at most _REPR_BITS bits, each read by Decimal(int), and each
+    split hi * 2**h + lo is recombined by exact Decimal arithmetic with
+    Decimal(2)**h formed once per h (at most two h per level)."""
+    if n.bit_length() <= _REPR_BITS:
+        return int.__repr__(n)
+    powers: dict[int, Decimal] = {}
+
+    def split(m: int, w: int) -> Decimal:  # m >= 0 of at most w bits
+        if w <= _REPR_BITS:
+            return Decimal(m)
+        h = w >> 1
+        if h not in powers:
+            powers[h] = _EXACT.power(2, h)
+        return _EXACT.add(_EXACT.multiply(split(m >> h, w - h), powers[h]),
+                          split(m & ((1 << h) - 1), h))
+
+    text = str(split(abs(n), n.bit_length()))
+    return "-" + text if n < 0 else text
 
 
 #: What int() accepts as a base-10 string: surrounding whitespace, a sign,
@@ -334,11 +361,48 @@ def _format_scaled(scaled: int, digits: int) -> str:
     return f"{sign}{_int_str(ip)}.{_int_str(fp).zfill(digits)}"
 
 
+def _float_scaled(terms: list[tuple[int, int, int]], digits: int) -> int | None:
+    """round_half_even(v * 10**digits) for the v with these n (radicand, num,
+    den) terms when a float interval decides it, else None.
+
+    Let u = 2**-53.  Each part p = fl(fl(num/den) * sqrt(fl(d))) of a term
+    t = (num/den)*sqrt(d) takes four correctly rounded steps: int true
+    division, float(d) (whose error the root halves), sqrt and the product.
+    So |p - t| <= 3.5u*|t| + 2**-562, the last for a quotient below the
+    normal range, whose absolute error 2**-1075 the root (< 2**512) scales.
+    fsum rounds the exact sum of the parts once, and the product by
+    10.0**digits (exact for digits <= 22) once more, giving X.  With
+    S = 10**digits * sum |p|, that makes |X - v*10**digits| at most
+    2**-49 * (S + |X|) + n * 2**-511.  The computed B = (S + |X|) * 2**-48
+    exceeds the first term after its own rounding.  A float below 1/2 is at
+    most 1/2 - 2**-54, so when the float sum |X - r| + B is below 1/2, with
+    r the nearest integer to X, the exact sum was below 1/2 - 2**-55, which
+    leaves room for the second term (and for any underflow in B): then
+    v*10**digits lies strictly within 1/2 of r, and r is its rounding.  B
+    alone reaches 1/2 when S >= 2**47, so such an S returns None at once;
+    that keeps |X| below 2**48, where r and X - r are exact, and turns away
+    a part that overflowed to infinity (an overflowing quotient, radicand or
+    sum raises OverflowError)."""
+    scale = 10.0**digits
+    try:
+        parts = [num / den * sqrt(d) for d, num, den in terms]
+        size = fsum(map(abs, parts)) * scale
+    except OverflowError:
+        return None
+    if size >= 2**47:
+        return None
+    x = fsum(parts) * scale
+    near = round(x)
+    return near if abs(x - near) + (size + abs(x)) * 2.0**-48 < 0.5 else None
+
+
 def _radical_scaled(terms: list[tuple[int, int, int]], digits: int) -> int:
     """round_half_even(v * 10**digits) for the irrational v with these
     (radicand, num, den) terms, proven exact.
 
-    With P = digits + G for a guard G, each term (num/den)*sqrt(d) of v has
+    For digits <= 15 a float interval (_float_scaled) settles almost every
+    value.  Otherwise, and where that interval straddles a rounding boundary,
+    with P = digits + G for a guard G, each term (num/den)*sqrt(d) of v has
     |num/den|*sqrt(d)*10**P in [f, f + 1), where f = isqrt(d * (|num| *
     10**P)**2) // den, so summing the signed ends gives integers
     lo <= v*10**P <= hi.  Rounding half to even is monotone, so when lo and
@@ -348,6 +412,8 @@ def _radical_scaled(terms: list[tuple[int, int, int]], digits: int) -> int:
     it sits a positive distance from every rounding boundary, and the
     interval width, at most len(terms)/10**G, falls below that distance.
     """
+    if digits <= 15 and (scaled := _float_scaled(terms, digits)) is not None:
+        return scaled
     guard = 4
     while True:
         power = 10 ** (digits + guard)
@@ -370,8 +436,9 @@ def to_decimal(v: Value, digits: int = 6) -> str:
 
     Integers print bare ("37"); rationals and radicals print fixed point
     ("23.500").  Every result is the correctly rounded value: rationals are
-    rounded exactly, and radicals by integer square-root bounds that are
-    tightened until both ends round alike (see _radical_scaled).
+    rounded exactly, and radicals by a float interval or by integer
+    square-root bounds tightened until both ends round alike (see
+    _radical_scaled).
     """
     if digits < 1:
         raise ValueError("digits must be >= 1")
@@ -402,24 +469,60 @@ def value_to_json(v: Value) -> dict | None:
     }
 
 
+#: value_text's templates: json.dumps(value_to_json(v), indent=2) with every
+#: string's content and every int left as %s.
+_INTEGER_TEXT = '{\n  "kind": "integer",\n  "value": "%s"\n}'
+_RATIONAL_TEXT = '{\n  "kind": "rational",\n  "num": "%s",\n  "den": "%s"\n}'
+_RADICAL_TEXT = '{\n  "kind": "radical",\n  "terms": [\n    %s\n  ],\n  "approx": "%s"\n}'
+_TERM_TEXT = '{\n      "num": "%s",\n      "den": "%s",\n      "radicand": %s\n    }'
+
+
+def value_text(v: Value) -> str:
+    """json.dumps(value_to_json(v), indent=2), byte for byte, from one %
+    template per value; its strings (digits, "-", ".") need no escape.  A
+    radical's terms fill one row template over their num, den and radicand
+    columns, so no dict is built per term."""
+    v = normalize(v)
+    if isinstance(v, int):
+        return _INTEGER_TEXT % _int_str(v)
+    if isinstance(v, Fraction):
+        return _RATIONAL_TEXT % (_int_str(v.numerator), _int_str(v.denominator))
+    terms = _triples(v)
+    cells = tuple(chain.from_iterable((num, den, d) for d, num, den in terms))
+    if not _fits_repr(cells):
+        cells = tuple(map(_int_str, cells))
+    rows = ",\n    ".join([_TERM_TEXT] * len(terms)) % cells
+    return _RADICAL_TEXT % (rows, _format_scaled(_radical_scaled(terms, 6), 6))
+
+
+def _den_from_str(text: str) -> int:
+    den = _int_from_str(text)
+    if not den:
+        raise ValueError(f"den must be nonzero, got {text!r:.40}")
+    return den
+
+
 def value_from_json(obj: dict | None) -> Value | None:
-    """Inverse of value_to_json (the derived approx field is ignored)."""
+    """Inverse of value_to_json (the derived approx field is ignored).  A den
+    of 0, a radicand that is not a JSON integer, or a radicand in two terms
+    raises ValueError naming the field."""
     if obj is None:
         return None
     kind = obj["kind"]
     if kind == "integer":
         return _int_from_str(obj["value"])
     if kind == "rational":
-        return normalize(Fraction(_int_from_str(obj["num"]), _int_from_str(obj["den"])))
+        return normalize(Fraction(_int_from_str(obj["num"]), _den_from_str(obj["den"])))
     if kind == "radical":
-        return normalize(
-            RadicalSum(
-                {
-                    t["radicand"]: Fraction(_int_from_str(t["num"]), _int_from_str(t["den"]))
-                    for t in obj["terms"]
-                }
-            )
-        )
+        terms: dict[int, Fraction] = {}
+        for t in obj["terms"]:
+            d = t["radicand"]
+            if type(d) is not int:
+                raise ValueError(f"radicand must be an integer, got {d!r:.40}")
+            if d in terms:
+                raise ValueError(f"radicand {_int_str(d)} appears in two terms")
+            terms[d] = Fraction(_int_from_str(t["num"]), _den_from_str(t["den"]))
+        return normalize(RadicalSum(terms))
     raise ValueError(f"unknown value kind {kind!r}")
 
 
@@ -510,7 +613,8 @@ def _indented_json(doc) -> str:
     """json.dumps(doc, indent=2) plus a newline, byte for byte, for documents
     of dicts with str keys, lists, tuples, str, int, bool, None and float.
     Below Python 3.13 json.dumps runs its pure-Python encoder whenever
-    indent is set; this writer takes about half its time on index reports."""
+    indent is set; this writer takes about half its time on the documents
+    the package prints."""
     return _encoded((doc,), "\n")[0] + "\n"
 
 

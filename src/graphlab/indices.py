@@ -27,6 +27,7 @@ sends the pair a | b to n/b | n/a with the two degrees swapped and the sorted
 degree pair unchanged; the last prime's fold therefore visits one state of
 each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
+report_text writes a report's JSON text from each value's exact.value_text.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, prod
 
-from .exact import Value, inv_sqrt_sum, normalize, value_to_json
+from .exact import Value, _quote, inv_sqrt_sum, json_text, normalize, value_text
 
 #: Canonical index names, in report order.
 INDEX_NAMES = (
@@ -323,9 +324,13 @@ def compute_indices(g, names=None) -> dict[str, Value]:
     return {n: _DISPATCH[n](g) for n in names}
 
 
-def report_dict(g, values: dict[str, Value]) -> dict:
-    """IndexReport JSON document."""
-    return {
-        "graph": g.descriptor(),
-        "indices": {name: value_to_json(v) for name, v in values.items()},
-    }
+def report_text(g, values: dict[str, Value]) -> str:
+    """The IndexReport JSON document, json.dumps({"graph": g.descriptor(),
+    "indices": {name: value_to_json(v), ...}}, indent=2) plus a newline, byte
+    for byte.  Each value is written by exact.value_text and indented by
+    replacing its newlines, which JSON strings never hold raw."""
+    head = json_text({"graph": g.descriptor(), "indices": {}})  # ends "{}\n}\n"
+    if not values:
+        return head
+    body = ",\n".join([f"{_quote(name)}: {value_text(v)}" for name, v in values.items()])
+    return head[:-5] + "{\n    " + body.replace("\n", "\n    ") + "\n  }\n}\n"

@@ -12,6 +12,8 @@ The breadth-first distance engine (bfs_row, distance_matrix_bfs), the
 one-pair distance rule (distance_fast) and per-edge Mostar counts
 (mostar_counts) live here as well: graphlab computes none of them at run
 time, and the tests check its 0/1/2 rule and profile against them.
+report_dict builds the index report as a document from value_to_json, the
+reference for the text that indices.report_text writes.
 """
 
 from collections import Counter, deque
@@ -20,7 +22,7 @@ from itertools import combinations
 from fractions import Fraction
 from math import prod
 
-from graphlab.exact import RadicalSum, inv_sqrt, normalize
+from graphlab.exact import RadicalSum, inv_sqrt, normalize, value_to_json
 from graphlab.metric import DistanceMatrix, require_universal_vertex
 
 
@@ -168,6 +170,14 @@ def reference_indices(g) -> dict:
         "mostar": mostar,
     }
     return {name: normalize(v) for name, v in values.items()}
+
+
+def report_dict(g, values: dict) -> dict:
+    """The IndexReport JSON document of these values, as a dict."""
+    return {
+        "graph": g.descriptor(),
+        "indices": {name: value_to_json(v) for name, v in values.items()},
+    }
 
 
 class Path3:

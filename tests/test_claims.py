@@ -1,7 +1,10 @@
 """Claim registry: golden verdicts, documented discrepancies, rendering."""
 
+import json
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+
+import pytest
 
 from graphlab.claims import (
     MATCH,
@@ -132,6 +135,19 @@ def test_json_round_trip():
     doc = render_report(reports, "json")
     assert parse_report(doc) == reports
     assert render_report(reports, "json") == doc
+
+
+def test_parse_report_refuses_malformed_radicals():
+    """A report read back from outside: a zero den, a radicand that is not an
+    integer, or one radicand in two terms raises ValueError naming the field."""
+    doc = json.loads(render_report(run_all(3), "json"))
+    entry = next(e for e in doc["reports"] if e["id"] == "gamma3.randic")
+    term = entry["oracle"]["terms"][-1]
+    for bad, field in (({**term, "den": "0"}, "den"), ({**term, "radicand": "7"}, "radicand"),
+                       ({**term, "radicand": True}, "radicand"), (dict(term), "radicand")):
+        entry["oracle"]["terms"] = [term, bad] if bad == term else [bad]
+        with pytest.raises(ValueError, match=field):
+            parse_report(json.dumps(doc))
 
 
 def test_json_summary_fields():

@@ -1,5 +1,6 @@
 """Exact arithmetic layer: squarefree decomposition, radical sums, decimals."""
 
+import json
 import random
 import sys
 import time
@@ -9,7 +10,7 @@ from math import gcd, isqrt, prod
 
 import pytest
 
-from graphlab import exact
+from graphlab import exact, indices
 from graphlab.exact import (
     MR_LIMIT,
     RadicalSum,
@@ -21,8 +22,10 @@ from graphlab.exact import (
     sqf_decompose,
     to_decimal,
     value_from_json,
+    value_text,
     value_to_json,
 )
+from graphlab.graphs import build_gamma, build_general
 
 F = Fraction
 
@@ -431,6 +434,114 @@ def test_to_decimal_radical_agrees_with_mpmath(monkeypatch):
     assert sorted(to_decimal(v, 6)[-1] for v in boundary_cases()[:4]) == ["2", "2", "3", "3"]
 
 
+def random_sums(rng, count):
+    """Seeded irrational radical sums of 1-6 terms: radicands up to 10**6,
+    split to squarefree, and signed coefficients of 1 to 4 digits over 1 to
+    7 digits, so that terms often cancel."""
+    sums = []
+    while len(sums) < count:
+        terms = {}
+        for _ in range(rng.randrange(1, 7)):
+            d = rng.choice((1, rng.randrange(2, 50), rng.randrange(2, 10**6)))
+            top = 10 ** rng.randrange(1, 5)
+            terms[d] = F(rng.randrange(-top, top), rng.randrange(1, 10 ** rng.randrange(1, 8)))
+        v = RadicalSum(terms)
+        if not v.is_rational():
+            sums.append(v)
+    return sums
+
+
+def test_float_pass_agrees_with_the_exact_loop_and_mpmath(monkeypatch):
+    mpmath = pytest.importorskip("mpmath")
+    mpmath.mp.dps = 80
+    sums = random_sums(random.Random(1806), 2000)
+    floated = {(i, digits): exact._float_scaled(exact._triples(v), digits)
+               for i, v in enumerate(sums) for digits in (1, 6, 12)}
+    # At 12 places a sum of |parts| above 2**47 / 10**12 (about 141) is left to the loop.
+    assert sum(floated[i, digits] is None for i in range(len(sums)) for digits in (1, 6)) < 20
+    for v in boundary_cases():  # within 10**-30 of a tie: only the loop decides
+        assert exact._float_scaled(exact._triples(v), 6) is None
+    for (i, digits), r in list(floated.items())[:900]:
+        if r is not None:
+            assert exact._format_scaled(r, digits) == mpmath_rounded(sums[i], digits, mpmath)
+    monkeypatch.setattr(exact, "_float_scaled", lambda terms, digits: None)
+    for (i, digits), r in floated.items():
+        if r is not None:
+            assert r == exact._radical_scaled(exact._triples(sums[i]), digits), sums[i]
+
+
+def test_float_pass_at_the_ends_of_the_float_range(monkeypatch):
+    """Quotients below the normal range are still decided; a quotient,
+    radicand, product or sum past the float range, or a value too large for
+    six places in a float, goes to the loop.  Every value prints the same
+    both ways and agrees with mpmath."""
+    mpmath = pytest.importorskip("mpmath")
+    fold = RadicalSum._fold
+    decided = [fold([(2, 1, 10**400), (3, 1, 1)]), fold([(2, -7, 10**315), (5, 1, 3)]),
+               fold([(2, 10**300, 10**301), (3, -1, 7)])]
+    refused = [fold([(2, 10**400, 1), (3, 1, 1)]), fold([(2, 17 * 10**307, 1)]),
+               fold([(2, 17 * 10**307, 1), (3, -17 * 10**307, 1)]), fold([(2**1100 + 1, 1, 2**600)]),
+               fold([(2, 1, 1), (3, 10**20, 1), (5, -(10**20), 1)])]
+    got = [to_decimal(v, 6) for v in decided + refused]
+    assert [exact._float_scaled(exact._triples(v), 6) is None for v in decided + refused] == (
+        [False] * len(decided) + [True] * len(refused))
+    with mpmath.workdps(900):
+        assert got == [mpmath_rounded(v, 6, mpmath) for v in decided + refused]
+    monkeypatch.setattr(exact, "_float_scaled", lambda terms, digits: None)
+    assert [to_decimal(v, 6) for v in decided + refused] == got
+
+
+def test_float_pass_prints_randic_without_isqrt(monkeypatch):
+    """Randic of Gamma_5 prints at six places from the float interval alone:
+    with isqrt refused, to_decimal and value_text still give what the exact
+    loop gives."""
+    v = indices.randic(build_gamma(5))
+    with monkeypatch.context() as m:
+        m.setattr(exact, "_float_scaled", lambda terms, digits: None)
+        want = to_decimal(v, 6)
+
+    def refuse(n):
+        raise AssertionError("isqrt called")
+
+    monkeypatch.setattr(exact, "isqrt", refuse)
+    assert to_decimal(v, 6) == want
+    assert json.loads(value_text(v))["approx"] == want
+
+
+def test_value_text_is_json_dumps_of_value_to_json():
+    """Byte for byte, for every value shape, ints past _REPR_BITS bits in each
+    column (num, den and radicand) included."""
+    big = 3**1500  # 2,378 bits
+    values = [0, 37, -5, 10**700, -(2**2001), F(47, 2), F(-big, 7), F(3, big),
+              RadicalSum({1: F(23, 14), 7: F(6, 7)}), RadicalSum({2: F(-3, 7), 3: F(5, 11), 1: F(1, 3)}),
+              RadicalSum({2: F(big, 3), 3: 1}), RadicalSum({5: F(1, big)}),
+              RadicalSum._fold([(2, 1, 1), (2**2100 + 1, 1, 1)]),
+              indices.randic(build_gamma(6)), indices.balaban(build_general(720))]
+    for v in values:
+        assert value_text(v) == json.dumps(value_to_json(v), indent=2), v
+    for v in values[:12]:
+        assert value_from_json(json.loads(value_text(v))) == normalize(v)
+
+
+def test_value_from_json_refuses_malformed_values():
+    term = {"num": "1", "den": "2", "radicand": 7}
+    cases = [
+        ({"kind": "rational", "num": "1", "den": "0"}, "den"),
+        ({"kind": "rational", "num": "1", "den": "-0"}, "den"),
+        ({"kind": "radical", "terms": [{**term, "den": "0"}]}, "den"),
+        ({"kind": "radical", "terms": [{**term, "radicand": "7"}]}, "radicand"),
+        ({"kind": "radical", "terms": [{**term, "radicand": 7.0}]}, "radicand"),
+        ({"kind": "radical", "terms": [{**term, "radicand": True}]}, "radicand"),
+        ({"kind": "radical", "terms": [{**term, "radicand": None}]}, "radicand"),
+        ({"kind": "radical", "terms": [term, {**term, "num": "3"}]}, "radicand 7 appears in two terms"),
+    ]
+    for obj, field in cases:
+        with pytest.raises(ValueError, match=field):
+            value_from_json(obj)
+    assert value_from_json({"kind": "radical", "terms": [term, {**term, "radicand": 28}]}) == (
+        RadicalSum({7: F(3, 2)}))
+
+
 def test_value_json_round_trip():
     values = [
         37,
@@ -533,6 +644,42 @@ def test_int_str_across_the_repr_threshold():
     for n in cases:
         assert exact._int_str(n) == str(Decimal(n)), n
         assert exact._int_str(-n) == str(Decimal(-n)), n
+
+
+def test_int_str_prints_what_str_prints():
+    """The binary split against str with no digit limit, around the leaf
+    size _REPR_BITS and its multiples, at powers of 2 and of 10, at 10**k - 1
+    and on random sizes, each also negated."""
+    w = exact._REPR_BITS
+    cases = []
+    for bits in (w, w + 1, 2 * w, 2 * w + 1, 4 * w, 5 * w + 3):
+        cases += [2 ** (bits - 1), 2**bits - 1, 2**bits, 2**bits + 1]
+    for k in (602, 603, 604, 1205, 2410, 4821, 10**4):
+        cases += [10**k - 1, 10**k, 10**k + 1]
+    rng = random.Random(12)
+    cases += [rng.getrandbits(rng.randrange(w, 40 * w)) for _ in range(40)]
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # from Python 3.11
+    old = sys.get_int_max_str_digits() if set_limit else None
+    try:
+        if set_limit:
+            set_limit(0)
+        for n in cases:
+            assert exact._int_str(n) == str(n), n.bit_length()
+            assert exact._int_str(-n) == str(-n), n.bit_length()
+    finally:
+        if set_limit:
+            set_limit(old)
+
+
+def test_int_str_is_subquadratic():
+    """7**10**6 (2.8 million bits, 845,099 digits) prints in well under a
+    second; str(Decimal(n)) takes about 15 s on Python 3.11."""
+    n = 7**10**6
+    start = time.perf_counter()
+    text = exact._int_str(n)
+    assert time.perf_counter() - start < 5
+    assert len(text) == 845099 and text.startswith("1096")
+    assert int(text[-40:]) == n % 10**40
 
 
 def full_factorization(n):

@@ -7,6 +7,7 @@ and edge classes (an edge joins omega classes a < b in C(k,b)*C(b,a) ways)
 before the engine existed, and are frozen here.
 """
 
+import json
 import random
 from collections import Counter
 from fractions import Fraction
@@ -41,12 +42,18 @@ from graphlab.indices import (
     r2,
     r3,
     randic,
-    report_dict,
+    report_text,
     wiener,
     zagreb1,
     zagreb2,
 )
-from index_definitions import Path3, distance_matrix_bfs, edges_and_degrees, reference_indices
+from index_definitions import (
+    Path3,
+    distance_matrix_bfs,
+    edges_and_degrees,
+    reference_indices,
+    report_dict,
+)
 
 F = Fraction
 
@@ -279,18 +286,21 @@ def test_compute_index_unknown_name():
 
 
 def test_report_dict_shape():
-    doc = report_dict(G3, compute_indices(G3, ["wiener", "harary"]))
-    assert doc == {
+    """The report's document shape, read back from report_text; the reference
+    report_dict gives the same document."""
+    values = compute_indices(G3, ["wiener", "harary"])
+    doc = json.loads(report_text(G3, values))
+    assert doc == report_dict(G3, values) == {
         "graph": {"family": "gamma", "k": 3},
         "indices": {
             "wiener": {"kind": "integer", "value": "37"},
             "harary": {"kind": "rational", "num": "47", "den": "2"},
         },
     }
-    doc2 = report_dict(build_general(12), {"wiener": 18})
+    doc2 = json.loads(report_text(build_general(12), {"wiener": 18}))
     assert doc2["graph"] == {"family": "divisor", "n": 12}
-    doc3 = report_dict(build_gamma(2, (2, 3)), {})
-    assert doc3["graph"] == {"family": "gamma", "k": 2, "primes": [2, 3]}
+    doc3 = json.loads(report_text(build_gamma(2, (2, 3)), {}))
+    assert doc3 == {"graph": {"family": "gamma", "k": 2, "primes": [2, 3]}, "indices": {}}
 
 
 MIXED_SHAPES = (720, 3360, 5040, 5400)  # 2^4*3^2*5, 2^5*3*5*7, 2^4*3^2*5*7, 2^3*3^3*5^2

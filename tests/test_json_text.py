@@ -12,6 +12,7 @@ import sys
 
 from graphlab import claims, exact, indices
 from graphlab.graphs import build_gamma, build_general
+from index_definitions import report_dict
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -93,13 +94,22 @@ def test_int_lists_and_matrices():
 
 
 def test_index_reports():
+    """indices.report_text is json.dumps of the reference document, and so
+    is the writer on that document; also with no values, one value, and
+    names that need quoting."""
     graphs = [build_gamma(k) for k in range(9)]
     graphs.append(build_gamma(3, (101, 103, 107)))
     graphs.extend(build_general(n) for n in range(1, 601))
     # r1 and r2 of 735134400 have more than 4300 digits
     graphs.extend(build_general(n) for n in (21621600, 735134400))
     for g in graphs:
-        assert_identical(indices.report_dict(g, indices.compute_indices(g)))
+        values = indices.compute_indices(g)
+        doc = report_dict(g, values)  # big ints sit in strings, which no digit limit refuses
+        assert_identical(doc)
+        assert indices.report_text(g, values) == json.dumps(doc, indent=2) + "\n"
+    g = build_gamma(2, (2, 3))
+    for values in ({}, {"randic": indices.randic(g)}, {'"%s"\n☃': 7, "": indices.harary(g)}):
+        assert indices.report_text(g, values) == json.dumps(report_dict(g, values), indent=2) + "\n"
 
 
 def test_graph_exports():
