@@ -19,7 +19,8 @@ Known quirks carried as claim notes:
   here as the Gamma_5 second Zagreb value.
 
 render_report writes the JSON report with exact.json_text (the bytes of
-json.dumps(doc, indent=2) plus a newline); parse_report reads it back.
+json.dumps(doc, indent=2) plus a newline), each claimed and oracle value as
+its exact.value_text; parse_report reads it back.
 """
 
 from __future__ import annotations
@@ -32,10 +33,12 @@ from . import indices
 from .exact import (
     RadicalSum,
     Value,
+    _field,
+    _Text,
     format_value,
     json_text,
     value_from_json,
-    value_to_json,
+    value_text,
 )
 from .graphs import build_gamma
 
@@ -217,13 +220,18 @@ def summary_counts(reports: list[ClaimReport]) -> dict[str, int]:
     return counts
 
 
+def _value_leaf(v: Value | None) -> _Text | None:
+    """v's value_text for json_text; None (null) passes through."""
+    return None if v is None else _Text(value_text(v))
+
+
 def _report_entry(r: ClaimReport) -> dict:
     entry = {
         "id": r.claim.id,
         "k": r.claim.k,
         "index": r.claim.index,
-        "claimed": value_to_json(r.claim.claimed),
-        "oracle": value_to_json(r.oracle),
+        "claimed": _value_leaf(r.claim.claimed),
+        "oracle": _value_leaf(r.oracle),
         "verdict": r.verdict,
         "source": r.claim.source,
     }
@@ -259,18 +267,19 @@ def render_report(reports: list[ClaimReport], fmt: str = "json") -> str:
 
 
 def parse_report(doc: str) -> list[ClaimReport]:
-    """Inverse of render_report(..., "json")."""
-    data = json.loads(doc)
+    """Inverse of render_report(..., "json"); a missing or wrong-shaped
+    field raises ValueError naming it."""
     out = []
-    for e in data["reports"]:
+    for e in _field(json.loads(doc), "reports", list):
         claim = Claim(
-            id=e["id"],
-            k=e["k"],
-            index=e["index"],
-            claimed=value_from_json(e["claimed"]),
-            source=e["source"],
+            id=_field(e, "id"),
+            k=_field(e, "k"),
+            index=_field(e, "index"),
+            claimed=value_from_json(_field(e, "claimed")),
+            source=_field(e, "source"),
             symbolic=e.get("symbolic", ""),
             note=e.get("note", ""),
         )
-        out.append(ClaimReport(claim, value_from_json(e["oracle"]), e["verdict"], e.get("note", "")))
+        out.append(ClaimReport(claim, value_from_json(_field(e, "oracle")),
+                               _field(e, "verdict"), e.get("note", "")))
     return out

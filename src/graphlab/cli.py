@@ -13,8 +13,9 @@ mismatch under --strict.  The exports and verify list every edge, so they
 refuse a graph above graphs._MAX_LISTED_EDGES edges before listing any.
 Output for identical invocations is byte identical: no timestamps,
 canonical orderings throughout.  JSON text is the bytes of
-json.dumps(doc, indent=2) plus a newline: graph exports and claim reports
-come from exact.json_text, index reports from indices.report_text.  The
+json.dumps(doc, indent=2) plus a newline, written by exact.json_text for
+every document (index reports through indices.report_text), with each
+exact value written by exact.value_text.  The
 claims and formulas modules are imported by the subcommands that use them,
 so the other subcommands start without them.
 """

@@ -16,16 +16,14 @@ Integers print and parse at any size, in JSON documents too: up to 2000
 bits (603 digits, below every digit limit Python allows) they print with
 int.__repr__, above that by a binary split into exact Decimal arithmetic
 (subquadratic), and they are parsed through Decimal, which has no digit
-limit.  value_text writes one value's JSON text from % templates, for the
-index reports; json_text writes every other JSON document the package
-prints (graph exports, claim reports).
+limit.  value_text writes each value's JSON text; json_text writes every
+JSON document the package prints, with those texts spliced in as _Text.
 """
 
 from __future__ import annotations
 
 import json
 import re
-import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import chain
@@ -451,26 +449,8 @@ def to_decimal(v: Value, digits: int = 6) -> str:
     return _format_scaled(_radical_scaled(_triples(v), digits), digits)
 
 
-def value_to_json(v: Value) -> dict | None:
-    """Canonical JSON form of a value; None passes through (unparsed claims)."""
-    if v is None:
-        return None
-    v = normalize(v)
-    if isinstance(v, int):
-        return {"kind": "integer", "value": _int_str(v)}
-    if isinstance(v, Fraction):
-        return {"kind": "rational", "num": _int_str(v.numerator), "den": _int_str(v.denominator)}
-    terms = _triples(v)
-    return {
-        "kind": "radical",
-        "terms": [{"num": _int_str(num), "den": _int_str(den), "radicand": d}
-                  for d, num, den in terms],
-        "approx": _format_scaled(_radical_scaled(terms, 6), 6),
-    }
-
-
-#: value_text's templates: json.dumps(value_to_json(v), indent=2) with every
-#: string's content and every int left as %s.
+#: value_text's templates, json.dumps(..., indent=2) of each value shape with
+#: every string's content and every int left as %s.
 _INTEGER_TEXT = '{\n  "kind": "integer",\n  "value": "%s"\n}'
 _RATIONAL_TEXT = '{\n  "kind": "rational",\n  "num": "%s",\n  "den": "%s"\n}'
 _RADICAL_TEXT = '{\n  "kind": "radical",\n  "terms": [\n    %s\n  ],\n  "approx": "%s"\n}'
@@ -478,10 +458,10 @@ _TERM_TEXT = '{\n      "num": "%s",\n      "den": "%s",\n      "radicand": %s\n 
 
 
 def value_text(v: Value) -> str:
-    """json.dumps(value_to_json(v), indent=2), byte for byte, from one %
-    template per value; its strings (digits, "-", ".") need no escape.  A
-    radical's terms fill one row template over their num, den and radicand
-    columns, so no dict is built per term."""
+    """v's JSON text, as json.dumps(..., indent=2) writes it, from one of the
+    templates above: every int but a radicand as a decimal string, terms
+    radicand ascending, approx correctly rounded to six places.  A radical's
+    terms fill one row template, so no dict is built per term."""
     v = normalize(v)
     if isinstance(v, int):
         return _INTEGER_TEXT % _int_str(v)
@@ -495,6 +475,14 @@ def value_text(v: Value) -> str:
     return _RADICAL_TEXT % (rows, _format_scaled(_radical_scaled(terms, 6), 6))
 
 
+def _field(obj, name: str, shape: type = object):
+    """obj[name] for a JSON object obj holding a `shape` there, else ValueError."""
+    if not (isinstance(obj, dict) and name in obj and isinstance(obj[name], shape)):
+        raise ValueError(f"expected a JSON object with the field {name!r}"
+                         + ("" if shape is object else f" holding a {shape.__name__}"))
+    return obj[name]
+
+
 def _den_from_str(text: str) -> int:
     den = _int_from_str(text)
     if not den:
@@ -503,25 +491,26 @@ def _den_from_str(text: str) -> int:
 
 
 def value_from_json(obj: dict | None) -> Value | None:
-    """Inverse of value_to_json (the derived approx field is ignored).  A den
-    of 0, a radicand that is not a JSON integer, or a radicand in two terms
-    raises ValueError naming the field."""
+    """Inverse of value_text, read by json.loads (the derived approx field is
+    ignored).  A missing or wrong-shaped field, a den of 0, or a radicand in
+    two terms raises ValueError naming the field."""
     if obj is None:
         return None
-    kind = obj["kind"]
+    kind = _field(obj, "kind")
     if kind == "integer":
-        return _int_from_str(obj["value"])
+        return _int_from_str(_field(obj, "value"))
     if kind == "rational":
-        return normalize(Fraction(_int_from_str(obj["num"]), _den_from_str(obj["den"])))
+        return normalize(Fraction(_int_from_str(_field(obj, "num")),
+                                  _den_from_str(_field(obj, "den"))))
     if kind == "radical":
         terms: dict[int, Fraction] = {}
-        for t in obj["terms"]:
-            d = t["radicand"]
+        for t in _field(obj, "terms", list):
+            d = _field(t, "radicand")
             if type(d) is not int:
                 raise ValueError(f"radicand must be an integer, got {d!r:.40}")
             if d in terms:
                 raise ValueError(f"radicand {_int_str(d)} appears in two terms")
-            terms[d] = Fraction(_int_from_str(t["num"]), _den_from_str(t["den"]))
+            terms[d] = Fraction(_int_from_str(_field(t, "num")), _den_from_str(_field(t, "den")))
         return normalize(RadicalSum(terms))
     raise ValueError(f"unknown value kind {kind!r}")
 
@@ -541,20 +530,29 @@ def format_value(v: Value | None) -> str:
 _quote = json.encoder.encode_basestring_ascii  # the stdlib's C string quoting
 
 
+class _Text(str):
+    """JSON text already encoded, at indent 0 (value_text's output): a leaf
+    json_text writes as it is, its newlines indented to where it sits."""
+
+    __slots__ = ()
+
+
 def _encoded(values, pad: str) -> list[str]:
     """json.dumps(v, indent=2) of each v in values, nested at pad (a newline
-    and the indent of the enclosing line).  Strings and ints, the bulk of
-    every document, are written inline (ints past _REPR_BITS bits by
-    _int_str), and each container is one join.  A list whose items are all
-    str or all int is one map (_column).  Two list shapes are one template
-    formatted with one % over all their entries: equal-length int rows
-    (graph edges), and records, dicts sharing one key order (radical terms,
-    graph vertices), whose keys are quoted once into the template and whose
-    columns are each encoded by one _column call."""
+    and the indent of the enclosing line), each _Text as the JSON it holds.
+    Strings and ints, the bulk of every document, are written inline (ints
+    past _REPR_BITS bits by _int_str), and each container is one join.  A
+    list whose items are all str or all int is one map (_column).  Two list
+    shapes are one template formatted with one % over all their entries:
+    equal-length int rows (graph edges), and records, dicts sharing one key
+    order (graph vertices), whose keys are quoted once into the template and
+    whose columns are each encoded by one _column call."""
     inner = pad + "  "
     out = []
     for v in values:
-        if isinstance(v, str):
+        if type(v) is _Text:
+            out.append(v.replace("\n", pad))
+        elif isinstance(v, str):
             out.append(_quote(v))
         elif isinstance(v, int) and not isinstance(v, bool):
             out.append(_int_str(v))
@@ -562,7 +560,7 @@ def _encoded(values, pad: str) -> list[str]:
             if v:
                 items = zip(v, _encoded(v.values(), inner))
                 body = ("," + inner).join([_quote(k) + ": " + t for k, t in items])
-                out.append("{" + inner + body + pad + "}")
+                out.append(f"{{{inner}{body}{pad}}}")  # copies body once, + per operand
             else:
                 out.append("{}")
         elif isinstance(v, (list, tuple)):
@@ -587,7 +585,7 @@ def _encoded(values, pad: str) -> list[str]:
                 items = [("," + inner).join([row] * len(v)) % cells]  # one % for all records
             else:
                 items = _column(v, inner)
-            out.append("[" + inner + ("," + inner).join(items) + pad + "]")
+            out.append(f"[{inner}{(',' + inner).join(items)}{pad}]")
         else:
             out.append(json.dumps(v))  # bool, None, float; TypeError like json
     return out
@@ -609,23 +607,8 @@ def _fits_repr(ints) -> bool:
     return max(max(ints).bit_length(), min(ints).bit_length()) <= _REPR_BITS
 
 
-def _indented_json(doc) -> str:
+def json_text(doc) -> str:
     """json.dumps(doc, indent=2) plus a newline, byte for byte, for documents
-    of dicts with str keys, lists, tuples, str, int, bool, None and float.
-    Below Python 3.13 json.dumps runs its pure-Python encoder whenever
-    indent is set; this writer takes about half its time on the documents
-    the package prints."""
+    of dicts with str keys, lists, tuples, str, int, bool, None, float and
+    _Text; unlike json.dumps it prints ints past the int/str digit limit."""
     return _encoded((doc,), "\n")[0] + "\n"
-
-
-if sys.version_info >= (3, 13):
-    # json.dumps uses its C encoder with indent from 3.13 on and beats the
-    # writer there, but refuses ints past the int/str digit limit.
-    def json_text(doc) -> str:
-        """json.dumps(doc, indent=2) plus a newline."""
-        try:
-            return json.dumps(doc, indent=2) + "\n"
-        except ValueError:  # an int past the int/str digit limit
-            return _indented_json(doc)
-else:
-    json_text = _indented_json

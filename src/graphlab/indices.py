@@ -27,7 +27,8 @@ sends the pair a | b to n/b | n/a with the two degrees swapped and the sorted
 degree pair unchanged; the last prime's fold therefore visits one state of
 each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
-report_text writes a report's JSON text from each value's exact.value_text.
+report_text writes a report through exact.json_text, each value's text
+from exact.value_text.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from fractions import Fraction
 from functools import cached_property
 from math import comb, lcm, prod
 
-from .exact import Value, _quote, inv_sqrt_sum, json_text, normalize, value_text
+from .exact import Value, _Text, inv_sqrt_sum, json_text, normalize, value_text
 
 #: Canonical index names, in report order.
 INDEX_NAMES = (
@@ -325,12 +326,8 @@ def compute_indices(g, names=None) -> dict[str, Value]:
 
 
 def report_text(g, values: dict[str, Value]) -> str:
-    """The IndexReport JSON document, json.dumps({"graph": g.descriptor(),
-    "indices": {name: value_to_json(v), ...}}, indent=2) plus a newline, byte
-    for byte.  Each value is written by exact.value_text and indented by
-    replacing its newlines, which JSON strings never hold raw."""
-    head = json_text({"graph": g.descriptor(), "indices": {}})  # ends "{}\n}\n"
-    if not values:
-        return head
-    body = ",\n".join([f"{_quote(name)}: {value_text(v)}" for name, v in values.items()])
-    return head[:-5] + "{\n    " + body.replace("\n", "\n    ") + "\n  }\n}\n"
+    """The IndexReport JSON document {"graph": g.descriptor(), "indices":
+    {name: value, ...}}, written by exact.json_text with each value's
+    exact.value_text spliced in."""
+    return json_text({"graph": g.descriptor(),
+                      "indices": {name: _Text(value_text(v)) for name, v in values.items()}})

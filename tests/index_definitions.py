@@ -12,8 +12,9 @@ The breadth-first distance engine (bfs_row, distance_matrix_bfs), the
 one-pair distance rule (distance_fast) and per-edge Mostar counts
 (mostar_counts) live here as well: graphlab computes none of them at run
 time, and the tests check its 0/1/2 rule and profile against them.
-report_dict builds the index report as a document from value_to_json, the
-reference for the text that indices.report_text writes.
+value_to_json builds a value's JSON document as a dict and report_dict the
+index report from it: the references for the text that exact.value_text and
+indices.report_text write.
 """
 
 from collections import Counter, deque
@@ -22,7 +23,7 @@ from itertools import combinations
 from fractions import Fraction
 from math import prod
 
-from graphlab.exact import RadicalSum, inv_sqrt, normalize, value_to_json
+from graphlab.exact import RadicalSum, _int_str, inv_sqrt, normalize, to_decimal
 from graphlab.metric import DistanceMatrix, require_universal_vertex
 
 
@@ -170,6 +171,25 @@ def reference_indices(g) -> dict:
         "mostar": mostar,
     }
     return {name: normalize(v) for name, v in values.items()}
+
+
+def value_to_json(v) -> dict | None:
+    """A value's JSON document; None passes through (unparsed claims).  Ints
+    are decimal strings, except each radicand, and a radical's approx is
+    to_decimal at six places."""
+    if v is None:
+        return None
+    v = normalize(v)
+    if isinstance(v, int):
+        return {"kind": "integer", "value": _int_str(v)}
+    if isinstance(v, Fraction):
+        return {"kind": "rational", "num": _int_str(v.numerator), "den": _int_str(v.denominator)}
+    return {
+        "kind": "radical",
+        "terms": [{"num": _int_str(q.numerator), "den": _int_str(q.denominator), "radicand": d}
+                  for d, q in v.terms],
+        "approx": to_decimal(v, 6),
+    }
 
 
 def report_dict(g, values: dict) -> dict:

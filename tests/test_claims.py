@@ -150,6 +150,23 @@ def test_parse_report_refuses_malformed_radicals():
             parse_report(json.dumps(doc))
 
 
+def test_parse_report_refuses_missing_fields():
+    """A document without reports, a non-object document, reports that are
+    not a list, an entry that is not an object, and an entry missing any
+    required field raise ValueError naming the field."""
+    doc = json.loads(render_report(run_all(3), "json"))
+    for bad, field in (({"summary": doc["summary"]}, "reports"), ([], "reports"),
+                       ({"reports": {}}, "reports"), ({"reports": [7]}, "id")):
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            parse_report(json.dumps(bad))
+    for field in ("id", "k", "index", "source", "claimed", "oracle", "verdict"):
+        entry = dict(doc["reports"][0])
+        del entry[field]
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            parse_report(json.dumps({**doc, "reports": [entry]}))
+    assert len(parse_report(json.dumps(doc))) == len(doc["reports"])
+
+
 def test_json_summary_fields():
     import json
 

@@ -23,9 +23,9 @@ from graphlab.exact import (
     to_decimal,
     value_from_json,
     value_text,
-    value_to_json,
 )
 from graphlab.graphs import build_gamma, build_general
+from index_definitions import value_to_json
 
 F = Fraction
 
@@ -524,8 +524,23 @@ def test_value_text_is_json_dumps_of_value_to_json():
 
 
 def test_value_from_json_refuses_malformed_values():
+    """A missing field, a value, term or terms of the wrong JSON shape, a zero
+    den, a non-integer radicand and a repeated radicand raise ValueError
+    naming the field."""
     term = {"num": "1", "den": "2", "radicand": 7}
     cases = [
+        ({"kind": "radical"}, "terms"),
+        ({"kind": "rational", "num": "1"}, "den"),
+        ({"kind": "rational", "den": "1"}, "num"),
+        ({"kind": "integer"}, "value"),
+        ({"value": "3"}, "kind"),
+        ([1], "kind"),
+        ("integer", "kind"),
+        ({"kind": "radical", "terms": [5]}, "radicand"),
+        ({"kind": "radical", "terms": {"num": "1"}}, "terms"),
+        ({"kind": "radical", "terms": [{"num": "1", "den": "2"}]}, "radicand"),
+        ({"kind": "radical", "terms": [{"den": "2", "radicand": 7}]}, "num"),
+        ({"kind": "radical", "terms": [{"num": "1", "radicand": 7}]}, "den"),
         ({"kind": "rational", "num": "1", "den": "0"}, "den"),
         ({"kind": "rational", "num": "1", "den": "-0"}, "den"),
         ({"kind": "radical", "terms": [{**term, "den": "0"}]}, "den"),

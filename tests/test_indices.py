@@ -16,7 +16,7 @@ from math import comb, gcd, isqrt, prod
 import pytest
 
 from graphlab import graphs, indices, metric
-from graphlab.exact import RadicalSum, inv_sqrt, inv_sqrt_sum, normalize, value_to_json
+from graphlab.exact import RadicalSum, inv_sqrt, inv_sqrt_sum, normalize
 from graphlab.formulas import (
     degree_formula,
     harary_formula,
@@ -53,6 +53,7 @@ from index_definitions import (
     edges_and_degrees,
     reference_indices,
     report_dict,
+    value_to_json,
 )
 
 F = Fraction

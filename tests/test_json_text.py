@@ -1,18 +1,19 @@
-"""The JSON writer: byte-identical to json.dumps(doc, indent=2) + "\\n".
-
-exact._indented_json is called directly, whichever encoder json_text picks
-on this Python, so every version checks the writer.  The tests use plain
-asserts and no fixtures: they also run without pytest, by importing this
-module and calling each test function.
+"""The JSON writer: exact.json_text is byte-identical to
+json.dumps(doc, indent=2) + "\\n", with each exact._Text leaf written as the
+JSON text it holds; index and claim reports are checked against reference
+documents built from the tests' value_to_json.  The tests use plain asserts
+and no fixtures: they also run without pytest, by importing this module and
+calling each test function.
 """
 
 import json
 import random
 import sys
+from fractions import Fraction
 
 from graphlab import claims, exact, indices
 from graphlab.graphs import build_gamma, build_general
-from index_definitions import report_dict
+from index_definitions import report_dict, value_to_json
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
 
@@ -21,7 +22,7 @@ ALPHABET = 'aZ09 "\\/\x00\x01\x1f\x7f\n\t\r\b\féß☃ \U0001f600'
 
 
 def assert_identical(doc):
-    assert exact._indented_json(doc) == json.dumps(doc, indent=2) + "\n"
+    assert exact.json_text(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def random_text(rng):
@@ -120,13 +121,63 @@ def test_graph_exports():
         assert_identical(build_general(n).to_json_dict())
 
 
+def claim_entry(r):
+    """The reference for one entry of a claim report."""
+    entry = {"id": r.claim.id, "k": r.claim.k, "index": r.claim.index,
+             "claimed": value_to_json(r.claim.claimed), "oracle": value_to_json(r.oracle),
+             "verdict": r.verdict, "source": r.claim.source}
+    if r.claim.symbolic:
+        entry["symbolic"] = r.claim.symbolic
+    if r.note:
+        entry["note"] = r.note
+    return entry
+
+
 def test_claim_reports():
+    """render_report is json.dumps of the reference document, and so is the
+    writer on that document; unparsed and unevaluable values print null."""
     for k in (None, 3, 4, 5):
         reports = claims.run_all(k)
-        assert_identical({
-            "summary": claims.summary_counts(reports),
-            "reports": [claims._report_entry(r) for r in reports],
-        })
+        doc = {"summary": claims.summary_counts(reports), "reports": [claim_entry(r) for r in reports]}
+        assert_identical(doc)
+        assert claims.render_report(reports, "json") == json.dumps(doc, indent=2) + "\n"
+    claim = claims.Claim("x.randic", 3, "randic", None, "src")
+    reports = [claims.ClaimReport(claim, None, claims.UNEVALUABLE, "n"),
+               claims.evaluate_claim(claims.builtin_claims()[0], build_gamma(3))]
+    doc = {"summary": claims.summary_counts(reports), "reports": [claim_entry(r) for r in reports]}
+    assert claims.render_report(reports, "json") == json.dumps(doc, indent=2) + "\n"
+
+
+def with_text_leaves(rng, doc):
+    """doc with some subtrees, at any depth, replaced by exact._Text leaves
+    holding their json.dumps text."""
+    if rng.random() < 0.3:
+        return exact._Text(json.dumps(doc, indent=2))
+    if isinstance(doc, dict):
+        return {k: with_text_leaves(rng, v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(with_text_leaves(rng, v) for v in doc)
+    return doc
+
+
+def test_text_leaves():
+    """exact._Text leaves in a dict, in a list, in a record column and at
+    depth >= 3 are written as json.dumps writes the documents they hold:
+    value_text leaves as their value_to_json, and random subtrees' text."""
+    values = (0, -7, 10**700, Fraction(-47, 2), indices.randic(build_gamma(4)),
+              indices.balaban(build_general(72)))
+    texts = [exact._Text(exact.value_text(v)) for v in values]
+    refs = [value_to_json(v) for v in values]
+    shapes = (lambda x: {"first": x[0], "last": x[-1]}, list, tuple,
+              lambda x: [{"name": "v", "value": t} for t in x],
+              lambda x: [{"value": t, "none": None} for t in x] + [{"value": None, "none": x[0]}],
+              lambda x: {"a": [{"b": {"c": x}}]}, lambda x: [[x[0], [x[-1]]], {"d": (x[1],)}])
+    for shape in shapes:
+        assert exact.json_text(shape(texts)) == json.dumps(shape(refs), indent=2) + "\n"
+    rng = random.Random(19)
+    for _ in range(1000):
+        for doc in (random_tree(rng, 5), random_records(rng), {"r": [random_records(rng)]}):
+            assert exact.json_text(with_text_leaves(rng, doc)) == json.dumps(doc, indent=2) + "\n"
 
 
 #: Record keys: format directives and quotes, which the row template must
@@ -170,7 +221,7 @@ def test_records():
 def test_ints_past_the_str_digit_limit():
     """Ints above exact._REPR_BITS bits print wherever an int can sit (alone,
     in an int list, in int rows, in a record column, among other values),
-    through both writers and under the lowest int/str digit limit (640)."""
+    under the lowest int/str digit limit (640)."""
     big = (10**700, -(2**2001), 2**2000 - 1)
     doc = {"n": big[0], "list": [*big, 1], "rows": [[1, big[1]], [big[2], 0]],
            "records": [{"v": b, "s": "x"} for b in big], "mixed": [big[0], "x", None]}
@@ -182,7 +233,6 @@ def test_ints_past_the_str_digit_limit():
         want = json.dumps(doc, indent=2) + "\n"
         if set_limit:
             set_limit(640)
-        assert exact._indented_json(doc) == want
         assert exact.json_text(doc) == want
     finally:
         if set_limit:
