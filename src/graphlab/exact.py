@@ -17,7 +17,8 @@ bits (603 digits, below every digit limit Python allows) they print with
 int.__repr__, above that by a binary split into exact Decimal arithmetic
 (subquadratic), and they are parsed through Decimal, which has no digit
 limit.  value_text writes each value's JSON text; json_text writes every
-JSON document the package prints, with those texts spliced in as _Text.
+JSON document the package prints, with those texts, and a graph's edge
+list (graphs.DivisorGraph.to_json_dict), spliced in as _Text.
 """
 
 from __future__ import annotations
@@ -531,8 +532,9 @@ _quote = json.encoder.encode_basestring_ascii  # the stdlib's C string quoting
 
 
 class _Text(str):
-    """JSON text already encoded, at indent 0 (value_text's output): a leaf
-    json_text writes as it is, its newlines indented to where it sits."""
+    """JSON text already encoded, at indent 0 (value_text's output, a graph's
+    edge list): a leaf json_text writes as it is, its newlines indented to
+    where it sits."""
 
     __slots__ = ()
 
@@ -542,11 +544,10 @@ def _encoded(values, pad: str) -> list[str]:
     and the indent of the enclosing line), each _Text as the JSON it holds.
     Strings and ints, the bulk of every document, are written inline (ints
     past _REPR_BITS bits by _int_str), and each container is one join.  A
-    list whose items are all str or all int is one map (_column).  Two list
-    shapes are one template formatted with one % over all their entries:
-    equal-length int rows (graph edges), and records, dicts sharing one key
-    order (graph vertices), whose keys are quoted once into the template and
-    whose columns are each encoded by one _column call."""
+    list whose items are all str or all int is one map (_column).  A list of
+    records, dicts sharing one key order (graph vertices), is one template
+    formatted with one % over all their entries: the keys are quoted once
+    into the template, and each column is encoded by one _column call."""
     inner = pad + "  "
     out = []
     for v in values:
@@ -567,17 +568,10 @@ def _encoded(values, pad: str) -> list[str]:
             if not v:
                 out.append("[]")
                 continue
-            deep = inner + "  "
-            if (type(v[0]) in (list, tuple) and {*map(type, v)} <= {list, tuple}
-                    and len({*map(len, v)}) == 1 and v[0]
-                    and {*map(type, flat := tuple(chain.from_iterable(v)))} == {int}):
-                if not _fits_repr(flat):
-                    flat = tuple(map(_int_str, flat))
-                row = "[" + deep + ("," + deep).join(["%s"] * len(v[0])) + inner + "]"
-                items = [("," + inner).join([row] * len(v)) % flat]  # one % for all rows
-            elif (type(v[0]) is dict and v[0] and {*map(type, v)} == {dict}
-                  and len(keys := {*map(tuple, v)}) == 1):
+            if (type(v[0]) is dict and v[0] and {*map(type, v)} == {dict}
+                    and len(keys := {*map(tuple, v)}) == 1):
                 (names,) = keys
+                deep = inner + "  "
                 row = "{" + deep + ("," + deep).join(
                     [_quote(k).replace("%", "%%") + ": %s" for k in names]) + inner + "}"
                 columns = [_column(c, deep) for c in zip(*map(dict.values, v))]

@@ -14,7 +14,10 @@ one-pair distance rule (distance_fast) and per-edge Mostar counts
 time, and the tests check its 0/1/2 rule and profile against them.
 value_to_json builds a value's JSON document as a dict and report_dict the
 index report from it: the references for the text that exact.value_text and
-indices.report_text write.
+indices.report_text write.  graph_dict is the graph export as a dict, with
+the edges as lists, the reference for the text json_text writes from
+to_json_dict; labels_reference and dot_reference write the labels from the
+exponent vectors and the DOT export from the pair scan.
 """
 
 from collections import Counter, deque
@@ -220,3 +223,39 @@ class Path3:
 
     def labels(self):
         return ["a", "b", "c"]
+
+
+def graph_dict(g) -> dict:
+    """The JSON export of g as a plain dict: the descriptor less its family,
+    one record per vertex, and the edges as [i, j] lists from edges()."""
+    doc = g.descriptor()
+    del doc["family"]
+    if g.gamma:
+        doc["vertices"] = [{"subset": [p + 1 for p, a in enumerate(v) if a], "omega": sum(v)}
+                           for v in g.vectors]
+        if g.primes is not None:
+            for vertex, d in zip(doc["vertices"], g.divisors):
+                vertex["value"] = d
+    else:
+        doc["vertices"] = [{"value": d, "omega": g.omega(i)} for i, d in enumerate(g.divisors)]
+    doc["edges"] = [[i, j] for i, j in g.edges()]
+    return doc
+
+
+def labels_reference(g) -> list[str]:
+    """Per vertex, the product of its prime powers, or of the names p1..pk of
+    its primes on a symbolic Gamma_k ("1" for the empty product)."""
+    if g.primes is None:
+        return ["".join(f"p{p + 1}" for p, a in enumerate(v) if a) or "1" for v in g.vectors]
+    return [_int_str(prod(p**a for p, a in zip(g.primes, v))) for v in g.vectors]
+
+
+def dot_reference(g) -> str:
+    """The DOT export: a line per vertex with its label, then a line per edge
+    of the pair scan (edges_and_degrees), in lexicographic order."""
+    doc = g.descriptor()
+    name = f"gamma_{doc['k']}" if g.gamma else f"divisors_{_int_str(doc['n'])}"
+    lines = [f"graph {name} {{"]
+    lines += [f'  v{i} [label="{label}"];' for i, label in enumerate(labels_reference(g))]
+    lines += [f"  v{i} -- v{j};" for i, j in edges_and_degrees(g)[0]]
+    return "\n".join(lines + ["}"]) + "\n"

@@ -9,13 +9,14 @@ from math import isqrt
 import pytest
 
 from graphlab import graphs
-from graphlab.exact import _int_str
+from graphlab.exact import _int_str, _Text, json_text
 from graphlab.graphs import build_gamma, build_general
-from index_definitions import edges_and_degrees, masks
+from index_definitions import dot_reference, edges_and_degrees, graph_dict, labels_reference, masks
 
 # 2^4*3^2*5, 2^5*3*5*7, 2^4*3^2*5*7, 2^3*3^3*5^2, 2^5*3^3*5^2*7*11*13,
 # 2^2*5^2*19^2*47*83^2
 MIXED_SHAPES = (720, 3360, 5040, 5400, 21621600, 11688566300)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def test_gamma3_canonical_order():
@@ -232,9 +233,16 @@ def test_general_squarefree_matches_gamma_by_subset_map():
                 assert gd.adjacent(order[a], order[b]) == gg.adjacent(a, b)
 
 
+def export(g) -> str:
+    """The JSON export, checked against json.dumps of the reference dict."""
+    text = json_text(g.to_json_dict())
+    assert text == json.dumps(graph_dict(g), indent=2) + "\n"
+    return text
+
+
 def test_gamma_json_shape():
-    doc = build_gamma(2, (2, 3)).to_json_dict()
-    assert doc == {
+    g = build_gamma(2, (2, 3))
+    want = {
         "k": 2,
         "primes": [2, 3],
         "vertices": [
@@ -245,17 +253,23 @@ def test_gamma_json_shape():
         ],
         "edges": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]],
     }
-    symbolic = build_gamma(2).to_json_dict()
+    assert json.loads(export(g)) == graph_dict(g) == want
+    # The edges are JSON text for json_text, so json.dumps of the dict is not the export.
+    assert type(g.to_json_dict()["edges"]) is _Text
+    symbolic = json.loads(export(build_gamma(2)))
     assert "primes" not in symbolic
     assert symbolic["vertices"][3] == {"subset": [1, 2], "omega": 2}
-    json.dumps(doc)  # serializable
+    assert json.loads(export(build_gamma(0))) == {
+        "k": 0, "vertices": [{"subset": [], "omega": 0}], "edges": []}
 
 
 def test_general_json_shape():
-    doc = build_general(12).to_json_dict()
+    doc = json.loads(export(build_general(12)))
     assert doc["n"] == 12
     assert doc["vertices"][0] == {"value": 1, "omega": 0}
     assert len(doc["edges"]) == 12
+    assert json.loads(export(build_general(1))) == {
+        "n": 1, "vertices": [{"value": 1, "omega": 0}], "edges": []}
 
 
 def test_dot_output_deterministic():
@@ -270,6 +284,31 @@ def test_dot_output_deterministic():
     assert g.to_dot() == expected
     assert g.to_dot() == g.to_dot()
     assert build_general(4).to_dot().startswith("graph divisors_4 {")
+
+
+def test_dot_matches_the_pair_scan():
+    """to_dot, written from the rows of multiples, is the DOT of the
+    adjacent() pair scan with the labels read off the vectors."""
+    for k in range(9):
+        for g in (build_gamma(k), build_gamma(k, PRIMES[:k])):
+            assert g.to_dot() == dot_reference(g), g
+    for n in range(1, 301):
+        g = build_general(n)
+        assert g.to_dot() == dot_reference(g), g
+
+
+def test_labels_match_the_vectors():
+    for k in (0, 1, 2, 5, 9, 10, 12):
+        for g in (build_gamma(k), build_gamma(k, PRIMES[:k])):
+            assert g.labels() == labels_reference(g), g
+    g = build_gamma(12)
+    labels = g.labels()
+    assert labels[:14] == ["1", *(f"p{p}" for p in range(1, 13)), "p1p2"]
+    assert labels[g.vectors.index((1,) + (0,) * 8 + (1, 0, 1))] == "p1p10p12"
+    assert labels[-1] == "p1p2p3p4p5p6p7p8p9p10p11p12"
+    for n in (*range(1, 301), *MIXED_SHAPES):
+        g = build_general(n)
+        assert g.labels() == labels_reference(g) == list(map(_int_str, g.divisors)), g
 
 
 def test_divisor_vertex_data():

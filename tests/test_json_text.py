@@ -13,9 +13,9 @@ from fractions import Fraction
 
 from graphlab import claims, exact, indices
 from graphlab.graphs import build_gamma, build_general
-from index_definitions import report_dict, value_to_json
+from index_definitions import graph_dict, report_dict, value_to_json
 
-PRIMES = (2, 3, 5, 7, 11, 13, 17, 19)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 #: Characters json quotes specially, escapes as \uXXXX, or passes through.
 ALPHABET = 'aZ09 "\\/\x00\x01\x1f\x7f\n\t\r\b\féß☃ \U0001f600'
@@ -64,7 +64,7 @@ def random_int(rng):
 
 
 def random_int_block(rng):
-    """Shapes the writer prints in one join: flat int lists and equal-length
+    """Flat int lists, which the writer prints in one map, and equal-length
     int rows, next to near misses (bools, empty or ragged rows)."""
     width = rng.randrange(4)
     rows = [[random_int(rng) for _ in range(width)] for _ in range(rng.randrange(4))]
@@ -114,11 +114,15 @@ def test_index_reports():
 
 
 def test_graph_exports():
-    for k in range(9):
-        assert_identical(build_gamma(k).to_json_dict())
-        assert_identical(build_gamma(k, PRIMES[:k]).to_json_dict())
-    for n in range(1, 301):
-        assert_identical(build_general(n).to_json_dict())
+    """The export, its edges spliced in as one exact._Text, is json.dumps of
+    the reference dict, and so is the writer on that dict."""
+    graphs = [build_gamma(k) for k in range(11)]
+    graphs.extend(build_gamma(k, PRIMES[:k]) for k in range(11))
+    graphs.extend(build_general(n) for n in (*range(1, 301), 5040, 720720))
+    for g in graphs:
+        doc = graph_dict(g)
+        assert_identical(doc)
+        assert exact.json_text(g.to_json_dict()) == json.dumps(doc, indent=2) + "\n", g
 
 
 def claim_entry(r):
