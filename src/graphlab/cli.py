@@ -14,8 +14,10 @@ refuse a graph above graphs._MAX_LISTED_EDGES edges before listing any.
 Output for identical invocations is byte identical: no timestamps,
 canonical orderings throughout.  JSON text is the bytes of
 json.dumps(doc, indent=2) plus a newline, written by exact.json_text for
-every document (index reports through indices.report_text), with each
-exact value written by exact.value_text.  The
+every report (index reports through indices.report_text), with each exact
+value written by exact.value_text.  The graph exports are streams of row
+texts (DivisorGraph.json_rows and dot_rows, metric.csv_rows), written to
+stdout with writelines as they are made, so no whole document is held.  The
 claims and formulas modules are imported by the subcommands that use them,
 so the other subcommands start without them.
 """
@@ -27,7 +29,7 @@ import functools
 import sys
 
 from . import indices, metric
-from .exact import _int_from_str, _int_str, format_value, json_text, to_decimal
+from .exact import _int_from_str, _int_str, format_value, to_decimal
 from .graphs import build_gamma, build_general, require_edge_budget
 
 
@@ -41,19 +43,14 @@ def _parse_primes(text: str) -> tuple[int, ...]:
 def _emit_graph(g, emit: str) -> int:
     require_edge_budget(g.size())
     if emit == "json":
-        sys.stdout.write(json_text(g.to_json_dict()))
+        rows = g.json_rows()
     elif emit == "dot":
-        sys.stdout.write(g.to_dot())
+        rows = g.dot_rows()
     elif emit == "csv":
-        # The distance matrix: each row of digits fills the gaps of one comma buffer.
-        line = bytearray(b"," * (2 * g.order - 1) + b"\n")
-        text = [",".join(g.labels()) + "\n"]
-        for digits in metric.digit_rows(g):
-            line[:-1:2] = digits
-            text.append(line.decode())
-        sys.stdout.write("".join(text))
+        rows = metric.csv_rows(g)
     else:
         raise ValueError(f"unknown emit format {emit!r}")
+    sys.stdout.writelines(rows)
     return 0
 
 

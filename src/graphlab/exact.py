@@ -14,21 +14,23 @@ error bound settles almost every radical at up to 15 places, and integer
 square-root bounds refined until they decide the rounding settle the rest.
 Integers print and parse at any size, in JSON documents too: up to 2000
 bits (603 digits, below every digit limit Python allows) they print with
-int.__repr__, above that by a binary split into exact Decimal arithmetic
-(subquadratic), and they are parsed through Decimal, which has no digit
-limit.  value_text writes each value's JSON text; json_text writes every
-JSON document the package prints, with those texts, and a graph's edge
-list (graphs.DivisorGraph.to_json_dict), spliced in as _Text.
+int.__repr__, above that by a binary split into exact Decimal arithmetic,
+and they are parsed by the reverse split into leaves of at most 600 digits
+read by int(); both are subquadratic.  value_text writes each value's JSON
+text; json_text writes every JSON report the package prints, and the head
+of a graph export, with those texts spliced in as _Text.  factorize trial-
+divides by blocks of odd divisors, one gcd per block.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import re
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal, Inexact
 from fractions import Fraction
 from itertools import chain
-from math import fsum, gcd, isqrt, lcm, sqrt
+from math import fsum, gcd, isqrt, lcm, prod, sqrt
 from typing import Iterable, Iterator, Mapping, Union
 
 #: Anything the index engine may return.
@@ -36,8 +38,22 @@ Value = Union[int, Fraction, "RadicalSum"]
 
 
 #: Trial division stops after this bound in factorize, so in
-#: graphs.build_general and sqf_decompose (about 0.1 s).
+#: graphs.build_general and sqf_decompose: for a prime near 2**61, about
+#: 0.1 s the first time in a process (the block products are formed) and
+#: 0.01 s after.
 _TRIAL_BOUND = 10**6
+
+#: factorize tries divisors below _FIRST_BLOCK (odd) one at a time, then
+#: blocks of up to _TRIAL_BLOCK odd divisors at a time.
+_FIRST_BLOCK = 35
+_TRIAL_BLOCK = 512
+
+
+@functools.cache
+def _trial_product(start: int, end: int) -> int:
+    """The product of the odd numbers in range(start, end), kept for the
+    process: one per block below _TRIAL_BOUND, about 1.2 MB for them all."""
+    return prod(range(start, end, 2))
 
 
 def factorize(n: int) -> Iterator[tuple[int, int]]:
@@ -46,11 +62,20 @@ def factorize(n: int) -> Iterator[tuple[int, int]]:
     factoriser.  The first pair comes as soon as the smallest prime factor
     is found.  The cofactor left above 1 comes last as (cofactor, 1): it has
     no prime factor up to the bound, so it is prime below
-    (_TRIAL_BOUND + 1)**2 and unproven above."""
+    (_TRIAL_BOUND + 1)**2 and unproven above.
+
+    Divisors below _FIRST_BLOCK are tried one by one, which costs a small n
+    less than a gcd would.  Past them, odd divisors come in blocks of 32
+    doubling up to _TRIAL_BLOCK, and each block is tried by one gcd g of
+    the cofactor with the block's product, then scanned, up to the last
+    divisor to try, only while g > 1: a large cofactor costs one remainder
+    per block, not one per divisor.  A divisor of g has no smaller prime
+    factor left, so it is prime; it is divided out of the cofactor at once,
+    and out of g by one gcd with what is left."""
     rem = n
+    stop = min(isqrt(n), _TRIAL_BOUND)  # the last divisor to try
     f = 2
-    stop = min(isqrt(n), _TRIAL_BOUND)  # the last f to try
-    while f <= stop:
+    while f <= stop and f < _FIRST_BLOCK:
         if rem % f == 0:
             e = 0
             while rem % f == 0:
@@ -59,6 +84,23 @@ def factorize(n: int) -> Iterator[tuple[int, int]]:
             yield f, e
             stop = min(stop, isqrt(rem))
         f += 1 if f == 2 else 2
+    start, size = _FIRST_BLOCK, min(32, _TRIAL_BLOCK)
+    while start <= stop:
+        end = min(start + 2 * size, _TRIAL_BOUND + 1)
+        g = gcd(rem, _trial_product(start, end))
+        f = start
+        while g > 1 and f <= stop and f < end:
+            if g % f == 0:
+                e = 0
+                q, r = divmod(rem, f)
+                while not r:
+                    rem, e = q, e + 1
+                    q, r = divmod(rem, f)
+                yield f, e
+                g = gcd(g, rem)
+                stop = min(stop, isqrt(rem))
+            f += 2
+        start, size = end, min(2 * size, _TRIAL_BLOCK)
     if rem > 1:
         yield rem, 1
 
@@ -299,11 +341,38 @@ def _int_str(n: int) -> str:
 _INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
 
 
+#: _int_from_str reads at most this many digits at a time with int(), below
+#: the lowest digit limit sys.set_int_max_str_digits accepts (640).
+_LEAF_DIGITS = 600
+
+
 def _int_from_str(text: str) -> int:
-    """int(text) for the strings int() accepts, at any length."""
+    """int(text) for the strings int() accepts, at any length, in
+    subquadratic time: the reverse of _int_str.  A text of at most
+    _LEAF_DIGITS characters is read by int() itself.  Longer, the digits,
+    with the sign, spaces and underscores stripped, are split in halves down
+    to leaves of at most _LEAF_DIGITS digits, each read by int(), and each
+    split into hi and the last h digits lo is recombined as hi * 10**h + lo,
+    with 10**h formed once per h (at most two h per level)."""
     if not isinstance(text, str) or not _INT_TEXT.fullmatch(text):
         raise ValueError(f"expected an integer string, got {text!r:.40}")
-    return int(Decimal(text))
+    if len(text) <= _LEAF_DIGITS:
+        return int(text)
+    digits = text.strip().replace("_", "")
+    negative = digits[0] == "-"
+    digits = digits.lstrip("+-")
+    powers: dict[int, int] = {}
+
+    def read(lo: int, hi: int) -> int:  # int(digits[lo:hi])
+        if hi - lo <= _LEAF_DIGITS:
+            return int(digits[lo:hi])
+        h = (hi - lo) >> 1
+        if h not in powers:
+            powers[h] = 10**h
+        return read(lo, hi - h) * powers[h] + read(hi - h, hi)
+
+    n = read(0, len(digits))
+    return -n if negative else n
 
 
 def _ratio_str(num: int, den: int) -> str:
@@ -532,9 +601,8 @@ _quote = json.encoder.encode_basestring_ascii  # the stdlib's C string quoting
 
 
 class _Text(str):
-    """JSON text already encoded, at indent 0 (value_text's output, a graph's
-    edge list): a leaf json_text writes as it is, its newlines indented to
-    where it sits."""
+    """JSON text already encoded, at indent 0 (value_text's output): a leaf
+    json_text writes as it is, its newlines indented to where it sits."""
 
     __slots__ = ()
 
@@ -544,10 +612,7 @@ def _encoded(values, pad: str) -> list[str]:
     and the indent of the enclosing line), each _Text as the JSON it holds.
     Strings and ints, the bulk of every document, are written inline (ints
     past _REPR_BITS bits by _int_str), and each container is one join.  A
-    list whose items are all str or all int is one map (_column).  A list of
-    records, dicts sharing one key order (graph vertices), is one template
-    formatted with one % over all their entries: the keys are quoted once
-    into the template, and each column is encoded by one _column call."""
+    list whose items are all str or all int is one map (_column)."""
     inner = pad + "  "
     out = []
     for v in values:
@@ -565,21 +630,10 @@ def _encoded(values, pad: str) -> list[str]:
             else:
                 out.append("{}")
         elif isinstance(v, (list, tuple)):
-            if not v:
-                out.append("[]")
-                continue
-            if (type(v[0]) is dict and v[0] and {*map(type, v)} == {dict}
-                    and len(keys := {*map(tuple, v)}) == 1):
-                (names,) = keys
-                deep = inner + "  "
-                row = "{" + deep + ("," + deep).join(
-                    [_quote(k).replace("%", "%%") + ": %s" for k in names]) + inner + "}"
-                columns = [_column(c, deep) for c in zip(*map(dict.values, v))]
-                cells = tuple(chain.from_iterable(zip(*columns)))
-                items = [("," + inner).join([row] * len(v)) % cells]  # one % for all records
+            if v:
+                out.append(f"[{inner}{(',' + inner).join(_column(v, inner))}{pad}]")
             else:
-                items = _column(v, inner)
-            out.append(f"[{inner}{(',' + inner).join(items)}{pad}]")
+                out.append("[]")
         else:
             out.append(json.dumps(v))  # bool, None, float; TypeError like json
     return out

@@ -11,6 +11,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import chain
 from math import comb
+from operator import add
 
 from . import indices
 from .exact import Value, _int_str, format_value, normalize
@@ -110,8 +111,8 @@ def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
         rows = g.multiples()
         m = sum(map(len, rows))
         below = Counter(chain.from_iterable(rows))
-        deg = tuple(len(row) + below[i] for i, row in enumerate(rows))
-        omegas = list(map(sum, g.vectors))  # 0/1 vectors on Gamma_k
+        deg = tuple(map(add, map(len, rows), map(below.__getitem__, range(g.order))))
+        omegas = list(map(int.bit_count, g._codes))  # codes are bitmasks on Gamma_k
         checks = [
             ("order", order_formula(k), g.order),
             ("size", size_formula(k), m),

@@ -11,23 +11,26 @@ primes may stay symbolic (labels like p1p2), and its canonical vertex order
 sorts by omega (number of prime factors), then by bitmask, bit i standing for
 p_{i+1}.  Any other divisor graph lists its divisors in ascending order.
 
-Everything is read off the lattice: the degree of a divisor d is
-tau(d) + tau(n/d) - 2, |E| is prod C(e+2, 2) - prod (e+1), and the edges are
-listed once, as multiples(): per mixed-radix code, a list of vertex indices is
-extended prime by prime by the list one digit above it, so it ends holding
-every multiple, and each row is that list sorted.  A divisor precedes its
-multiples in both orders, so the rows list the edges in lexicographic order.
-The JSON and DOT exports are written from these rows with one string per
-vertex index and one join per row, and build no object per edge; the JSON
-edge list is one exact._Text leaf, which json_text splices in as it is.
+Everything is read off the lattice, listed once as each vertex's mixed-radix
+code in canonical order (_codes; on Gamma_k the code is the bitmask): the
+degree of a divisor d is tau(d) + tau(n/d) - 2, |E| is prod C(e+2, 2) -
+prod (e+1), and the edges are listed once, as multiples(): per code, a list
+of vertex indices is extended prime by prime, digit by digit, by the list one
+digit above it, every code of a digit at once by whole-slice extends, so it
+ends holding every multiple, and each row is that list sorted.  A divisor
+precedes its multiples in both orders, so the rows list the edges in
+lexicographic order.  The JSON and DOT exports stream their text row by row
+(json_rows, dot_rows), one piece per non-empty row written at the indent
+where it sits, with one string per vertex index and one join per row, and
+build no object per edge.
 
 Limits are constants no caller overrides: the builders refuse k above
 _MAX_GAMMA_K and n with more than _MAX_DIVISORS divisors, and the exports and
 verify call require_edge_budget before listing more than _MAX_LISTED_EDGES edges.
 
 A graph is immutable.  Only its exponents, primes and order are set at
-construction; vectors, rows of multiples, degrees and neighbor lists are
-computed on first use and cached, which keeps them safe to share across threads.
+construction; codes, vectors, rows of multiples, degrees and neighbor lists
+are computed on first use and cached, which keeps them safe to share across threads.
 """
 
 from __future__ import annotations
@@ -37,13 +40,19 @@ from functools import cached_property
 from itertools import accumulate, chain, compress, repeat
 from math import comb, prod
 from operator import mul
+from typing import Iterator
 
-from .exact import _TRIAL_BOUND, _int_str, _Text, factorize, is_prime
+from .exact import _TRIAL_BOUND, _int_str, factorize, is_prime, json_text
 
 _MAX_DIVISORS = 4096
-#: Exports and verify list every edge; |E(Gamma_12)|.  As a whole process
-#: (Python 3.11, 2-core host), `gamma --k 12` takes about 0.3 s and 118 MB
-#: with --emit json, 0.3 s and 129 MB with csv, and 0.14 s and 48 MB with dot.
+#: Exports and verify list every edge; |E(Gamma_12)| = 527,345.  As whole
+#: processes (Python 3.11, 2-core host; medians of three runs), the streamed
+#: exports of Gamma_12 take 0.14 s and 26 MB with --emit json, 0.25 s and
+#: 34 MB with csv (34 MB of text), 0.12 s and 25 MB with dot, and
+#: `verify --k-max 12` 0.15 s and 26 MB.  Gamma_13 (1,586,131 edges) would
+#: take 0.37 s and 46 MB, 0.92 s and 71 MB (134 MB of csv text), 0.35 s and
+#: 44 MB, and 0.30 s and 46 MB: each step of k triples the edges and
+#: quadruples the matrix, so the budget stops at Gamma_12.
 _MAX_LISTED_EDGES = 3**12 - 2**12
 #: build_gamma refuses larger k: `indices --k 100 --index wiener` takes about
 #: 0.08 s as a whole process (Python 3.11, 2-core host; mostly start-up), and
@@ -64,24 +73,34 @@ class DivisorGraph:
         self.order = prod(e + 1 for e in exponents)
 
     @cached_property
+    def _codes(self) -> tuple[int, ...]:
+        """Each vertex's mixed-radix code (first prime the lowest digit), in
+        canonical order: on Gamma_k the code is the bitmask, sorted stably by
+        omega; otherwise codes are sorted by divisor value."""
+        if self.gamma:
+            return tuple(sorted(range(self.order), key=int.bit_count))
+        return tuple(sorted(range(self.order), key=self._code_values.__getitem__))
+
+    @cached_property
+    def _code_values(self) -> list[int]:
+        """Divisor values in code order."""
+        values = [1]
+        for p, e in zip(self.primes, self.exponents):
+            values = [v * q for q in accumulate(repeat(p, e), mul, initial=1) for v in values]
+        return values
+
+    @cached_property
     def vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent vectors in canonical order.  They are generated in
-        mixed-radix code order, which on Gamma_k is mask order, then sorted
-        stably by omega on Gamma_k and by divisor value otherwise."""
+        """Exponent vectors in canonical order."""
         vectors = [()]
         for e in self.exponents:
             vectors = [v + (a,) for a in range(e + 1) for v in vectors]
-        if self.gamma:
-            return tuple(sorted(vectors, key=sum))
-        return tuple(sorted(vectors, key=self._value))
-
-    def _value(self, v: tuple[int, ...]) -> int:
-        return prod(map(pow, self.primes, v))
+        return tuple(map(vectors.__getitem__, self._codes))
 
     @cached_property
     def divisors(self) -> tuple[int, ...]:
         """Divisor values in canonical order (needs the primes)."""
-        return tuple(map(self._value, self.vectors))
+        return tuple(map(self._code_values.__getitem__, self._codes))
 
     def adjacent(self, i: int, j: int) -> bool:
         """Edge exactly when one divisor strictly divides the other."""
@@ -103,7 +122,7 @@ class DivisorGraph:
         """Stable JSON identification: the family, then k and any primes of
         Gamma_k, or n."""
         if not self.gamma:
-            return {"family": "divisor", "n": self._value(self.exponents)}
+            return {"family": "divisor", "n": prod(map(pow, self.primes, self.exponents))}
         doc: dict = {"family": "gamma", "k": len(self.exponents)}
         if self.primes is not None:
             doc["primes"] = list(self.primes)
@@ -111,19 +130,29 @@ class DivisorGraph:
 
     @cached_property
     def _multiples(self) -> tuple[tuple[int, ...], ...]:
-        radix = list(accumulate((e + 1 for e in self.exponents[:-1]), mul, initial=1))
-        codes = [sum(map(mul, v, radix)) for v in self.vectors]
+        codes = self._codes
         # up[c]: the vertices whose codes are multiples of code c, built prime
-        # by prime.  Codes go downwards, so up[c + w] already holds this prime.
-        up = [[] for _ in codes]
+        # by prime (weight w), and per prime digit by digit from the top, so
+        # up[c + w] already holds this prime when up[c] is extended by it.
+        # The codes whose digit is c // w are w strided slices s :: block or
+        # order // block runs s : s + w; whichever are fewer, each slice is
+        # extended by the one w above it in one map.
+        up = [None] * self.order
         for i, c in enumerate(codes):
-            up[c].append(i)
-        for e, w in zip(self.exponents, radix):
-            for c in range(self.order - 1 - w, -1, -1):
-                if c // w % (e + 1) < e:
-                    up[c] += up[c + w]
+            up[c] = [i]
+        w = 1
+        for e in self.exponents:
+            block = w * (e + 1)
+            for c in range(w * (e - 1), -1, -w):
+                if w <= self.order // block:
+                    for s in range(c, c + w):
+                        deque(map(list.__iadd__, up[s::block], up[s + w::block]), 0)
+                else:
+                    for s in range(c, self.order, block):
+                        deque(map(list.__iadd__, up[s:s + w], up[s + w:s + 2 * w]), 0)
+            w = block
         # A vertex precedes its multiples in the canonical order: drop it.
-        return tuple(tuple(sorted(up[c])[1:]) for c in codes)
+        return tuple([tuple(sorted(up[c])[1:]) for c in codes])
 
     def multiples(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its proper multiples in ascending order: row i holds the edges (i, j > i)."""
@@ -165,41 +194,57 @@ class DivisorGraph:
     def neighbors(self, i: int) -> tuple[int, ...]:
         return self._neighbors[i]
 
-    def to_json_dict(self) -> dict:
+    def json_rows(self) -> Iterator[str]:
+        """The JSON export, json.dumps(doc, indent=2) plus a newline, in
+        pieces: the descriptor less its family (written by json_text, less
+        its closing brace), the vertex records ({"subset", "omega"[, "value"]}
+        on Gamma_k, {"value", "omega"} otherwise) from one template, then one
+        piece per non-empty row of multiples holding its edges [i, j], each
+        written at the indent where it sits."""
         doc = self.descriptor()
         del doc["family"]
         if self.gamma:
-            doc["vertices"] = [{"subset": [p + 1 for p, a in enumerate(v) if a], "omega": sum(v)}
-                               for v in self.vectors]
+            numbers = [f"\n        {p}" for p in range(1, len(self.exponents) + 1)]
+            subsets = [f"[{','.join(compress(numbers, v))}\n      ]" for v in self.vectors]
+            subsets[0] = "[]"  # vertex 0 is the divisor 1
+            columns = [subsets, map(int.bit_count, self._codes)]
+            record = '{\n      "subset": %s,\n      "omega": %s'
             if self.primes is not None:
-                for vertex, d in zip(doc["vertices"], self.divisors):
-                    vertex["value"] = d
+                columns.append(map(_int_str, self.divisors))
+                record += ',\n      "value": %s'
         else:
-            doc["vertices"] = [{"value": d, "omega": self.omega(i)}
-                               for i, d in enumerate(self.divisors)]
-        doc["edges"] = self._edges_text()
-        return doc
-
-    def _edges_text(self) -> _Text:
-        """json.dumps([[i, j], ...], indent=2) of the edges, for json_text:
-        per non-empty row of multiples, one join of its entries' texts,
-        taken from one table of index texts, between a head and a tail."""
+            columns = [map(_int_str, self.divisors), map(self.omega, range(self.order))]
+            record = '{\n      "value": %s,\n      "omega": %s'
+        records = ",\n    ".join([record + "\n    }"] * self.order) % tuple(
+            chain.from_iterable(zip(*columns)))
+        yield f'{json_text(doc)[:-3]},\n  "vertices": [\n    {records}\n  ],\n  "edges": ['
         table = list(map(int.__repr__, range(self.order)))
-        rows = [f"[\n    {i},\n    "
-                + f"\n  ],\n  [\n    {i},\n    ".join(map(table.__getitem__, row)) + "\n  ]"
-                for i, row in zip(table, self.multiples()) if row]
-        return _Text("[\n  " + ",\n  ".join(rows) + "\n]" if rows else "[]")
+        head = "\n    "
+        for i, row in zip(table, self.multiples()):
+            if row:
+                yield (f"{head}[\n      {i},\n      "
+                       + f"\n    ],\n    [\n      {i},\n      ".join(map(table.__getitem__, row))
+                       + "\n    ]")
+                head = ",\n    "
+        # Vertex 0, the divisor 1, divides every other vertex.
+        yield "\n  ]\n}\n" if self.order > 1 else "]\n}\n"
 
-    def to_dot(self) -> str:
+    def dot_rows(self) -> Iterator[str]:
+        """The DOT export in lines: the graph's head and vertex labels, then
+        one piece per non-empty row of multiples holding its edges."""
         doc = self.descriptor()
         name = f"gamma_{doc['k']}" if self.gamma else f"divisors_{_int_str(doc['n'])}"
         names = [f"v{i}" for i in range(self.order)]
-        lines = [f"graph {name} {{"]
-        lines.extend(f'  {v} [label="{label}"];' for v, label in zip(names, self.labels()))
-        lines.extend(f"  {v} -- " + f";\n  {v} -- ".join(map(names.__getitem__, row)) + ";"
-                     for v, row in zip(names, self.multiples()) if row)
-        lines.append("}")
-        return "\n".join(lines) + "\n"
+        yield f"graph {name} {{\n" + "".join(
+            [f'  {v} [label="{label}"];\n' for v, label in zip(names, self.labels())])
+        for v, row in zip(names, self.multiples()):
+            if row:
+                yield f"  {v} -- " + f";\n  {v} -- ".join(map(names.__getitem__, row)) + ";\n"
+        yield "}\n"
+
+    def to_dot(self) -> str:
+        """The DOT export as one string."""
+        return "".join(self.dot_rows())
 
     def __repr__(self) -> str:
         fields = [f"{key}=[{', '.join(map(_int_str, value))}]" if isinstance(value, list)

@@ -3,8 +3,9 @@
 Every graph the package builds follows one distance rule: 0 on the diagonal,
 1 between neighbours, 2 otherwise, because vertex 0 (the divisor 1) is
 adjacent to every other vertex.  So the transmission of v is 2(V-1) - deg v.
-The rule is written once, by digit_rows, as ASCII digits: the CSV export
-writes them as they are, and distance_rows reads them as ints.
+The rule is written once, by digit_rows, as ASCII digits: the CSV export,
+csv_rows, streams them line by line as they are, and distance_rows reads
+them as ints.
 require_universal_vertex is the one check of that condition; every function
 here calls it, and raises ValueError on a graph it fails.  The index profile
 does not: it reads only the exponent lattice, where the condition holds by
@@ -54,6 +55,17 @@ def digit_rows(g) -> Iterator[bytearray]:
         return digits
 
     return map(row, range(g.order))
+
+
+def csv_rows(g) -> Iterator[str]:
+    """The CSV export of the distance matrix in lines: the labels, then each
+    row of digit_rows written into the gaps of one comma buffer."""
+    rows = digit_rows(g)
+    line = bytearray(b"," * (2 * g.order - 1) + b"\n")
+    yield ",".join(g.labels()) + "\n"
+    for digits in rows:
+        line[:-1:2] = digits
+        yield line.decode()
 
 
 _DISTANCES = bytes.maketrans(b"012", bytes((0, 1, 2)))

@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from graphlab import formulas, graphs, indices, metric
+from graphlab import cli, formulas, graphs, indices, metric
 from graphlab.cli import main
 from graphlab.exact import _int_from_str, _int_str
 from graphlab.formulas import verification_lines
@@ -156,6 +156,50 @@ def test_csv_export_builds_no_int_rows(capsys, monkeypatch):
     monkeypatch.setattr(metric.DistanceMatrix, "to_csv", refuse)
     for (argv, _), text in zip(cases, want):
         assert run_cli(capsys, *argv) == (0, text, "")
+
+
+class _Sink(io.TextIOBase):
+    """A stdout that counts its writes and keeps their text if asked;
+    writelines is io's, which writes each line."""
+
+    def __init__(self, keep: bool):
+        self.writes = 0
+        self.parts = [] if keep else None
+
+    def write(self, text):
+        self.writes += 1
+        if self.parts is not None:
+            self.parts.append(text)
+        return len(text)
+
+
+def test_exports_stream_row_by_row(monkeypatch):
+    """Each export writes its text in pieces as it is made: at least one write
+    per row (a non-empty row of edges for JSON and DOT, a matrix line for
+    CSV) besides the head and the end, and with the rows of multiples
+    already listed it allocates less than half the text it writes."""
+    import tracemalloc
+
+    for g in (build_gamma(10), build_gamma(10, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)),
+              build_general(720720), build_general(735134400)):
+        g.neighbors(0)  # lists the rows of multiples and inverts them
+        edge_rows = sum(map(bool, g.multiples()))
+        for emit, writes, text in (("json", edge_rows + 2, "".join(g.json_rows())),
+                                   ("dot", edge_rows + 2, g.to_dot()),
+                                   ("csv", g.order + 1, "".join(metric.csv_rows(g)))):
+            out = _Sink(keep=True)
+            monkeypatch.setattr(sys, "stdout", out)
+            assert cli._emit_graph(g, emit) == 0
+            assert "".join(out.parts) == text
+            assert out.writes >= writes, (g, emit)
+            monkeypatch.setattr(sys, "stdout", _Sink(keep=False))
+            tracemalloc.start()
+            try:
+                cli._emit_graph(g, emit)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < len(text) / 2, (g, emit, peak, len(text))
 
 
 def test_divisor_graph_factorisation_budget(capsys):

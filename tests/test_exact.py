@@ -697,6 +697,89 @@ def test_int_str_is_subquadratic():
     assert int(text[-40:]) == n % 10**40
 
 
+def test_int_from_str_reads_what_int_str_prints():
+    """The binary split reads back _int_str's text around the leaf size
+    _LEAF_DIGITS and its multiples and on random sizes, each negated, with a
+    plus sign, surrounding spaces and underscores between digits, under the
+    lowest int/str digit limit (640) where Python has one."""
+    leaf = exact._LEAF_DIGITS
+    cases = []
+    for digits in (1, leaf - 1, leaf, leaf + 1, 2 * leaf - 1, 2 * leaf, 2 * leaf + 1, 4 * leaf + 3):
+        cases += [10 ** (digits - 1), 10**digits - 1]
+    rng = random.Random(21)
+    cases += [rng.randrange(10 ** rng.randrange(1, 30 * leaf)) for _ in range(40)]
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # from Python 3.11
+    old = sys.get_int_max_str_digits() if set_limit else None
+    try:
+        if set_limit:
+            set_limit(640)
+        for n in cases:
+            text = exact._int_str(n)
+            cuts = sorted(rng.sample(range(1, len(text)), min(5, len(text) - 1)))
+            spaced = "_".join(text[a:b] for a, b in zip([0, *cuts], [*cuts, len(text)]))
+            for form, value in ((text, n), ("-" + text, -n), (f" +{text}\n", n),
+                                (spaced, n), (f"\t-{spaced} ", -n)):
+                assert exact._int_from_str(form) == value, (len(text), form[:20])
+    finally:
+        if set_limit:
+            set_limit(old)
+
+
+def test_int_from_str_is_subquadratic():
+    """7**10**6 (845,099 digits) reads back in well under a second;
+    int(Decimal(text)) took about 25 s on Python 3.11."""
+    n = 7**10**6
+    text = exact._int_str(n)
+    start = time.perf_counter()
+    assert exact._int_from_str(text) == n
+    assert time.perf_counter() - start < 5
+
+
+def bounded_factorization(n, bound):
+    """factorize's definition: trial division by every f from 2 while
+    f <= bound and f * f <= the cofactor, then the cofactor left above 1."""
+    pairs, f = [], 2
+    while f <= bound and f * f <= n:
+        e = 0
+        while n % f == 0:
+            n //= f
+            e += 1
+        if e:
+            pairs.append((f, e))
+        f += 1
+    return pairs + [(n, 1)] * (n > 1)
+
+
+def test_factorize_equals_trial_division(monkeypatch):
+    """The block gcds yield what trial division by every integer yields, for
+    bounds, first blocks and block sizes that put prime factors and the
+    bound at and across block ends, and for large cofactors under the real
+    bound."""
+    rng = random.Random(23)
+    for bound, first, block in ((10, 3, 1), (50, 3, 2), (97, 35, 3), (1000, 9, 7), (5000, 35, 512)):
+        monkeypatch.setattr(exact, "_TRIAL_BOUND", bound)
+        monkeypatch.setattr(exact, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(exact, "_TRIAL_BLOCK", block)
+        ns = [*range(1, 3000), *(rng.randrange(1, 10**rng.randrange(2, 30)) for _ in range(300))]
+        ns += [p * q for p in (bound - 2, bound - 1, bound, bound + 1, bound + 2)
+               for q in (1, 3, bound - 1, bound + 1, 2**61 - 1)]
+        for n in ns:
+            assert list(factorize(n)) == bounded_factorization(n, bound), (bound, first, block, n)
+    monkeypatch.undo()
+    big = [2**61 - 1, 999983 * 999979, 1000003**2, 999983**3 * 2**5, 3**40 * 1000003 * 999983,
+           (2**61 - 1) * (2**89 - 1), 997 * 1019**2 * 1000003]
+    for n in big:
+        assert list(factorize(n)) == bounded_factorization(n, exact._TRIAL_BOUND), n
+
+
+def test_factorize_divides_a_large_cofactor_by_blocks():
+    """999983**1026 (20,450 bits) has its only prime in the last block below
+    the bound; trial division by each divisor took about 2.4 s."""
+    start = time.perf_counter()
+    assert list(factorize(999983**1026)) == [(999983, 1026)]
+    assert time.perf_counter() - start < 1.5
+
+
 def full_factorization(n):
     """Independent oracle: the prime factorization of n by trial division
     with no bound."""

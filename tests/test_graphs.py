@@ -9,7 +9,7 @@ from math import isqrt
 import pytest
 
 from graphlab import graphs
-from graphlab.exact import _int_str, _Text, json_text
+from graphlab.exact import _int_str
 from graphlab.graphs import build_gamma, build_general
 from index_definitions import dot_reference, edges_and_degrees, graph_dict, labels_reference, masks
 
@@ -72,9 +72,22 @@ def lattice_graphs():
     graphs = [build_gamma(k) for k in range(10)] + [build_gamma(4, (2, 3, 5, 7))]
     graphs += [build_general(n) for n in range(1, 1201)]
     graphs += [build_general(n) for n in MIXED_SHAPES]
-    # a chain, (4, 4, 4) and (8, 1, 1, 1, 1): several digits per prime in the per-prime pass
-    graphs += [build_general(n) for n in (2**11, 810000, 2**8 * 3 * 5 * 7 * 11)]
+    # a chain, (4, 4, 4) and (8, 1, 1, 1, 1): several digits per prime in the per-prime pass;
+    # (3, 1, 1, 1, 1, 1), (1, 1, 1, 4) and (2, 2, 2, 2): strided and contiguous slices
+    graphs += [build_general(n) for n in (2**11, 810000, 2**8 * 3 * 5 * 7 * 11,
+                                          2**3 * 3 * 5 * 7 * 11 * 13, 2 * 3 * 5 * 7**4, 44100)]
     return graphs
+
+
+def slice_branches(g) -> list[str]:
+    """Per prime, the slices _multiples extends by: strided (one slice per
+    low part) when the weight w is at most order // block, else contiguous."""
+    branches, w = [], 1
+    for e in g.exponents:
+        block = w * (e + 1)
+        branches.append("strided" if w <= g.order // block else "contiguous")
+        w = block
+    return branches
 
 
 def test_lattice_edges_and_degrees_equal_pair_scan():
@@ -86,7 +99,10 @@ def test_lattice_edges_and_degrees_equal_pair_scan():
 
 
 def test_multiples_and_neighbors_equal_pair_scan():
-    for g in lattice_graphs():
+    graphs = lattice_graphs()
+    both = [g for g in graphs if {*slice_branches(g)} == {"strided", "contiguous"}]
+    assert len(both) > 100 and (1, 1, 1, 4) in {g.exponents for g in both}
+    for g in graphs:
         edges, _ = edges_and_degrees(g)
         rows = [[] for _ in range(g.order)]
         adjacent = [[] for _ in range(g.order)]
@@ -235,7 +251,7 @@ def test_general_squarefree_matches_gamma_by_subset_map():
 
 def export(g) -> str:
     """The JSON export, checked against json.dumps of the reference dict."""
-    text = json_text(g.to_json_dict())
+    text = "".join(g.json_rows())
     assert text == json.dumps(graph_dict(g), indent=2) + "\n"
     return text
 
@@ -254,8 +270,8 @@ def test_gamma_json_shape():
         "edges": [[0, 1], [0, 2], [0, 3], [1, 3], [2, 3]],
     }
     assert json.loads(export(g)) == graph_dict(g) == want
-    # The edges are JSON text for json_text, so json.dumps of the dict is not the export.
-    assert type(g.to_json_dict()["edges"]) is _Text
+    # One piece for the head and vertices, one per non-empty row of edges, one to close.
+    assert len(list(g.json_rows())) == 2 + sum(map(bool, g.multiples())) == 5
     symbolic = json.loads(export(build_gamma(2)))
     assert "primes" not in symbolic
     assert symbolic["vertices"][3] == {"subset": [1, 2], "omega": 2}
@@ -287,14 +303,14 @@ def test_dot_output_deterministic():
 
 
 def test_dot_matches_the_pair_scan():
-    """to_dot, written from the rows of multiples, is the DOT of the
+    """The DOT export, streamed from the rows of multiples, is the DOT of the
     adjacent() pair scan with the labels read off the vectors."""
-    for k in range(9):
+    for k in range(11):
         for g in (build_gamma(k), build_gamma(k, PRIMES[:k])):
-            assert g.to_dot() == dot_reference(g), g
-    for n in range(1, 301):
+            assert "".join(g.dot_rows()) == g.to_dot() == dot_reference(g), g
+    for n in (*range(1, 301), 5040, 720720, 735134400):
         g = build_general(n)
-        assert g.to_dot() == dot_reference(g), g
+        assert "".join(g.dot_rows()) == g.to_dot() == dot_reference(g), g
 
 
 def test_labels_match_the_vectors():
@@ -314,7 +330,7 @@ def test_labels_match_the_vectors():
 def test_divisor_vertex_data():
     g = build_gamma(3, (2, 3, 5))
     i = masks(g).index(0b101)
-    assert g.to_json_dict()["vertices"][i]["subset"] == [1, 3]
+    assert json.loads(export(g))["vertices"][i]["subset"] == [1, 3]
     assert g.omega(i) == 2
     assert g.divisors[i] == 10
     assert g.labels()[i] == "10"
@@ -366,4 +382,4 @@ def test_size_is_closed_form():
     assert big.size() == 4096 * 4095 // 2
     assert build_gamma(40).size() == 3**40 - 2**40
     for h in (g, big):
-        assert not {"vectors", "_degrees", "_multiples"} & vars(h).keys()
+        assert not {"vectors", "_codes", "_degrees", "_multiples"} & vars(h).keys()

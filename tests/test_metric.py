@@ -21,6 +21,7 @@ from index_definitions import (
 )
 
 MIXED_SHAPES = (720, 3360, 5040, 5400)
+PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
 
 # the 8x8 matrix for Gamma_3 in canonical order 1, p1, p2, p3, p1p2, p1p3, p2p3, n
 GAMMA3_MATRIX = [
@@ -199,9 +200,13 @@ def test_csv_matrix():
 
 
 def test_csv_export_equals_distance_matrix_csv(capsys):
-    exports = [(["gamma", "--k", str(k)], build_gamma(k)) for k in range(9)]
+    """The CSV export, streamed line by line, is DistanceMatrix.to_csv of the
+    distance rows."""
+    exports = [(["gamma", "--k", str(k)], build_gamma(k)) for k in range(11)]
+    exports += [(["gamma", "--k", str(k), "--primes", ",".join(map(str, PRIMES[:k]))],
+                 build_gamma(k, PRIMES[:k])) for k in range(1, 11)]
     exports += [(["divisor-graph", "--n", str(n)], build_general(n))
-                for n in (*range(1, 601), *MIXED_SHAPES)]
+                for n in (*range(1, 601), *MIXED_SHAPES, 720720, 735134400)]
     for argv, g in exports:
         assert main([*argv, "--emit", "csv"]) == 0
         want = DistanceMatrix(g.labels(), list(distance_rows(g))).to_csv()
