@@ -3,19 +3,18 @@ bytes written, for the scale section of a BENCH_*.json file.
 
 Usage (from the repository root):
 
-    python3 scripts/scale.py [--runs 3]
+    python3 scripts/scale.py
 
 Each run is `python -m graphlab.cli ...` from this checkout's src/, started
 by a fresh measuring process that counts the bytes of its stdout and reads
 its peak RSS with resource.getrusage(RUSAGE_CHILDREN), so no /usr/bin/time
-is needed.  The medians over --runs runs of each case print as one JSON
+is needed.  The medians over RUNS runs of each case print as one JSON
 object.  The exit code is 1 when a run exits nonzero or when a Gamma_12
 export peaks at or above EXPORT_RSS_MB.
 """
 
 from __future__ import annotations
 
-import argparse
 import json
 import os
 import statistics
@@ -24,6 +23,9 @@ import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
+
+#: Runs per case; the RSS gate takes the largest peak over them.
+RUNS = 3
 
 #: The exports of Gamma_12, the largest graph the budget of listed edges
 #: admits, stream their text, so each stays below this peak RSS.
@@ -60,19 +62,16 @@ def measure(argv: tuple[str, ...]) -> dict:
 
 
 def main() -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--runs", type=int, default=3)
-    args = parser.parse_args()
     report, ok = {}, True
     for argv in CASES:
-        runs = [measure(argv) for _ in range(args.runs)]
+        runs = [measure(argv) for _ in range(RUNS)]
         row = {key: statistics.median(r[key] for r in runs)
                for key in ("wall_s", "peak_rss_mb", "out_bytes")}
         ok &= all(r["exit"] == 0 for r in runs)
         if argv[0] == "gamma":
             ok &= max(r["peak_rss_mb"] for r in runs) < EXPORT_RSS_MB
         report[" ".join(argv)] = row
-    print(json.dumps({"runs": args.runs, "cases": report}, indent=2))
+    print(json.dumps({"runs": RUNS, "cases": report}, indent=2))
     return 0 if ok else 1
 
 

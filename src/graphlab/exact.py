@@ -19,7 +19,7 @@ and they are parsed by the reverse split into leaves of at most 600 digits
 read by int(); both are subquadratic.  value_text writes each value's JSON
 text; json_text writes every JSON report the package prints, and the head
 of a graph export, with those texts spliced in as _Text.  factorize trial-
-divides by blocks of odd divisors, one gcd per block.
+divides a wide cofactor by blocks of odd divisors, one gcd per block.
 """
 
 from __future__ import annotations
@@ -38,14 +38,16 @@ Value = Union[int, Fraction, "RadicalSum"]
 
 
 #: Trial division stops after this bound in factorize, so in
-#: graphs.build_general and sqf_decompose: for a prime near 2**61, about
-#: 0.1 s the first time in a process (the block products are formed) and
-#: 0.01 s after.
+#: graphs.build_general and sqf_decompose: about 0.03 s for a prime near
+#: 2**61.
 _TRIAL_BOUND = 10**6
 
-#: factorize tries divisors below _FIRST_BLOCK (odd) one at a time, then
-#: blocks of up to _TRIAL_BLOCK odd divisors at a time.
-_FIRST_BLOCK = 35
+#: factorize tries a cofactor wider than _WIDE_BITS by blocks of odd
+#: divisors, 32 doubling up to _TRIAL_BLOCK, and a narrower one divisor by
+#: divisor.  A full scan costs about the same either way near 800 bits
+#: when the block products are not yet formed (about 0.12 s); below, one
+#: remainder per divisor is cheaper than forming the products.
+_WIDE_BITS = 1024
 _TRIAL_BLOCK = 512
 
 
@@ -64,31 +66,23 @@ def factorize(n: int) -> Iterator[tuple[int, int]]:
     no prime factor up to the bound, so it is prime below
     (_TRIAL_BOUND + 1)**2 and unproven above.
 
-    Divisors below _FIRST_BLOCK are tried one by one, which costs a small n
-    less than a gcd would.  Past them, odd divisors come in blocks of 32
-    doubling up to _TRIAL_BLOCK, and each block is tried by one gcd g of
-    the cofactor with the block's product, then scanned, up to the last
-    divisor to try, only while g > 1: a large cofactor costs one remainder
-    per block, not one per divisor.  A divisor of g has no smaller prime
-    factor left, so it is prime; it is divided out of the cofactor at once,
-    and out of g by one gcd with what is left."""
-    rem = n
-    stop = min(isqrt(n), _TRIAL_BOUND)  # the last divisor to try
-    f = 2
-    while f <= stop and f < _FIRST_BLOCK:
-        if rem % f == 0:
-            e = 0
-            while rem % f == 0:
-                rem //= f
-                e += 1
-            yield f, e
-            stop = min(stop, isqrt(rem))
-        f += 1 if f == 2 else 2
-    start, size = _FIRST_BLOCK, min(32, _TRIAL_BLOCK)
-    while start <= stop:
-        end = min(start + 2 * size, _TRIAL_BOUND + 1)
-        g = gcd(rem, _trial_product(start, end))
-        f = start
+    The power of 2 is read off the low bits.  While the cofactor is wider
+    than _WIDE_BITS, each block of odd divisors is tried by one gcd g of the
+    cofactor with the block's product, then scanned, up to the last divisor
+    to try, only while g > 1: a wide cofactor costs one remainder per block,
+    not one per divisor.  A divisor of g has no smaller prime factor left,
+    so it is prime; it is divided out of the cofactor at once, and out of g
+    by one gcd with what is left.  A narrow cofactor is tried by each odd
+    divisor in turn."""
+    e = (n & -n).bit_length() - 1  # 2**e divides n exactly
+    if e:
+        yield 2, e
+    rem = n >> e
+    stop = min(isqrt(rem), _TRIAL_BOUND)  # the last divisor to try
+    f, size = 3, min(32, _TRIAL_BLOCK)
+    while f <= stop and rem.bit_length() > _WIDE_BITS:
+        end = min(f + 2 * size, _TRIAL_BOUND + 1)
+        g = gcd(rem, _trial_product(f, end))
         while g > 1 and f <= stop and f < end:
             if g % f == 0:
                 e = 0
@@ -100,7 +94,16 @@ def factorize(n: int) -> Iterator[tuple[int, int]]:
                 g = gcd(g, rem)
                 stop = min(stop, isqrt(rem))
             f += 2
-        start, size = end, min(2 * size, _TRIAL_BLOCK)
+        f, size = end, min(2 * size, _TRIAL_BLOCK)
+    while f <= stop:
+        if rem % f == 0:
+            e = 0
+            while rem % f == 0:
+                rem //= f
+                e += 1
+            yield f, e
+            stop = min(stop, isqrt(rem))
+        f += 2
     if rem > 1:
         yield rem, 1
 

@@ -112,7 +112,6 @@ def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
         m = sum(map(len, rows))
         below = Counter(chain.from_iterable(rows))
         deg = tuple(map(add, map(len, rows), map(below.__getitem__, range(g.order))))
-        omegas = list(map(int.bit_count, g._codes))  # codes are bitmasks on Gamma_k
         checks = [
             ("order", order_formula(k), g.order),
             ("size", size_formula(k), m),
@@ -120,7 +119,7 @@ def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
             (
                 "count_by_omega",
                 tuple(count_by_omega(k, j) for j in range(k + 1)),
-                tuple(map(Counter(omegas).__getitem__, range(k + 1))),
+                tuple(map(Counter(g.omegas).__getitem__, range(k + 1))),
             ),
             ("wiener", wiener_formula(k), indices.wiener(g)),
             ("hyper_wiener", hyper_wiener_formula(k), indices.hyper_wiener(g)),
@@ -133,7 +132,7 @@ def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
             lines.append(f"k={k} {name}: formula {fv} {'==' if same else '!='} oracle {ov} "
                          f"[{'pass' if same else 'FAIL'}]")
         by_omega = [degree_formula(k, j) for j in range(k + 1)]
-        formula_deg = tuple(map(by_omega.__getitem__, omegas))
+        formula_deg = tuple(map(by_omega.__getitem__, g.omegas))
         if formula_deg == deg:
             lines.append(f"k={k} degree: formula == oracle for all {g.order} vertices [pass]")
         else:

@@ -29,8 +29,8 @@ _MAX_GAMMA_K and n with more than _MAX_DIVISORS divisors, and the exports and
 verify call require_edge_budget before listing more than _MAX_LISTED_EDGES edges.
 
 A graph is immutable.  Only its exponents, primes and order are set at
-construction; codes, vectors, rows of multiples, degrees and neighbor lists
-are computed on first use and cached, which keeps them safe to share across threads.
+construction; codes, omegas, vectors, rows of multiples, degrees and neighbor
+lists are computed on first use and cached, which keeps them safe to share across threads.
 """
 
 from __future__ import annotations
@@ -107,9 +107,18 @@ class DivisorGraph:
         a, b = self.vectors[i], self.vectors[j]
         return a != b and (all(map(int.__le__, a, b)) or all(map(int.__le__, b, a)))
 
+    @cached_property
+    def omegas(self) -> tuple[int, ...]:
+        """Number of distinct prime factors of each vertex, in canonical
+        order: on Gamma_k the bits of its code."""
+        if self.gamma:
+            return tuple(map(int.bit_count, self._codes))
+        k = len(self.exponents)
+        return tuple(k - v.count(0) for v in self.vectors)
+
     def omega(self, i: int) -> int:
         """Number of distinct prime factors of vertex i."""
-        return len(self.exponents) - self.vectors[i].count(0)
+        return self.omegas[i]
 
     def labels(self) -> list[str]:
         """Divisor values when the primes are known, else products like p1p2."""
@@ -207,13 +216,13 @@ class DivisorGraph:
             numbers = [f"\n        {p}" for p in range(1, len(self.exponents) + 1)]
             subsets = [f"[{','.join(compress(numbers, v))}\n      ]" for v in self.vectors]
             subsets[0] = "[]"  # vertex 0 is the divisor 1
-            columns = [subsets, map(int.bit_count, self._codes)]
+            columns = [subsets, self.omegas]
             record = '{\n      "subset": %s,\n      "omega": %s'
             if self.primes is not None:
                 columns.append(map(_int_str, self.divisors))
                 record += ',\n      "value": %s'
         else:
-            columns = [map(_int_str, self.divisors), map(self.omega, range(self.order))]
+            columns = [map(_int_str, self.divisors), self.omegas]
             record = '{\n      "value": %s,\n      "omega": %s'
         records = ",\n    ".join([record + "\n    }"] * self.order) % tuple(
             chain.from_iterable(zip(*columns)))

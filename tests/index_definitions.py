@@ -15,8 +15,8 @@ time, and the tests check its 0/1/2 rule and profile against them.
 value_to_json builds a value's JSON document as a dict and report_dict the
 index report from it: the references for the text that exact.value_text and
 indices.report_text write.  graph_dict is the graph export as a dict, with
-the edges as lists, the reference for the text json_text writes from
-to_json_dict; labels_reference and dot_reference write the labels from the
+the edges as lists, the reference for the text "".join(g.json_rows())
+writes; labels_reference and dot_reference write the labels from the
 exponent vectors and the DOT export from the pair scan.
 """
 
@@ -237,7 +237,8 @@ def graph_dict(g) -> dict:
             for vertex, d in zip(doc["vertices"], g.divisors):
                 vertex["value"] = d
     else:
-        doc["vertices"] = [{"value": d, "omega": g.omega(i)} for i, d in enumerate(g.divisors)]
+        doc["vertices"] = [{"value": d, "omega": sum(map(bool, v))}
+                           for d, v in zip(g.divisors, g.vectors)]
     doc["edges"] = [[i, j] for i, j in g.edges()]
     return doc
 

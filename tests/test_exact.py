@@ -751,20 +751,22 @@ def bounded_factorization(n, bound):
 
 
 def test_factorize_equals_trial_division(monkeypatch):
-    """The block gcds yield what trial division by every integer yields, for
-    bounds, first blocks and block sizes that put prime factors and the
-    bound at and across block ends, and for large cofactors under the real
-    bound."""
+    """The block gcds and the divisor-by-divisor scan yield what trial
+    division by every integer yields, for bounds, widths and block sizes
+    that put prime factors and the bound at and across block ends, switch
+    from blocks to single divisors as the cofactor narrows, or use only one
+    of the two; and for large cofactors under the real bound."""
     rng = random.Random(23)
-    for bound, first, block in ((10, 3, 1), (50, 3, 2), (97, 35, 3), (1000, 9, 7), (5000, 35, 512)):
+    for bound, wide, block in ((10, 0, 1), (50, 0, 2), (97, 8, 3), (1000, 0, 7), (1000, 20, 7),
+                               (5000, 40, 512), (5000, 10**4, 512)):
         monkeypatch.setattr(exact, "_TRIAL_BOUND", bound)
-        monkeypatch.setattr(exact, "_FIRST_BLOCK", first)
+        monkeypatch.setattr(exact, "_WIDE_BITS", wide)
         monkeypatch.setattr(exact, "_TRIAL_BLOCK", block)
         ns = [*range(1, 3000), *(rng.randrange(1, 10**rng.randrange(2, 30)) for _ in range(300))]
         ns += [p * q for p in (bound - 2, bound - 1, bound, bound + 1, bound + 2)
                for q in (1, 3, bound - 1, bound + 1, 2**61 - 1)]
         for n in ns:
-            assert list(factorize(n)) == bounded_factorization(n, bound), (bound, first, block, n)
+            assert list(factorize(n)) == bounded_factorization(n, bound), (bound, wide, block, n)
     monkeypatch.undo()
     big = [2**61 - 1, 999983 * 999979, 1000003**2, 999983**3 * 2**5, 3**40 * 1000003 * 999983,
            (2**61 - 1) * (2**89 - 1), 997 * 1019**2 * 1000003]
@@ -774,10 +776,22 @@ def test_factorize_equals_trial_division(monkeypatch):
 
 def test_factorize_divides_a_large_cofactor_by_blocks():
     """999983**1026 (20,450 bits) has its only prime in the last block below
-    the bound; trial division by each divisor took about 2.4 s."""
+    the bound; trial division by each divisor took about 2.4 s.  The block
+    products are formed first, by the prime 2**1279 - 1, so that only the
+    gcd scan is timed."""
+    assert list(factorize(2**1279 - 1)) == [(2**1279 - 1, 1)]
     start = time.perf_counter()
     assert list(factorize(999983**1026)) == [(999983, 1026)]
     assert time.perf_counter() - start < 1.5
+
+
+def test_factorize_forms_no_block_product_for_a_narrow_cofactor():
+    """A cofactor of at most _WIDE_BITS bits is tried divisor by divisor,
+    which for one scan costs less than forming the block products."""
+    exact._trial_product.cache_clear()
+    for n in (2**61 - 1, (2**61 - 1) * (2**89 - 1), 999983**3 * 2**5, 2**1021 - 1):
+        assert list(factorize(n)) == bounded_factorization(n, exact._TRIAL_BOUND), n
+    assert exact._trial_product.cache_info().currsize == 0
 
 
 def full_factorization(n):
