@@ -18,6 +18,8 @@ Known quirks carried as claim notes:
 * The Gamma_5 theorem prints a line labeled M_2(Gamma_4)=47 401; it is filed
   here as the Gamma_5 second Zagreb value.
 
+The registry is built once per process (builtin_claims is cached): its
+claims, and the Fractions, ints and RadicalSums they hold, are immutable.
 render_report writes the JSON report with exact.json_text (the bytes of
 json.dumps(doc, indent=2) plus a newline), each claimed and oracle value as
 its exact.value_text; parse_report reads it back.
@@ -25,6 +27,7 @@ its exact.value_text; parse_report reads it back.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from fractions import Fraction
@@ -95,8 +98,10 @@ def _bracket(den: int, rational: int, roots: dict[int, int]) -> RadicalSum:
     return RadicalSum(terms)
 
 
+@functools.cache
 def builtin_claims() -> tuple[Claim, ...]:
-    """All registered claims, in source order."""
+    """All registered claims, in source order: built on first use and shared
+    by every later call in the process (claims and their values are immutable)."""
     c: list[Claim] = []
 
     def add(k: int, index: str, claimed: Value | None, source: str,

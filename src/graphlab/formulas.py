@@ -1,17 +1,19 @@
 """Closed forms for Gamma_k: order, degrees, size, and four distance indices.
 
 They are verified against edge enumeration and the index engine by
-verification_lines (the verify subcommand) and the test suite.  Everything is
-exact; k = 0 routes through rationals where an intermediate 2**(k-1) appears.
+verification_lines (the verify subcommand) and the test suite.  The
+enumeration is the graph's unsorted two-way listing: the size is the sum of
+the lengths of the lists of multiples less V, and each degree the lengths of
+a vertex's lists of multiples and divisors less 2, so no row is sorted,
+inverted or hashed.  Everything is exact; k = 0 routes through rationals
+where an intermediate 2**(k-1) appears.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from itertools import chain
 from math import comb
-from operator import add
 
 from . import indices
 from .exact import Value, _int_str, format_value, normalize
@@ -99,8 +101,9 @@ def zagreb1_formula(k: int) -> int:
 def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
     """Per-(formula, k) pass/fail lines comparing closed forms to edge
     enumeration and the index engine, plus a summary line.  Size and degrees
-    are counted from the rows of multiples(): a vertex's degree is its row
-    length plus the number of rows it appears in.  Before any graph is built,
+    are counted from the unsorted listing() of the lattice: m is the sum of
+    the lengths of the up lists less V (each holds its own vertex), and a
+    vertex's degree is len(up) + len(down) - 2.  Before any graph is built,
     k_max is checked against the bound on k, then the edges of Gamma_{k_max}
     against the budget of listed edges."""
     require_gamma_k_bound(k_max)
@@ -108,10 +111,9 @@ def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
     lines: list[str] = []
     for k in range(k_min, k_max + 1):
         g = build_gamma(k)
-        rows = g.multiples()
-        m = sum(map(len, rows))
-        below = Counter(chain.from_iterable(rows))
-        deg = tuple(map(add, map(len, rows), map(below.__getitem__, range(g.order))))
+        up, down = g.listing()
+        m = sum(map(len, up)) - g.order
+        deg = tuple([len(a) + len(b) - 2 for a, b in zip(up, down)])
         checks = [
             ("order", order_formula(k), g.order),
             ("size", size_formula(k), m),

@@ -12,32 +12,42 @@ sorts by omega (number of prime factors), then by bitmask, bit i standing for
 p_{i+1}.  Any other divisor graph lists its divisors in ascending order.
 
 Everything is read off the lattice, listed once as each vertex's mixed-radix
-code in canonical order (_codes; on Gamma_k the code is the bitmask): the
-degree of a divisor d is tau(d) + tau(n/d) - 2, |E| is prod C(e+2, 2) -
-prod (e+1), and the edges are listed once, as multiples(): per code, a list
-of vertex indices is extended prime by prime, digit by digit, by the list one
-digit above it, every code of a digit at once by whole-slice extends, so it
-ends holding every multiple, and each row is that list sorted.  A divisor
-precedes its multiples in both orders, so the rows list the edges in
-lexicographic order.  The JSON and DOT exports stream their text row by row
-(json_rows, dot_rows), one piece per non-empty row written at the indent
-where it sits, with one string per vertex index and one join per row, and
-build no object per edge.
+code in canonical order (_codes; on Gamma_k the code is the bitmask).  The
+per-vertex columns are per-code lists built prime by prime, as the divisor
+values are, then permuted by the codes: the degree of a divisor d is
+tau(d) + tau(n/d) - 2 (the code V - 1 - c is that of n/d), omega counts the
+nonzero digits, and the symbolic labels (p1p3) and JSON subsets join the
+names of the primes present.  |E| is prod C(e+2, 2) - prod (e+1).  The
+comparable pairs are listed once, by listing(): per code, a list of vertex
+indices starts with its own vertex and is extended prime by prime, digit by
+digit, by the list one digit above it (up: its multiples) and by the one
+below it (down: its divisors), every code of a digit at once by whole-slice
+extends.  Both lists stay unsorted: the CSV export marks them and verify
+counts them.  multiples() is each up list sorted, less the vertex itself,
+which sorts first; a divisor precedes its multiples in both orders, so the
+rows list the edges in lexicographic order.  The JSON and DOT exports stream
+their text row by row (json_rows, dot_rows), sorting each row as they write
+it, one piece per non-empty row written at the indent where it sits, with
+one string per vertex index and one join per row, and build no object per
+edge.  The exponent vectors (vectors, read by adjacent(), the pair scan) and
+neighbors() serve the README and the tests' oracles; no export and no verify
+line reads them.
 
 Limits are constants no caller overrides: the builders refuse k above
 _MAX_GAMMA_K and n with more than _MAX_DIVISORS divisors, and the exports and
 verify call require_edge_budget before listing more than _MAX_LISTED_EDGES edges.
 
 A graph is immutable.  Only its exponents, primes and order are set at
-construction; codes, omegas, vectors, rows of multiples, degrees and neighbor
-lists are computed on first use and cached, which keeps them safe to share across threads.
+construction; codes, omegas, vectors, the listing, rows of multiples and
+degrees are computed on first use and cached, which keeps them safe to share
+across threads.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from functools import cached_property
-from itertools import accumulate, chain, compress, repeat
+from itertools import accumulate, chain, repeat
 from math import comb, prod
 from operator import mul
 from typing import Iterator
@@ -47,11 +57,11 @@ from .exact import _TRIAL_BOUND, _int_str, factorize, is_prime, json_text
 _MAX_DIVISORS = 4096
 #: Exports and verify list every edge; |E(Gamma_12)| = 527,345.  As whole
 #: processes (Python 3.11, 2-core host; medians of three runs), the streamed
-#: exports of Gamma_12 take 0.14 s and 26 MB with --emit json, 0.25 s and
-#: 34 MB with csv (34 MB of text), 0.12 s and 25 MB with dot, and
-#: `verify --k-max 12` 0.15 s and 26 MB.  Gamma_13 (1,586,131 edges) would
-#: take 0.37 s and 46 MB, 0.92 s and 71 MB (134 MB of csv text), 0.35 s and
-#: 44 MB, and 0.30 s and 46 MB: each step of k triples the edges and
+#: exports of Gamma_12 take 0.16 s and 26 MB with --emit json, 0.24 s and
+#: 25 MB with csv (34 MB of text), 0.2 s and 25 MB with dot, and
+#: `verify --k-max 12` 0.13 s and 28 MB.  Gamma_13 (1,586,131 edges) would
+#: take 0.38 s and 47 MB, 0.55 s and 44 MB (134 MB of csv text), 0.35 s and
+#: 44 MB, and 0.17 s and 53 MB: each step of k triples the edges and
 #: quadruples the matrix, so the budget stops at Gamma_12.
 _MAX_LISTED_EDGES = 3**12 - 2**12
 #: build_gamma refuses larger k: `indices --k 100 --index wiener` takes about
@@ -110,22 +120,35 @@ class DivisorGraph:
     @cached_property
     def omegas(self) -> tuple[int, ...]:
         """Number of distinct prime factors of each vertex, in canonical
-        order: on Gamma_k the bits of its code."""
+        order: on Gamma_k the bits of its code, otherwise a per-code column
+        built prime by prime as _code_values is (digit 0 adds none, any
+        other digit one)."""
         if self.gamma:
             return tuple(map(int.bit_count, self._codes))
-        k = len(self.exponents)
-        return tuple(k - v.count(0) for v in self.vectors)
+        column = [0]
+        for e in self.exponents:
+            column += [o + 1 for o in column] * e
+        return tuple(map(column.__getitem__, self._codes))
 
     def omega(self, i: int) -> int:
         """Number of distinct prime factors of vertex i."""
         return self.omegas[i]
+
+    def _prime_names(self, names: list[str], sep: str) -> list[str]:
+        """Per vertex in canonical order, sep.join of the names of the primes
+        dividing it: a per-code column built prime by prime as _code_values
+        is, then permuted by the codes."""
+        column = [""]
+        for name, e in zip(names, self.exponents):
+            column += [f"{x}{sep}{name}" for x in column] * e
+        return [column[c][len(sep):] for c in self._codes]
 
     def labels(self) -> list[str]:
         """Divisor values when the primes are known, else products like p1p2."""
         if self.primes is not None:
             return list(map(_int_str, self.divisors))
         names = [f"p{p}" for p in range(1, len(self.exponents) + 1)]
-        return ["".join(compress(names, v)) or "1" for v in self.vectors]
+        return [label or "1" for label in self._prime_names(names, "")]
 
     def descriptor(self) -> dict:
         """Stable JSON identification: the family, then k and any primes of
@@ -138,30 +161,51 @@ class DivisorGraph:
         return doc
 
     @cached_property
-    def _multiples(self) -> tuple[tuple[int, ...], ...]:
+    def _listing(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
         codes = self._codes
-        # up[c]: the vertices whose codes are multiples of code c, built prime
-        # by prime (weight w), and per prime digit by digit from the top, so
-        # up[c + w] already holds this prime when up[c] is extended by it.
-        # The codes whose digit is c // w are w strided slices s :: block or
-        # order // block runs s : s + w; whichever are fewer, each slice is
-        # extended by the one w above it in one map.
-        up = [None] * self.order
+        # Per code, up holds the vertices of its multiples and down those of
+        # its divisors, each starting with its own vertex.  Both are built
+        # prime by prime (weight w): up digit by digit from the top, so up[c + w]
+        # already holds this prime when up[c] is extended by it, and down from
+        # the bottom by down[c - w].  The codes whose digit is c // w are w
+        # strided slices s :: block or order // block runs s : s + w;
+        # whichever are fewer, each slice is extended by the one w away in one map.
+        up, down = [None] * self.order, [None] * self.order
         for i, c in enumerate(codes):
-            up[c] = [i]
+            up[c], down[c] = [i], [i]
+
+        def extend(lists: list, c: int, step: int) -> None:
+            if w <= self.order // block:
+                for s in range(c, c + w):
+                    deque(map(list.__iadd__, lists[s::block], lists[s + step::block]), 0)
+            else:
+                for s in range(c, self.order, block):
+                    deque(map(list.__iadd__, lists[s:s + w], lists[s + step:s + step + w]), 0)
+
         w = 1
         for e in self.exponents:
             block = w * (e + 1)
-            for c in range(w * (e - 1), -1, -w):
-                if w <= self.order // block:
-                    for s in range(c, c + w):
-                        deque(map(list.__iadd__, up[s::block], up[s + w::block]), 0)
-                else:
-                    for s in range(c, self.order, block):
-                        deque(map(list.__iadd__, up[s:s + w], up[s + w:s + 2 * w]), 0)
+            for d in range(e):
+                extend(up, w * (e - 1 - d), w)
+                extend(down, w * (d + 1), -w)
             w = block
+        return tuple(map(up.__getitem__, codes)), tuple(map(down.__getitem__, codes))
+
+    def listing(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
+        """(up, down): per vertex in canonical order, the unsorted list of the
+        vertices of its multiples (up) and of its divisors (down), each
+        including the vertex itself.  Read them; do not change them."""
+        return self._listing
+
+    def _rows(self) -> Iterator[list[int]]:
+        """The rows of multiples(), each sorted from the listing as it is
+        read, so the streamed exports keep no tuple of rows beside it."""
         # A vertex precedes its multiples in the canonical order: drop it.
-        return tuple([tuple(sorted(up[c])[1:]) for c in codes])
+        return (sorted(row)[1:] for row in self.listing()[0])
+
+    @cached_property
+    def _multiples(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(map(tuple, self._rows()))
 
     def multiples(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its proper multiples in ascending order: row i holds the edges (i, j > i)."""
@@ -178,30 +222,21 @@ class DivisorGraph:
 
     @cached_property
     def _degrees(self) -> tuple[int, ...]:
-        degrees = []
-        for v in self.vectors:
-            tau = cotau = 1
-            for a, e in zip(v, self.exponents):
-                tau *= a + 1
-                cotau *= e - a + 1
-            degrees.append(tau + cotau - 2)
-        return tuple(degrees)
+        # tau per code, built prime by prime as _code_values is; the code
+        # V - 1 - c has the digits e - a of code c, so it is the code of n/d.
+        tau = [1]
+        for e in self.exponents:
+            tau = [t * a for a in range(1, e + 2) for t in tau]
+        return tuple([tau[c] + tau[~c] - 2 for c in self._codes])
 
     def degrees(self) -> tuple[int, ...]:
         """Degrees in canonical vertex order: tau(d) + tau(n/d) - 2."""
         return self._degrees
 
-    @cached_property
-    def _neighbors(self) -> tuple[tuple[int, ...], ...]:
-        # Vertex j's proper divisors are the rows holding j, met in ascending order.
-        rows = self.multiples()
-        below: list[list[int]] = [[] for _ in rows]
-        deque(map(list.append, map(below.__getitem__, chain.from_iterable(rows)),
-                  chain.from_iterable(map(repeat, range(self.order), map(len, rows)))), 0)
-        return tuple(tuple(b) + row for b, row in zip(below, rows))
-
     def neighbors(self, i: int) -> tuple[int, ...]:
-        return self._neighbors[i]
+        """Vertex i's proper divisors, then its proper multiples, in ascending
+        order (a divisor precedes its multiples, so i sorts last in down)."""
+        return tuple(sorted(self.listing()[1][i])[:-1]) + self.multiples()[i]
 
     def json_rows(self) -> Iterator[str]:
         """The JSON export, json.dumps(doc, indent=2) plus a newline, in
@@ -214,8 +249,8 @@ class DivisorGraph:
         del doc["family"]
         if self.gamma:
             numbers = [f"\n        {p}" for p in range(1, len(self.exponents) + 1)]
-            subsets = [f"[{','.join(compress(numbers, v))}\n      ]" for v in self.vectors]
-            subsets[0] = "[]"  # vertex 0 is the divisor 1
+            subsets = [f"[{subset}\n      ]" if subset else "[]"
+                       for subset in self._prime_names(numbers, ",")]
             columns = [subsets, self.omegas]
             record = '{\n      "subset": %s,\n      "omega": %s'
             if self.primes is not None:
@@ -229,7 +264,7 @@ class DivisorGraph:
         yield f'{json_text(doc)[:-3]},\n  "vertices": [\n    {records}\n  ],\n  "edges": ['
         table = list(map(int.__repr__, range(self.order)))
         head = "\n    "
-        for i, row in zip(table, self.multiples()):
+        for i, row in zip(table, self._rows()):
             if row:
                 yield (f"{head}[\n      {i},\n      "
                        + f"\n    ],\n    [\n      {i},\n      ".join(map(table.__getitem__, row))
@@ -246,7 +281,7 @@ class DivisorGraph:
         names = [f"v{i}" for i in range(self.order)]
         yield f"graph {name} {{\n" + "".join(
             [f'  {v} [label="{label}"];\n' for v, label in zip(names, self.labels())])
-        for v, row in zip(names, self.multiples()):
+        for v, row in zip(names, self._rows()):
             if row:
                 yield f"  {v} -- " + f";\n  {v} -- ".join(map(names.__getitem__, row)) + ";\n"
         yield "}\n"

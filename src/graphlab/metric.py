@@ -3,10 +3,12 @@
 Every graph the package builds follows one distance rule: 0 on the diagonal,
 1 between neighbours, 2 otherwise, because vertex 0 (the divisor 1) is
 adjacent to every other vertex.  So the transmission of v is 2(V-1) - deg v.
-The rule is written once, by digit_rows, as ASCII digits: the CSV export,
-csv_rows, streams them line by line as they are, and distance_rows reads
-them as ints.
-require_universal_vertex is the one check of that condition; every function
+The rule is written once, by digit_rows, as ASCII digits marked from the
+graph's unsorted two-way listing (each vertex's multiples and divisors), so
+no row is sorted or inverted: the CSV export, csv_rows, streams them line by
+line as they are, and distance_rows reads them as ints.
+require_universal_vertex is the one check of that condition, on the degree
+column the graph reads off its codes; every function
 here calls it, and raises ValueError on a graph it fails.  The index profile
 does not: it reads only the exponent lattice, where the condition holds by
 construction.
@@ -17,7 +19,7 @@ tests/index_definitions.py.
 from __future__ import annotations
 
 from collections import deque
-from itertools import repeat
+from itertools import chain, repeat
 from typing import Iterator, NamedTuple
 
 
@@ -44,13 +46,15 @@ def require_universal_vertex(g) -> None:
 
 def digit_rows(g) -> Iterator[bytearray]:
     """The 0/1/2 rule, row by row, as ASCII digits: vertex i's row is
-    b"2" * V with b"1" at neighbors(i) and b"0" at i."""
+    b"2" * V with b"1" at each vertex of g.listing()'s up[i] and down[i]
+    (its multiples and divisors, unsorted) and b"0" at i."""
     require_universal_vertex(g)
     twos = b"2" * g.order
+    up, down = g.listing()
 
     def row(i: int) -> bytearray:
         digits = bytearray(twos)
-        deque(map(digits.__setitem__, g.neighbors(i), repeat(ord("1"))), 0)
+        deque(map(digits.__setitem__, chain(up[i], down[i]), repeat(ord("1"))), 0)
         digits[i] = ord("0")
         return digits
 

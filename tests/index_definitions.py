@@ -17,12 +17,15 @@ index report from it: the references for the text that exact.value_text and
 indices.report_text write.  graph_dict is the graph export as a dict, with
 the edges as lists, the reference for the text "".join(g.json_rows())
 writes; labels_reference and dot_reference write the labels from the
-exponent vectors and the DOT export from the pair scan.
+exponent vectors and the DOT export from the pair scan.  degrees_reference,
+omegas_reference and subsets_reference read the degrees, the omega of each
+vertex and the JSON subset texts off the exponent vectors, as graphlab did
+before it read them off per-code columns.
 """
 
 from collections import Counter, deque
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, compress
 from fractions import Fraction
 from math import prod
 
@@ -260,3 +263,28 @@ def dot_reference(g) -> str:
     lines += [f'  v{i} [label="{label}"];' for i, label in enumerate(labels_reference(g))]
     lines += [f"  v{i} -- v{j};" for i, j in edges_and_degrees(g)[0]]
     return "\n".join(lines + ["}"]) + "\n"
+
+
+def degrees_reference(g) -> tuple[int, ...]:
+    """tau(d) + tau(n/d) - 2 per vertex, from its exponent vector."""
+    degrees = []
+    for v in g.vectors:
+        tau = cotau = 1
+        for a, e in zip(v, g.exponents):
+            tau *= a + 1
+            cotau *= e - a + 1
+        degrees.append(tau + cotau - 2)
+    return tuple(degrees)
+
+
+def omegas_reference(g) -> tuple[int, ...]:
+    """The number of nonzero entries of each exponent vector."""
+    return tuple(len(g.exponents) - v.count(0) for v in g.vectors)
+
+
+def subsets_reference(g) -> list[str]:
+    """The "subset" text of each vertex record of a Gamma_k JSON export: the
+    numbers of the primes in its exponent vector, one per line at the
+    record's indent, or [] for the divisor 1."""
+    numbers = [f"\n        {p}" for p in range(1, len(g.exponents) + 1)]
+    return [f"[{','.join(compress(numbers, v))}\n      ]" if any(v) else "[]" for v in g.vectors]

@@ -1,8 +1,10 @@
 """Claim registry: golden verdicts, documented discrepancies, rendering."""
 
+import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -53,6 +55,20 @@ EXPECTED_MISMATCHES = {
     "gamma5.r3": None,
     "gamma5.mostar": 1740,
 }
+
+
+def test_registry_is_built_once_per_process():
+    """run_all shares one registry between calls, and the reports it grades
+    print the recorded bytes of `claims --format json|markdown`."""
+    first, second = run_all(), run_all()
+    assert len(first) == len(second) == 33
+    assert all(a.claim is b.claim for a, b in zip(first, second))
+    digests = {tuple(argv): digest for argv, _, digest in
+               json.loads(Path(__file__).with_name("cli_digests.json").read_text())}
+    for fmt in ("json", "markdown"):
+        text = render_report(second, fmt)
+        assert text == render_report(first, fmt)
+        assert hashlib.sha256(text.encode()).hexdigest() == digests["claims", "--format", fmt]
 
 
 def test_registry_shape():

@@ -182,7 +182,7 @@ def test_exports_stream_row_by_row(monkeypatch):
 
     for g in (build_gamma(10), build_gamma(10, (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)),
               build_general(720720), build_general(735134400)):
-        g.neighbors(0)  # lists the rows of multiples and inverts them
+        g.listing(), g.degrees()  # the two-way listing and the degree column
         edge_rows = sum(map(bool, g.multiples()))
         for emit, writes, text in (("json", edge_rows + 2, "".join(g.json_rows())),
                                    ("dot", edge_rows + 2, g.to_dot()),
@@ -355,6 +355,24 @@ def test_verification_lines_function():
     lines, ok = verification_lines(0, 8)
     assert ok
     assert lines[-1] == "81 checks passed, 0 failed"
+
+
+@pytest.mark.parametrize("name, off, failed", [
+    ("degree_formula", lambda f: lambda k, j: f(k, j) + (k == 4 and j == 2),
+     "k=4 degree: formula 7 != oracle 6 at vertex p1p2 [FAIL]"),
+    ("size_formula", lambda f: lambda k: f(k) + (k == 3),
+     "k=3 size: formula 20 != oracle 19 [FAIL]"),
+])
+def test_verify_reports_a_wrong_formula(capsys, monkeypatch, name, off, failed):
+    """A closed form off at one k (the degree at one omega) fails that line
+    alone; the degree line names the first bad vertex in canonical order,
+    the summary counts the failure and verify exits 1."""
+    monkeypatch.setattr(formulas, name, off(getattr(formulas, name)))
+    lines, ok = verification_lines(2, 4)
+    assert not ok
+    assert [line for line in lines if line.endswith("[FAIL]")] == [failed]
+    assert lines[-1] == "26 checks passed, 1 failed"
+    assert run_cli(capsys, "verify", "--k-min", "2", "--k-max", "4") == (1, "\n".join(lines) + "\n", "")
 
 
 def test_claims_json(capsys):

@@ -1,6 +1,7 @@
 """Graph construction: canonical order, adjacency, degrees, exports."""
 
 import json
+import re
 import sys
 import time
 from collections import Counter
@@ -11,7 +12,18 @@ import pytest
 from graphlab import graphs
 from graphlab.exact import _int_str
 from graphlab.graphs import build_gamma, build_general
-from index_definitions import dot_reference, edges_and_degrees, graph_dict, labels_reference, masks
+from graphlab import metric
+from graphlab.formulas import verification_lines
+from index_definitions import (
+    degrees_reference,
+    dot_reference,
+    edges_and_degrees,
+    graph_dict,
+    labels_reference,
+    masks,
+    omegas_reference,
+    subsets_reference,
+)
 
 # 2^4*3^2*5, 2^5*3*5*7, 2^4*3^2*5*7, 2^3*3^3*5^2, 2^5*3^3*5^2*7*11*13,
 # 2^2*5^2*19^2*47*83^2
@@ -99,19 +111,42 @@ def test_lattice_edges_and_degrees_equal_pair_scan():
 
 
 def test_multiples_and_neighbors_equal_pair_scan():
+    """The listing's up and down lists hold each vertex with its multiples
+    and its divisors, once each; the sorted rows and neighbours follow."""
     graphs = lattice_graphs()
     both = [g for g in graphs if {*slice_branches(g)} == {"strided", "contiguous"}]
     assert len(both) > 100 and (1, 1, 1, 4) in {g.exponents for g in both}
     for g in graphs:
         edges, _ = edges_and_degrees(g)
         rows = [[] for _ in range(g.order)]
+        above = [[i] for i in range(g.order)]
+        below = [[i] for i in range(g.order)]
         adjacent = [[] for _ in range(g.order)]
         for i, j in edges:
             rows[i].append(j)
+            above[i].append(j)
+            below[j].append(i)
             adjacent[i].append(j)
             adjacent[j].append(i)
+        up, down = g.listing()
+        assert list(map(sorted, up)) == list(map(sorted, above)), g
+        assert list(map(sorted, down)) == list(map(sorted, below)), g
         assert g.multiples() == tuple(map(tuple, rows)), g
         assert all(g.neighbors(i) == tuple(sorted(adjacent[i])) for i in range(g.order)), g
+
+
+def test_columns_equal_the_vector_references():
+    """Degrees, omegas, labels and JSON subsets, read off per-code columns,
+    equal the same columns read off the exponent vectors."""
+    graphs = lattice_graphs() + [build_gamma(k, PRIMES[:k]) for k in range(13)]
+    graphs += [build_gamma(k) for k in (10, 11, 12)]
+    for g in graphs:
+        assert g.degrees() == degrees_reference(g), g
+        assert g.omegas == omegas_reference(g), g
+        assert g.labels() == labels_reference(g), g
+        if g.gamma:
+            text = "".join(g.json_rows())
+            assert re.findall(r'"subset": (\[.*?\]),', text, re.S) == subsets_reference(g), g
 
 
 def test_degree_sequences_match_printed_tables():
@@ -383,3 +418,26 @@ def test_size_is_closed_form():
     assert build_gamma(40).size() == 3**40 - 2**40
     for h in (g, big):
         assert not {"vectors", "_codes", "_degrees", "_multiples"} & vars(h).keys()
+
+
+def test_exports_and_verify_read_no_vectors(monkeypatch):
+    """The exports and verify read the codes and the listing: no exponent
+    vector, pair scan or neighbour list.  The CSV export and verify also
+    sort no row: they mark and count the unsorted listing."""
+    def refuse(*args):
+        raise AssertionError("vectors, a pair scan, neighbours or sorted rows read")
+
+    def fresh():
+        return build_gamma(8), build_gamma(6, PRIMES[:6]), build_general(5040), build_general(1)
+
+    monkeypatch.setattr(graphs.DivisorGraph, "vectors", property(refuse))
+    for name in ("adjacent", "edges", "neighbors"):
+        monkeypatch.setattr(graphs.DivisorGraph, name, refuse)
+    for g in fresh():
+        assert "".join(g.json_rows()) and g.to_dot() and "".join(metric.csv_rows(g))
+    assert verification_lines(0, 8)[1]
+    for name in ("multiples", "_rows"):
+        monkeypatch.setattr(graphs.DivisorGraph, name, refuse)
+    for g in fresh():
+        assert "".join(metric.csv_rows(g))
+    assert verification_lines(0, 8)[1]
