@@ -120,11 +120,8 @@ class DivisorGraph:
     @cached_property
     def omegas(self) -> tuple[int, ...]:
         """Number of distinct prime factors of each vertex, in canonical
-        order: on Gamma_k the bits of its code, otherwise a per-code column
-        built prime by prime as _code_values is (digit 0 adds none, any
-        other digit one)."""
-        if self.gamma:
-            return tuple(map(int.bit_count, self._codes))
+        order: a per-code column built prime by prime as _code_values is
+        (digit 0 adds none, any other digit one; on Gamma_k the bits of the code)."""
         column = [0]
         for e in self.exponents:
             column += [o + 1 for o in column] * e
