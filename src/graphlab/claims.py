@@ -100,8 +100,7 @@ def _bracket(den: int, rational: int, roots: dict[int, int]) -> RadicalSum:
 
 @functools.cache
 def builtin_claims() -> tuple[Claim, ...]:
-    """All registered claims, in source order: built on first use and shared
-    by every later call in the process (claims and their values are immutable)."""
+    """All registered claims, in source order; built once per process."""
     c: list[Claim] = []
 
     def add(k: int, index: str, claimed: Value | None, source: str,

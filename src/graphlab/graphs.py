@@ -57,9 +57,9 @@ from .exact import _TRIAL_BOUND, _int_str, factorize, is_prime, json_text
 _MAX_DIVISORS = 4096
 #: Exports and verify list every edge; |E(Gamma_12)| = 527,345.  As whole
 #: processes (Python 3.11, 2-core host; medians of three runs), the streamed
-#: exports of Gamma_12 take 0.16 s and 26 MB with --emit json, 0.24 s and
+#: exports of Gamma_12 take 0.2 s and 26 MB with --emit json, 0.27 s and
 #: 25 MB with csv (34 MB of text), 0.2 s and 25 MB with dot, and
-#: `verify --k-max 12` 0.13 s and 28 MB.  Gamma_13 (1,586,131 edges) would
+#: `verify --k-max 12` 0.15 s and 28 MB.  Gamma_13 (1,586,131 edges) would
 #: take 0.38 s and 47 MB, 0.55 s and 44 MB (134 MB of csv text), 0.35 s and
 #: 44 MB, and 0.17 s and 53 MB: each step of k triples the edges and
 #: quadruples the matrix, so the budget stops at Gamma_12.

@@ -9,11 +9,10 @@ from math import isqrt
 
 import pytest
 
-from graphlab import graphs
+from graphlab import graphs, metric
 from graphlab.exact import _int_str
-from graphlab.graphs import build_gamma, build_general
-from graphlab import metric
 from graphlab.formulas import verification_lines
+from graphlab.graphs import build_gamma, build_general
 from index_definitions import (
     degrees_reference,
     dot_reference,
