@@ -33,7 +33,13 @@ RUNS = 3
 #: listing, so each of these runs stays below this peak RSS.
 LISTING_RSS_MB = 50
 
-#: The runs that list Gamma_12, then two more process rows of ROADMAP's table.
+#: The nine indices other than Balaban, Randic and R1-R3: all that Gamma_100
+#: admits within the budgets.
+NON_RADICAL = "wiener,hyper_wiener,harary,zagreb1,zagreb2,degree_distance,gutman,harmonic,mostar"
+
+#: The runs that list Gamma_12, then the other process rows of ROADMAP's
+#: table: claims, the indices of a large n, of Gamma_16 (r1-r3 print about
+#: 986 kB of digits) and of Gamma_100.
 LISTING_CASES = (
     ("gamma", "--k", "12", "--emit", "json"),
     ("gamma", "--k", "12", "--emit", "csv"),
@@ -43,6 +49,8 @@ LISTING_CASES = (
 CASES = LISTING_CASES + (
     ("claims", "--format", "json"),
     ("indices", "--n", "735134400"),
+    ("indices", "--k", "16"),
+    ("indices", "--k", "100", "--index", NON_RADICAL),
 )
 
 #: Run by a fresh interpreter, so RUSAGE_CHILDREN holds the CLI alone.

@@ -22,7 +22,10 @@ The registry is built once per process (builtin_claims is cached): its
 claims, and the Fractions, ints and RadicalSums they hold, are immutable.
 render_report writes the JSON report with exact.json_text (the bytes of
 json.dumps(doc, indent=2) plus a newline), each claimed and oracle value as
-its exact.value_text; parse_report reads it back.
+its exact.value_text; parse_report reads it back.  A registered claim's text
+is written once per process, beside the registry, and its oracle's is the
+one the shape memo of Gamma_k keeps (indices.shape_profile), so a repeated
+report writes no value again.
 """
 
 from __future__ import annotations
@@ -229,13 +232,28 @@ def _value_leaf(v: Value | None) -> _Text | None:
     return None if v is None else _Text(value_text(v))
 
 
+@functools.cache
+def _claimed_leaves() -> dict[str, tuple[Claim, _Text | None]]:
+    """Each registered claim by id, with its claimed value's text leaf:
+    written once per process, like the registry."""
+    return {c.id: (c, _value_leaf(c.claimed)) for c in builtin_claims()}
+
+
 def _report_entry(r: ClaimReport) -> dict:
+    claim = r.claim
+    registered, claimed = _claimed_leaves().get(claim.id, (None, None))
+    if registered is not claim:  # read back, or built by hand
+        claimed, oracle = _value_leaf(claim.claimed), _value_leaf(r.oracle)
+    elif r.oracle is None:
+        oracle = None
+    else:  # the text kept in Gamma_k's shape memo, when r.oracle is the value kept there
+        oracle = _Text(indices.shape_profile((1,) * claim.k).text_of(claim.index, r.oracle))
     entry = {
         "id": r.claim.id,
         "k": r.claim.k,
         "index": r.claim.index,
-        "claimed": _value_leaf(r.claim.claimed),
-        "oracle": _value_leaf(r.oracle),
+        "claimed": claimed,
+        "oracle": oracle,
         "verdict": r.verdict,
         "source": r.claim.source,
     }

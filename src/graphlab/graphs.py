@@ -22,8 +22,10 @@ comparable pairs are listed once, by listing(): per code, a list of vertex
 indices starts with its own vertex and is extended prime by prime, digit by
 digit, by the list one digit above it (up: its multiples) and by the one
 below it (down: its divisors), every code of a digit at once by whole-slice
-extends.  Both lists stay unsorted: the CSV export marks them and verify
-counts them.  multiples() is each up list sorted, less the vertex itself,
+extends.  Each direction is built on first use, so the JSON and DOT exports
+and multiples(), which read only up, build no down list.  Both lists stay
+unsorted: the CSV export marks them and verify counts them.  multiples() is
+each up list sorted, less the vertex itself,
 which sorts first; a divisor precedes its multiples in both orders, so the
 rows list the edges in lexicographic order.  The JSON and DOT exports stream
 their text row by row (json_rows, dot_rows), sorting each row as they write
@@ -38,9 +40,11 @@ _MAX_GAMMA_K and n with more than _MAX_DIVISORS divisors, and the exports and
 verify call require_edge_budget before listing more than _MAX_LISTED_EDGES edges.
 
 A graph is immutable.  Only its exponents, primes and order are set at
-construction; codes, omegas, vectors, the listing, rows of multiples and
-degrees are computed on first use and cached, which keeps them safe to share
-across threads.
+construction; codes, omegas, vectors, the up and down lists, rows of
+multiples and degrees are computed on first use and cached, which keeps them
+safe to share across threads.  So is the index profile, which is kept per
+exponent shape by indices.shape_profile, not on the graph: each value and
+text is stored once and only read after.
 """
 
 from __future__ import annotations
@@ -157,48 +161,53 @@ class DivisorGraph:
             doc["primes"] = list(self.primes)
         return doc
 
-    @cached_property
-    def _listing(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
-        codes = self._codes
-        # Per code, up holds the vertices of its multiples and down those of
-        # its divisors, each starting with its own vertex.  Both are built
-        # prime by prime (weight w): up digit by digit from the top, so up[c + w]
-        # already holds this prime when up[c] is extended by it, and down from
-        # the bottom by down[c - w].  The codes whose digit is c // w are w
-        # strided slices s :: block or order // block runs s : s + w;
-        # whichever are fewer, each slice is extended by the one w away in one map.
-        up, down = [None] * self.order, [None] * self.order
+    def _lists(self, up: bool) -> tuple[list[int], ...]:
+        """Per vertex in canonical order, the list of the vertices of its
+        multiples (up) or of its divisors, starting with its own vertex."""
+        codes, order = self._codes, self.order
+        # Built per code, prime by prime (weight w): up digit by digit from the
+        # top, so lists[c + w] already holds this prime when lists[c] is
+        # extended by it, and down from the bottom by lists[c - w].  The codes
+        # whose digit is c // w are w strided slices s :: block or
+        # order // block runs s : s + w; whichever are fewer, each slice is
+        # extended by the one w away in one map.
+        lists = [None] * order
         for i, c in enumerate(codes):
-            up[c], down[c] = [i], [i]
-
-        def extend(lists: list, c: int, step: int) -> None:
-            if w <= self.order // block:
-                for s in range(c, c + w):
-                    deque(map(list.__iadd__, lists[s::block], lists[s + step::block]), 0)
-            else:
-                for s in range(c, self.order, block):
-                    deque(map(list.__iadd__, lists[s:s + w], lists[s + step:s + step + w]), 0)
-
+            lists[c] = [i]
         w = 1
         for e in self.exponents:
-            block = w * (e + 1)
+            block, step = w * (e + 1), w if up else -w
             for d in range(e):
-                extend(up, w * (e - 1 - d), w)
-                extend(down, w * (d + 1), -w)
+                c = w * (e - 1 - d) if up else w * (d + 1)
+                if w <= order // block:
+                    for s in range(c, c + w):
+                        deque(map(list.__iadd__, lists[s::block], lists[s + step::block]), 0)
+                else:
+                    for s in range(c, order, block):
+                        deque(map(list.__iadd__, lists[s:s + w], lists[s + step:s + step + w]), 0)
             w = block
-        return tuple(map(up.__getitem__, codes)), tuple(map(down.__getitem__, codes))
+        return tuple(map(lists.__getitem__, codes))
+
+    @cached_property
+    def _up(self) -> tuple[list[int], ...]:
+        return self._lists(up=True)
+
+    @cached_property
+    def _down(self) -> tuple[list[int], ...]:
+        return self._lists(up=False)
 
     def listing(self) -> tuple[tuple[list[int], ...], tuple[list[int], ...]]:
         """(up, down): per vertex in canonical order, the unsorted list of the
         vertices of its multiples (up) and of its divisors (down), each
         including the vertex itself.  Read them; do not change them."""
-        return self._listing
+        return self._up, self._down
 
     def _rows(self) -> Iterator[list[int]]:
-        """The rows of multiples(), each sorted from the listing as it is
-        read, so the streamed exports keep no tuple of rows beside it."""
+        """The rows of multiples(), each sorted from the up lists as it is
+        read, so the streamed exports keep no tuple of rows beside them and
+        build no down list."""
         # A vertex precedes its multiples in the canonical order: drop it.
-        return (sorted(row)[1:] for row in self.listing()[0])
+        return (sorted(row)[1:] for row in self._up)
 
     @cached_property
     def _multiples(self) -> tuple[tuple[int, ...], ...]:

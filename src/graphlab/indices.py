@@ -1,4 +1,4 @@
-"""Topological indices in exact arithmetic, from one degree profile per graph.
+"""Topological indices in exact arithmetic, from one degree profile per exponent shape.
 
 The profile reads only the prime exponents of n: on their lattice vertex 0
 (the divisor 1) divides every other vertex, so distinct vertices are at
@@ -14,9 +14,14 @@ summing to S, and F = C(V, 2) - m pairs at distance 2:
   a = S - d_v and u = L/d_v, so R1 and R2 are quadratics in Q with small
   coefficients, and R3 = sum d_v * r(v) = S**2 - M1 + V*P.
 
-Every index is thus exact arithmetic over a Profile, computed once per graph
-and cached on it; Randic and Balaban pass their edge-pair counts (Balaban's as
-transmissions) to exact.inv_sqrt_sum.  The profile lists no vertex or edge:
+Every index is thus exact arithmetic over a Profile; Randic and Balaban pass
+their edge-pair counts (Balaban's as transmissions) to exact.inv_sqrt_sum.
+A divisor graph is fixed up to isomorphism by the multiset of its prime
+exponents, so every index is a function of that shape alone: profile(g) is
+one lookup in shape_profile, an lru_cache of the last _MAX_PROFILES shapes,
+and the Profile keeps each index's value and its exact.value_text once
+asked for.  Graphs, listings and labels stay on each graph.  The profile
+lists no vertex or edge:
 lattice_counts counts divisor pairs a | b by (tau(a), tau(n/a), tau(b),
 tau(n/b)), which fixes both degrees.  The exponent-1 primes give their states
 in closed form, by how many of them lie in a, in b only and in neither; only
@@ -28,14 +33,14 @@ degree pair unchanged; the last prime's fold therefore visits one state of
 each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
 report_text writes a report through exact.json_text, each value's text
-from exact.value_text.
+read from the Profile.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache, wraps
 from math import comb, lcm, prod
 
 from .exact import Value, _Text, inv_sqrt_sum, json_text, normalize, value_text
@@ -63,6 +68,13 @@ INDEX_NAMES = (
 #: 648,869) is kept and Gamma_17 (1,463,972) is refused; P of Gamma_20 has
 #: about 1.3e7 bits.
 _MAX_PRODUCT_BITS = 2**20
+
+#: shape_profile keeps the Profile, with its values and texts, of this many
+#: exponent shapes, the least recently used dropped first.  With all fourteen
+#: a shape holds 0.1 MB on Gamma_12, 1.8 MB on Gamma_16 and 11 MB on
+#: (5, 3, 3, 2, 2, 1, 1), whose 19,508 degree pairs give megabytes of Randic
+#: and Balaban terms, so at most about 350 MB in all; cli-mix reads 15 shapes.
+_MAX_PROFILES = 32
 
 
 def _exponent_pairs(e: int) -> list[tuple[int, int, int, int]]:
@@ -132,7 +144,10 @@ def lattice_counts(exponents: tuple[int, ...]) -> tuple[Counter, Counter]:
 
 class Profile:
     """Order, size, degree counts, (deg u, deg v) edge-pair counts and the
-    degree sum and product of one exponent lattice; every index reads only these."""
+    degree sum and product of one exponent lattice; every index reads only
+    these.  Each index's Value and its value_text are computed on first
+    request and kept (value, text); a refused value is not kept.  One Profile
+    serves every graph of its shape: read it, do not change it."""
 
     def __init__(self, exponents: tuple[int, ...]):
         self.degree_counts, self.pair_counts = lattice_counts(exponents)
@@ -142,6 +157,28 @@ class Profile:
         self.degree_sum = sum(d * c for d, c in self.degree_counts.items())
         self.zagreb1 = sum(d * d * c for d, c in self.degree_counts.items())
         self.zagreb2 = sum(a * b * c for (a, b), c in self.pair_counts.items())
+        self._values: dict[str, Value] = {}
+        self._texts: dict[str, str] = {}
+
+    def value(self, name: str) -> Value:
+        """The value of the index name on this lattice, computed once; threads
+        that both compute it keep and return the first one stored."""
+        if name not in self._values:
+            self._values.setdefault(name, _FORMULAS[name](self))
+        return self._values[name]
+
+    def text(self, name: str) -> str:
+        """exact.value_text of value(name), written once, as value() is."""
+        if name not in self._texts:
+            self._texts.setdefault(name, value_text(self.value(name)))
+        return self._texts[name]
+
+    def text_of(self, name: str, v: Value) -> str:
+        """value_text(v): text(name) when v is the value kept for name, so an
+        equal value from elsewhere is written again and nothing is computed."""
+        if name in self._values and self._values[name] is v:
+            return self.text(name)
+        return value_text(v)
 
     @cached_property
     def degree_product(self) -> int:
@@ -174,61 +211,86 @@ class Profile:
         return self.degree_sum - d + (self.degree_product // d if d else 1)
 
 
+@lru_cache(maxsize=_MAX_PROFILES)
+def shape_profile(shape: tuple[int, ...]) -> Profile:
+    """The Profile of an exponent shape, given as a sorted tuple ((1,) * k for
+    Gamma_k), shared by every caller in the process: the last _MAX_PROFILES
+    shapes are kept."""
+    return Profile(shape)
+
+
 def profile(g) -> Profile:
-    """The graph's Profile, computed from g.exponents on first use and cached
-    on the graph; a graph without exponents is refused."""
-    p = vars(g).get("_profile")
-    if p is None:
-        if getattr(g, "exponents", None) is None:
-            raise ValueError(f"the index profile needs the prime exponents of a divisor "
-                             f"lattice; {type(g).__name__} has none")
-        p = vars(g)["_profile"] = Profile(g.exponents)
-    return p
+    """shape_profile of g's sorted exponents, so every graph of one shape
+    reads one Profile; a graph without exponents is refused."""
+    exponents = getattr(g, "exponents", None)
+    if exponents is None:
+        raise ValueError(f"the index profile needs the prime exponents of a divisor "
+                         f"lattice; {type(g).__name__} has none")
+    return shape_profile(tuple(sorted(exponents)))
 
 
-def wiener(g) -> Value:
+#: Each index's formula(p) over a Profile, by name; filled by _index.
+_FORMULAS: dict = {}
+
+
+def _index(formula):
+    """Register formula(p) of a Profile under its name and return the index
+    itself: g -> the value of g's shape, computed once per shape."""
+    name = formula.__name__
+    _FORMULAS[name] = formula
+
+    @wraps(formula)
+    def index(g) -> Value:
+        return profile(g).value(name)
+
+    return index
+
+
+@_index
+def wiener(p: Profile) -> Value:
     """Sum of distances over unordered pairs: m + 2F."""
-    p = profile(g)
     return p.size + 2 * p.far_pairs
 
 
-def hyper_wiener(g) -> Value:
+@_index
+def hyper_wiener(p: Profile) -> Value:
     """Half the sum of d + d**2 over unordered pairs: m + 3F."""
-    p = profile(g)
     return p.size + 3 * p.far_pairs
 
 
-def harary(g) -> Value:
+@_index
+def harary(p: Profile) -> Value:
     """Sum of reciprocal distances over unordered pairs: m + F/2."""
-    p = profile(g)
     return normalize(Fraction(2 * p.size + p.far_pairs, 2))
 
 
-def zagreb1(g) -> Value:
+@_index
+def zagreb1(p: Profile) -> Value:
     """Sum of squared vertex degrees."""
-    return profile(g).zagreb1
+    return p.zagreb1
 
 
-def zagreb2(g) -> Value:
+@_index
+def zagreb2(p: Profile) -> Value:
     """Sum of degree products over edges."""
-    return profile(g).zagreb2
+    return p.zagreb2
 
 
-def degree_distance(g) -> Value:
+@_index
+def degree_distance(p: Profile) -> Value:
     """Sum over unordered pairs of (deg u + deg v) * d(u, v) = sum d_v * D_v."""
-    p = profile(g)
     return sum(d * p.transmission(d) * c for d, c in p.degree_counts.items())
 
 
-def gutman(g) -> Value:
+@_index
+def gutman(p: Profile) -> Value:
     """Sum over unordered pairs of deg u * deg v * d(u, v) = S**2 - M1 - M2."""
-    p = profile(g)
     return p.degree_sum**2 - p.zagreb1 - p.zagreb2
 
 
-def balaban(g) -> Value:
+@_index
+def balaban(p: Profile) -> Value:
     """m/(mu+1) times the edge sum of 1/sqrt(D_u * D_v), D = transmission."""
-    p = profile(g)
     if p.size == 0:
         return 0
     t = p.transmission(0)  # D_v = t - d_v
@@ -237,25 +299,27 @@ def balaban(g) -> Value:
     return inv_sqrt_sum(transmissions, p.size, mu + 1)
 
 
-def harmonic(g) -> Value:
+@_index
+def harmonic(p: Profile) -> Value:
     """Edge sum of 2/(deg u + deg v), added as integers over the lcm L of the
     distinct degree sums."""
     by_sum: Counter = Counter()
-    for (a, b), c in profile(g).pair_counts.items():
+    for (a, b), c in p.pair_counts.items():
         by_sum[a + b] += c
     L = lcm(*by_sum)
     return normalize(Fraction(2 * sum(c * (L // s) for s, c in by_sum.items()), L))
 
 
-def randic(g) -> Value:
+@_index
+def randic(p: Profile) -> Value:
     """Edge sum of 1/sqrt(deg u * deg v)."""
-    return inv_sqrt_sum(profile(g).pair_counts)
+    return inv_sqrt_sum(p.pair_counts)
 
 
-def r1(g) -> Value:
+@_index
+def r1(p: Profile) -> Value:
     """Vertex sum of r(v)**2 = sum c*a**2 + 2Q * sum c*a*u + Q**2 * sum c*u**2,
     with a = S - d and u = L/d (Profile.r_quadratic)."""
-    p = profile(g)
     if p.order == 1:
         return 1  # r = 1 on the single vertex
     L, Q, QQ = p.r_quadratic
@@ -269,10 +333,10 @@ def r1(g) -> Value:
     return c0 + 2 * c1 * Q + c2 * QQ
 
 
-def r2(g) -> Value:
+@_index
+def r2(p: Profile) -> Value:
     """Edge sum of r(u) * r(v), over the edge classes {(x, y): c}:
     sum c*a_x*a_y + Q * sum c*(a_x*u_y + a_y*u_x) + Q**2 * sum c*u_x*u_y."""
-    p = profile(g)
     if p.order == 1:
         return 0
     L, Q, QQ = p.r_quadratic
@@ -286,15 +350,16 @@ def r2(g) -> Value:
     return c0 + c1 * Q + c2 * QQ
 
 
-def r3(g) -> Value:
+@_index
+def r3(p: Profile) -> Value:
     """Edge sum of r(u) + r(v) = vertex sum of deg v * r(v) = S**2 - M1 + V*P."""
-    p = profile(g)
     return p.degree_sum**2 - p.zagreb1 + p.order * p.degree_product
 
 
-def mostar(g) -> Value:
+@_index
+def mostar(p: Profile) -> Value:
     """Edge sum of |n_u - n_v| (closer-vertex counts) = edge sum of |d_u - d_v|."""
-    return sum((b - a) * c for (a, b), c in profile(g).pair_counts.items())
+    return sum((b - a) * c for (a, b), c in p.pair_counts.items())
 
 
 _DISPATCH = {name: globals()[name] for name in INDEX_NAMES}
@@ -328,6 +393,7 @@ def compute_indices(g, names=None) -> dict[str, Value]:
 def report_text(g, values: dict[str, Value]) -> str:
     """The IndexReport JSON document {"graph": g.descriptor(), "indices":
     {name: value, ...}}, written by exact.json_text with each value's
-    exact.value_text spliced in."""
+    exact.value_text spliced in, read from g's Profile when it holds that value."""
+    p = profile(g)
     return json_text({"graph": g.descriptor(),
-                      "indices": {name: _Text(value_text(v)) for name, v in values.items()}})
+                      "indices": {name: _Text(p.text_of(name, v)) for name, v in values.items()}})

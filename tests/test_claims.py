@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from graphlab import claims, indices
 from graphlab.claims import (
     MATCH,
     MISMATCH,
@@ -151,6 +152,23 @@ def test_json_round_trip():
     doc = render_report(reports, "json")
     assert parse_report(doc) == reports
     assert render_report(reports, "json") == doc
+
+
+def test_repeated_reports_write_no_value_again(monkeypatch):
+    """Once a report has been written, the claimed texts kept beside the
+    registry and the oracle texts kept by the shape memo write the next one;
+    a report read back, whose claims are not the registry's, is written
+    from its values to the same bytes."""
+    doc = render_report(run_all(), "json")
+
+    def refuse(v):
+        raise AssertionError("a value's text was written again")
+
+    monkeypatch.setattr(claims, "value_text", refuse)
+    monkeypatch.setattr(indices, "value_text", refuse)
+    assert render_report(run_all(), "json") == doc
+    monkeypatch.undo()
+    assert render_report(parse_report(doc), "json") == doc
 
 
 def test_parse_report_refuses_malformed_radicals():

@@ -324,6 +324,7 @@ def test_r_indices_refuse_a_degree_product_above_the_budget(capsys, monkeypatch)
     def refuse(*args):
         raise AssertionError("the degree product was formed")
 
+    indices.shape_profile.cache_clear()
     monkeypatch.setattr(indices, "prod", refuse)
     for k in ("17", "20"):
         start = time.perf_counter()

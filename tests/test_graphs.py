@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from graphlab import graphs, metric
+from graphlab import graphs, indices, metric
 from graphlab.exact import _int_str
 from graphlab.formulas import verification_lines
 from graphlab.graphs import build_gamma, build_general
@@ -419,6 +419,16 @@ def test_size_is_closed_form():
         assert not {"vectors", "_codes", "_degrees", "_multiples"} & vars(h).keys()
 
 
+def test_json_and_dot_exports_build_only_the_up_lists():
+    """The JSON and DOT exports and multiples() read the multiples alone, so
+    no list of divisors is built for them; listing() builds both."""
+    for g in (build_gamma(6), build_gamma(4, PRIMES[:4]), build_general(5040), build_general(1)):
+        assert "".join(g.json_rows()) and g.to_dot() and g.multiples() is not None
+        assert "_up" in vars(g) and "_down" not in vars(g), g
+        up, down = g.listing()
+        assert up is vars(g)["_up"] and down is vars(g)["_down"], g
+
+
 def test_exports_and_verify_read_no_vectors(monkeypatch):
     """The exports and verify read the codes and the listing: no exponent
     vector, pair scan or neighbour list.  The CSV export and verify also
@@ -429,6 +439,7 @@ def test_exports_and_verify_read_no_vectors(monkeypatch):
     def fresh():
         return build_gamma(8), build_gamma(6, PRIMES[:6]), build_general(5040), build_general(1)
 
+    indices.shape_profile.cache_clear()  # verify's index values are computed here
     monkeypatch.setattr(graphs.DivisorGraph, "vectors", property(refuse))
     for name in ("adjacent", "edges", "neighbors"):
         monkeypatch.setattr(graphs.DivisorGraph, name, refuse)

@@ -9,6 +9,8 @@ before the engine existed, and are frozen here.
 
 import json
 import random
+import sys
+from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, isqrt, prod
@@ -16,7 +18,7 @@ from math import comb, gcd, isqrt, prod
 import pytest
 
 from graphlab import graphs, indices, metric
-from graphlab.exact import RadicalSum, inv_sqrt, inv_sqrt_sum, normalize
+from graphlab.exact import RadicalSum, inv_sqrt, inv_sqrt_sum, normalize, value_text
 from graphlab.formulas import (
     degree_formula,
     harary_formula,
@@ -353,6 +355,7 @@ def test_randic_balaban_store_reduced_int_pairs(monkeypatch):
     """randic and balaban hold each coefficient as an int pair in lowest terms
     (den > 0, num != 0), equal to the enumeration oracle, and make no Fraction
     on the way to an irrational value."""
+    indices.shape_profile.cache_clear()  # each shape's values computed here, under the count
     graphs = [build_gamma(k) for k in range(8)] + [build_general(n) for n in range(1, 601)]
     for g in graphs:
         want = reference_indices(g)
@@ -456,6 +459,7 @@ def test_lattice_counts_places_exponent_one_primes_in_closed_form(monkeypatch):
 
     want = {shape: pair_scan_counts(shape) for shape in ((3, 1, 2, 1, 1), (1, 1, 4, 1), (2, 2, 1))}
     want[(1,) * 100] = gamma_counts(100)
+    indices.shape_profile.cache_clear()
     monkeypatch.setattr(indices, "_exponent_pairs", refuse_one)
     for shape, counts in want.items():
         assert lattice_counts(shape) == counts, shape
@@ -491,6 +495,7 @@ def test_indices_list_no_edges(monkeypatch):
     def refuse(*args):
         raise AssertionError("edges, degrees or vectors listed at run time")
 
+    indices.shape_profile.cache_clear()  # so every profile is built under the refusals
     monkeypatch.setattr(graphs.DivisorGraph, "edges", refuse)
     monkeypatch.setattr(graphs.DivisorGraph, "adjacent", refuse)
     monkeypatch.setattr(graphs.DivisorGraph, "degrees", refuse)
@@ -522,6 +527,7 @@ def test_indices_run_no_breadth_first_search(monkeypatch):
     def refuse(*args):
         raise AssertionError("distance rows requested at run time")
 
+    indices.shape_profile.cache_clear()
     monkeypatch.setattr(metric, "distance_rows", refuse)
     for g in (build_gamma(5), build_general(5040)):
         assert list(compute_indices(g)) == list(INDEX_NAMES)
@@ -551,3 +557,99 @@ def test_inv_sqrt_sum_equals_term_by_term_sum():
         got = inv_sqrt_sum(pairs, num, den)
         assert RadicalSum.from_value(got).terms == want
         assert got == normalize(RadicalSum(dict(want)))
+
+
+def test_one_profile_per_exponent_shape():
+    """Graphs of one exponent multiset share one Profile, whatever their primes
+    or the order of their exponents; other shapes get another."""
+    gamma3 = profile(build_gamma(3))
+    for g in (build_gamma(3, (2, 3, 5)), build_general(30), build_general(1001)):
+        assert profile(g) is gamma3, g
+    assert profile(build_general(12)) is profile(build_general(18)) is not gamma3
+    assert indices.shape_profile((1, 1, 1)) is gamma3
+
+
+def test_cold_and_warm_values_equal_the_definitions():
+    """Each value computed on an empty memo, and read again from it, equals
+    the enumeration oracle; so do the texts report_text writes."""
+    for g in [build_gamma(k) for k in range(11)] + [build_general(n) for n in range(1, 400)]:
+        want = {name: value_to_json(v) for name, v in reference_indices(g).items()}
+        indices.shape_profile.cache_clear()
+        cold = compute_indices(g)
+        warm = compute_indices(g)
+        assert all(warm[name] is cold[name] for name in INDEX_NAMES), g
+        for values in (cold, warm):
+            assert {name: value_to_json(v) for name, v in values.items()} == want, g
+            assert json.loads(report_text(g, values))["indices"] == want, g
+    # A value the memo does not hold is written from itself, under any name.
+    compute_indices(G3)
+    other = {"wiener": -1, "randic": compute_index(G4, "randic")}
+    assert json.loads(report_text(G3, other))["indices"] == {
+        name: value_to_json(v) for name, v in other.items()}
+
+
+def test_threads_share_the_memo():
+    """Eight threads on two cores, switching every microsecond, compute and
+    write the indices of graphs of shared shapes, each in its own order, on an
+    empty memo: every report equals the one written on one thread, and every
+    text kept is the text of the value kept beside it."""
+    sample = [build_gamma(k) for k in range(7)] + [build_general(n) for n in range(1, 200)]
+    want = [report_text(g, compute_indices(g)) for g in sample]
+
+    def work(seed):
+        order = random.Random(seed).sample(range(len(sample)), len(sample))
+        return {i: report_text(sample[i], compute_indices(sample[i])) for i in order}
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        indices.shape_profile.cache_clear()
+        with ThreadPoolExecutor(8) as pool:
+            runs = [f.result(timeout=120) for f in [pool.submit(work, seed) for seed in range(8)]]
+    finally:
+        sys.setswitchinterval(interval)
+    for run in runs:
+        assert [run[i] for i in range(len(sample))] == want
+    for g in sample:
+        p = profile(g)
+        assert all(p.text(name) == value_text(p.value(name)) for name in p._texts), g
+
+
+def test_refused_r_values_are_refused_on_every_call_and_not_kept():
+    g = build_gamma(17)
+    p = profile(g)
+    for _ in range(2):
+        for name in ("r1", "r2", "r3"):
+            with pytest.raises(ValueError, match="above the budget of 1048576 bits"):
+                compute_index(g, name)
+            with pytest.raises(ValueError, match="above the budget of 1048576 bits"):
+                p.text(name)
+    assert not {"r1", "r2", "r3"} & (p._values.keys() | p._texts.keys())
+    assert not {"degree_product", "r_quadratic"} & vars(p).keys()
+    assert compute_index(g, "wiener") == wiener_formula(17)
+
+
+def test_profile_without_exponents_is_refused_by_name():
+    with pytest.raises(ValueError) as refused:
+        profile(Path3())
+    assert str(refused.value) == ("the index profile needs the prime exponents of a divisor "
+                                  "lattice; Path3 has none")
+
+
+def test_the_memo_keeps_a_fixed_number_of_shapes():
+    """shape_profile keeps _MAX_PROFILES shapes and drops the least recently
+    used one first."""
+    assert indices._MAX_PROFILES == 32
+    assert indices.shape_profile.cache_info().maxsize == indices._MAX_PROFILES
+    indices.shape_profile.cache_clear()
+    first = profile(build_general(2))
+    for e in range(2, indices._MAX_PROFILES + 1):
+        profile(build_general(2**e))
+    assert indices.shape_profile.cache_info().currsize == indices._MAX_PROFILES
+    assert profile(build_general(3)) is first  # kept, and now the most recent
+    profile(build_general(2**(indices._MAX_PROFILES + 1)))  # drops (2,), the least recently used
+    assert indices.shape_profile.cache_info().currsize == indices._MAX_PROFILES
+    assert profile(build_general(3)) is first
+    misses = indices.shape_profile.cache_info().misses
+    profile(build_general(4))
+    assert indices.shape_profile.cache_info().misses == misses + 1
