@@ -247,7 +247,7 @@ def _report_entry(r: ClaimReport) -> dict:
     elif r.oracle is None:
         oracle = None
     else:  # the text kept in Gamma_k's shape memo, when r.oracle is the value kept there
-        oracle = _Text(indices.shape_profile((1,) * claim.k).text_of(claim.index, r.oracle))
+        oracle = indices.shape_profile((1,) * claim.k).text_of(claim.index, r.oracle)
     entry = {
         "id": r.claim.id,
         "k": r.claim.k,

@@ -19,7 +19,11 @@ value written by exact.value_text.  The graph exports are streams of row
 texts (DivisorGraph.json_rows and dot_rows, metric.csv_rows), written to
 stdout with writelines as they are made, so no whole document is held.  The
 claims and formulas modules are imported by the subcommands that use them,
-so the other subcommands start without them.
+so the other subcommands start without them.  main hands argv[1:] to the
+parser of the subcommand argv[0] names (parse_known_args), which is all the
+top-level parser would do with it; with no subcommand, --help, an unknown
+name or arguments left over it falls back to the full parser, so every usage
+error keeps argparse's message and exit code 2.
 """
 
 from __future__ import annotations
@@ -114,7 +118,8 @@ def cmd_claims(args: argparse.Namespace) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
-    main() call in the process (parse_args leaves it unchanged)."""
+    main() call in the process (parse_args leaves it unchanged); its
+    subcommands attribute maps each subcommand to its own parser."""
     parser = argparse.ArgumentParser(
         prog="graphlab",
         description="Exact divisor-function graphs and topological indices.",
@@ -159,12 +164,28 @@ def build_parser() -> argparse.ArgumentParser:
 
     for p in sub.choices.values():  # type=int reads integers of any length
         p.register("type", int, _int_from_str)
+    parser.subcommands = sub.choices
     return parser
 
 
-def main(argv: list[str] | None = None) -> int:
+def _parse(argv: list[str]) -> argparse.Namespace:
+    """build_parser().parse_args(argv), read by the subcommand's own parser
+    when argv[0] names one and it leaves no argument over: the top-level
+    parser would hand it argv[1:] and add only the command.  Anything else
+    (no subcommand, --help, an unknown name, stray arguments) goes to the
+    full parser, so every usage error keeps its message and exit code 2."""
     parser = build_parser()
-    args = parser.parse_args(argv)
+    command = parser.subcommands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _parse(sys.argv[1:] if argv is None else argv)
     try:
         return args.func(args)
     except ValueError as e:

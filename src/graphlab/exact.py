@@ -18,8 +18,10 @@ int.__repr__, above that by a binary split into exact Decimal arithmetic,
 and they are parsed by the reverse split into leaves of at most 600 digits
 read by int(); both are subquadratic.  value_text writes each value's JSON
 text; json_text writes every JSON report the package prints, and the head
-of a graph export, with those texts spliced in as _Text.  factorize trial-
-divides a wide cofactor by blocks of odd divisors, one gcd per block.
+of a graph export, with those texts spliced in as _Text.  A _Text records
+the indent it was written at and is spliced verbatim where it sits at that
+indent, re-indented by one replace elsewhere.  factorize trial-divides a
+wide cofactor by blocks of odd divisors, one gcd per block.
 """
 
 from __future__ import annotations
@@ -604,23 +606,34 @@ _quote = json.encoder.encode_basestring_ascii  # the stdlib's C string quoting
 
 
 class _Text(str):
-    """JSON text already encoded, at indent 0 (value_text's output): a leaf
-    json_text writes as it is, its newlines indented to where it sits."""
+    """JSON text already encoded, each newline followed by pad, a newline and
+    an indent ("\n" for value_text's output, at indent 0): a leaf json_text
+    writes as it is where it sits at pad, and re-indents by one replace
+    elsewhere.  at() makes one at another pad; a str subclass takes no
+    non-empty __slots__, so that pad is an instance attribute."""
 
-    __slots__ = ()
+    pad = "\n"
+
+    @classmethod
+    def at(cls, text: str, pad: str) -> _Text:
+        """text, written at indent 0, as a leaf indented to sit at pad."""
+        leaf = cls(text.replace("\n", pad))
+        leaf.pad = pad
+        return leaf
 
 
 def _encoded(values, pad: str) -> list[str]:
     """json.dumps(v, indent=2) of each v in values, nested at pad (a newline
-    and the indent of the enclosing line), each _Text as the JSON it holds.
-    Strings and ints, the bulk of every document, are written inline (ints
-    past _REPR_BITS bits by _int_str), and each container is one join.  A
-    list whose items are all str or all int is one map (_column)."""
+    and the indent of the enclosing line), each _Text as the JSON it holds,
+    unchanged when its pad is this one.  Strings and ints, the bulk of every
+    document, are written inline (ints past _REPR_BITS bits by _int_str), and
+    each container is one join.  A list whose items are all str or all int is
+    one map (_column)."""
     inner = pad + "  "
     out = []
     for v in values:
         if type(v) is _Text:
-            out.append(v.replace("\n", pad))
+            out.append(v if v.pad == pad else v.replace(v.pad, pad))
         elif isinstance(v, str):
             out.append(_quote(v))
         elif isinstance(v, int) and not isinstance(v, bool):

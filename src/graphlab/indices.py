@@ -20,7 +20,7 @@ A divisor graph is fixed up to isomorphism by the multiset of its prime
 exponents, so every index is a function of that shape alone: profile(g) is
 one lookup in shape_profile, an lru_cache of the last _MAX_PROFILES shapes,
 and the Profile keeps each index's value and its exact.value_text once
-asked for.  Graphs, listings and labels stay on each graph.  The profile
+asked for, the text already indented to where report_text splices it.  Graphs, listings and labels stay on each graph.  The profile
 lists no vertex or edge:
 lattice_counts counts divisor pairs a | b by (tau(a), tau(n/a), tau(b),
 tau(n/b)), which fixes both degrees.  The exponent-1 primes give their states
@@ -33,7 +33,8 @@ degree pair unchanged; the last prime's fold therefore visits one state of
 each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
 report_text writes a report through exact.json_text, each value's text
-read from the Profile.
+read from the Profile and spliced as it is; compute_indices reads every
+value from one lookup of the Profile.
 """
 
 from __future__ import annotations
@@ -75,6 +76,10 @@ _MAX_PRODUCT_BITS = 2**20
 #: (5, 3, 3, 2, 2, 1, 1), whose 19,508 degree pairs give megabytes of Randic
 #: and Balaban terms, so at most about 350 MB in all; cli-mix reads 15 shapes.
 _MAX_PROFILES = 32
+
+#: The newline and indent at which report_text splices each value, in
+#: {"indices": {name: value}}; Profile keeps its texts indented to sit there.
+_REPORT_PAD = "\n    "
 
 
 def _exponent_pairs(e: int) -> list[tuple[int, int, int, int]]:
@@ -158,7 +163,7 @@ class Profile:
         self.zagreb1 = sum(d * d * c for d, c in self.degree_counts.items())
         self.zagreb2 = sum(a * b * c for (a, b), c in self.pair_counts.items())
         self._values: dict[str, Value] = {}
-        self._texts: dict[str, str] = {}
+        self._texts: dict[str, _Text] = {}
 
     def value(self, name: str) -> Value:
         """The value of the index name on this lattice, computed once; threads
@@ -167,18 +172,20 @@ class Profile:
             self._values.setdefault(name, _FORMULAS[name](self))
         return self._values[name]
 
-    def text(self, name: str) -> str:
-        """exact.value_text of value(name), written once, as value() is."""
+    def text(self, name: str) -> _Text:
+        """exact.value_text of value(name) at _REPORT_PAD, written once, as
+        value() is."""
         if name not in self._texts:
-            self._texts.setdefault(name, value_text(self.value(name)))
+            self._texts.setdefault(name, _Text.at(value_text(self.value(name)), _REPORT_PAD))
         return self._texts[name]
 
-    def text_of(self, name: str, v: Value) -> str:
-        """value_text(v): text(name) when v is the value kept for name, so an
-        equal value from elsewhere is written again and nothing is computed."""
+    def text_of(self, name: str, v: Value) -> _Text:
+        """value_text(v) at _REPORT_PAD: text(name) when v is the value kept for
+        name, so an equal value from elsewhere is written again and nothing is
+        computed."""
         if name in self._values and self._values[name] is v:
             return self.text(name)
-        return value_text(v)
+        return _Text.at(value_text(v), _REPORT_PAD)
 
     @cached_property
     def degree_product(self) -> int:
@@ -380,20 +387,24 @@ def compute_index(g, name: str) -> Value:
 
 
 def compute_indices(g, names=None) -> dict[str, Value]:
-    """Selected indices (default all) in canonical report order."""
+    """Selected indices (default all) in canonical report order, read from
+    one lookup of g's Profile."""
     if names is None:
         names = INDEX_NAMES
     else:
         for n in names:
             _index_function(n)
-        names = [n for n in INDEX_NAMES if n in set(names)]
-    return {n: _DISPATCH[n](g) for n in names}
+        chosen = set(names)
+        names = [n for n in INDEX_NAMES if n in chosen]
+    p = profile(g)
+    return {n: p.value(n) for n in names}
 
 
 def report_text(g, values: dict[str, Value]) -> str:
     """The IndexReport JSON document {"graph": g.descriptor(), "indices":
     {name: value, ...}}, written by exact.json_text with each value's
-    exact.value_text spliced in, read from g's Profile when it holds that value."""
+    exact.value_text spliced in as it is, read from g's Profile when it holds
+    that value."""
     p = profile(g)
     return json_text({"graph": g.descriptor(),
-                      "indices": {name: _Text(p.text_of(name, v)) for name, v in values.items()}})
+                      "indices": {name: p.text_of(name, v) for name, v in values.items()}})

@@ -407,6 +407,88 @@ def test_usage_errors_exit_two(capsys):
     assert e.value.code == 2
 
 
+def _full_parser_main(argv):
+    """main as it runs when every argv goes through the top-level parser."""
+    args = cli.build_parser().parse_args(argv)
+    try:
+        return args.func(args)
+    except ValueError as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 2
+
+
+def _outcome(capsys, call, argv):
+    """(exit code, stdout, stderr) of call(argv); a SystemExit gives its code."""
+    try:
+        code = call(list(argv))
+    except SystemExit as e:
+        code = ("SystemExit", e.code)
+    out = capsys.readouterr()
+    return code, out.out, out.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["gamma"],  # missing --k
+    ["indices"],  # missing --k or --n
+    ["indices", "--k", "3", "--n", "6"],  # mutually exclusive
+    ["indices", "--k", "3", "--bogus"],
+    ["indices", "--bogus", "--k", "3", "--n", "6"],
+    ["verify", "--k-max", "2", "extra"],
+    ["no-such-command"],
+    [],
+    ["--help"],
+    ["-h", "indices"],
+    ["indices", "--k", "3", "--format", "xml"],  # invalid choice
+    ["claims", "--k", "7"],
+    ["gamma", "--k", "x"],
+    ["indices", "--help"],
+    ["indices", "--k", "3", "--index", "randic,harmonic", "--format", "table"],
+    ["indices", "--n", "12", "--primes", "2,3"],  # ValueError, exit 2
+    ["indices", "--k", "2", "--", "--n"],
+    ["gamma", "--k", "2", "--emit", "dot"],
+    ["divisor-graph", "--n=12", "--emit", "csv"],
+    ["verify", "--k-max", "3"],
+    ["claims", "--k", "3", "--format", "markdown", "--strict"],
+])
+def test_direct_parse_matches_the_full_parser(capsys, argv):
+    """main hands argv[1:] to the subcommand's own parser; exit codes,
+    stdout and stderr are those of the top-level parser on every argv, and
+    an accepted argv gives the same namespace."""
+    direct = _outcome(capsys, main, argv)
+    assert direct == _outcome(capsys, _full_parser_main, argv)
+    try:
+        want = cli.build_parser().parse_args(argv)
+    except SystemExit:
+        capsys.readouterr()
+        return
+    assert cli._parse(argv) == want
+    assert capsys.readouterr().err == ""
+
+
+def test_unrecognized_arguments_are_named_by_the_top_level_parser(capsys):
+    with pytest.raises(SystemExit) as e:
+        main(["indices", "--k", "3", "--bogus"])
+    assert e.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: graphlab [-h]")
+    assert err.endswith("graphlab: error: unrecognized arguments: --bogus\n")
+
+
+def test_accepted_argv_skips_the_top_level_parser(capsys, monkeypatch):
+    """A request naming a subcommand, with nothing left over, is read by that
+    subcommand's parser alone; main(None) reads sys.argv[1:]."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("top-level parser used")
+
+    want = run_cli(capsys, "indices", "--k", "3", "--format", "table")
+    monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
+    monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
+    assert run_cli(capsys, "indices", "--k", "3", "--format", "table") == want
+    monkeypatch.setattr(sys, "argv", ["graphlab", "indices", "--k", "3", "--format", "table"])
+    code = main()
+    assert (code, *capsys.readouterr()) == want
+
+
 def cli_digest(argv):
     """[exit code, sha256 of stdout] of one in-process main(argv) call; an
     argparse usage error counts with its SystemExit code."""

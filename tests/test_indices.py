@@ -17,7 +17,7 @@ from math import comb, gcd, isqrt, prod
 
 import pytest
 
-from graphlab import graphs, indices, metric
+from graphlab import exact, graphs, indices, metric
 from graphlab.exact import RadicalSum, inv_sqrt, inv_sqrt_sum, normalize, value_text
 from graphlab.formulas import (
     degree_formula,
@@ -588,6 +588,27 @@ def test_cold_and_warm_values_equal_the_definitions():
         name: value_to_json(v) for name, v in other.items()}
 
 
+def test_repeated_reports_splice_the_kept_texts(monkeypatch):
+    """Once a shape's report has been written, the next report of that shape
+    splices each kept text as it is: no value is written again and no text is
+    re-indented; every report is json.dumps of its reference document."""
+    sample = [build_gamma(k) for k in range(7)] + [build_gamma(3, (101, 103, 107))]
+    sample += [build_general(n) for n in (1, 12, 360, 5040, 21621600)]
+    requests = [(g, compute_indices(g, names)) for g in sample
+                for names in (None, ["randic", "balaban", "mostar"], ["r1"])]
+    want = [report_text(g, values) for g, values in requests]
+
+    def refuse(*args):
+        raise AssertionError("a kept text was written or re-indented again")
+
+    monkeypatch.setattr(exact._Text, "replace", refuse)
+    monkeypatch.setattr(indices, "value_text", refuse)
+    assert [report_text(g, values) for g, values in requests] == want
+    monkeypatch.undo()
+    for (g, values), text in zip(requests, want):
+        assert text == json.dumps(report_dict(g, values), indent=2) + "\n", g
+
+
 def test_threads_share_the_memo():
     """Eight threads on two cores, switching every microsecond, compute and
     write the indices of graphs of shared shapes, each in its own order, on an
@@ -612,7 +633,8 @@ def test_threads_share_the_memo():
         assert [run[i] for i in range(len(sample))] == want
     for g in sample:
         p = profile(g)
-        assert all(p.text(name) == value_text(p.value(name)) for name in p._texts), g
+        assert all(p.text(name) == value_text(p.value(name)).replace("\n", "\n    ")
+                   for name in p._texts), g
 
 
 def test_refused_r_values_are_refused_on_every_call_and_not_kept():

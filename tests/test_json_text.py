@@ -184,6 +184,35 @@ def test_text_leaves():
             assert exact.json_text(with_text_leaves(rng, doc)) == json.dumps(doc, indent=2) + "\n"
 
 
+def at_any_pad(rng, doc):
+    """doc with each exact._Text leaf made again by _Text.at, at a pad that is
+    sometimes the one where it sits and sometimes not."""
+    if type(doc) is exact._Text:
+        return exact._Text.at(doc, rng.choice(("\n", "\n  ", "\n    ", "\n      ")))
+    if isinstance(doc, dict):
+        return {k: at_any_pad(rng, v) for k, v in doc.items()}
+    if isinstance(doc, (list, tuple)):
+        return type(doc)(at_any_pad(rng, v) for v in doc)
+    return doc
+
+
+def test_text_leaves_at_any_pad():
+    """A _Text made at the pad where it sits is written as it is, one made at
+    another pad is re-indented to where it sits: either way the bytes are
+    json.dumps of the documents the leaves hold."""
+    v = indices.randic(build_gamma(4))
+    leaf = exact._Text.at(exact.value_text(v), "\n    ")
+    assert exact._encoded([leaf], "\n    ")[0] is leaf
+    for shape in (lambda x: {"a": {"b": x}}, lambda x: {"a": {"b": {"c": x}}},
+                  lambda x: [x, [x]], lambda x: x):
+        assert exact.json_text(shape(leaf)) == json.dumps(shape(value_to_json(v)), indent=2) + "\n"
+    rng = random.Random(29)
+    for _ in range(1000):
+        for doc in (random_tree(rng, 5), random_records(rng), {"r": [random_records(rng)]}):
+            leaves = at_any_pad(rng, with_text_leaves(rng, doc))
+            assert exact.json_text(leaves) == json.dumps(doc, indent=2) + "\n"
+
+
 #: Record keys: format directives and quotes, which a writer that formats
 #: keys into a template would have to escape, next to plain and non-ASCII names.
 RECORD_KEYS = ("num", "%", "%%", "%s", "%d%", '"q"', "ß☃", "", "a\\b", "\U0001f600")
