@@ -148,10 +148,18 @@ def test_unevaluable_path():
 
 
 def test_json_round_trip():
+    """The JSON report reads back and writes again byte for byte.  Its oracle
+    texts come from the shape memo, indented for an index report, and sit
+    two levels deeper here, re-indented."""
     reports = run_all()
     doc = render_report(reports, "json")
     assert parse_report(doc) == reports
     assert render_report(reports, "json") == doc
+    kept = [indices.shape_profile((1,) * r.claim.k).text_of(r.claim.index, r.oracle)
+            for r in reports if r.oracle is not None]
+    assert kept and {leaf.pad for leaf in kept} == {"\n    "}
+    assert all(leaf.replace(leaf.pad, "\n      ") in doc for leaf in kept)
+    assert render_report(parse_report(doc), "json") == doc
 
 
 def test_repeated_reports_write_no_value_again(monkeypatch):
@@ -169,22 +177,6 @@ def test_repeated_reports_write_no_value_again(monkeypatch):
     assert render_report(run_all(), "json") == doc
     monkeypatch.undo()
     assert render_report(parse_report(doc), "json") == doc
-
-
-def test_oracle_texts_kept_for_index_reports_round_trip():
-    """The oracle texts come from the shape memo indented for an index report;
-    a claims report, which splices them two levels deeper, re-indents them
-    and still reads back and writes again byte for byte."""
-    reports = run_all()
-    doc = render_report(reports, "json")
-    kept = [indices.shape_profile((1,) * r.claim.k).text_of(r.claim.index, r.oracle)
-            for r in reports if r.oracle is not None]
-    assert kept and {leaf.pad for leaf in kept} == {"\n    "}
-    assert all(leaf.replace(leaf.pad, "\n      ") in doc for leaf in kept)
-    again = parse_report(doc)
-    assert again == reports
-    assert render_report(again, "json") == doc
-    assert render_report(run_all(), "json") == doc
 
 
 def test_parse_report_refuses_malformed_radicals():
