@@ -1,16 +1,14 @@
 """Exact divisor-function graphs, topological indices, and claim verification."""
 
-from .exact import RadicalSum, Value, inv_sqrt, normalize, sqf_decompose, to_decimal
+from .exact import RadicalSum, Value, normalize, sqf_decompose, to_decimal
 from .graphs import DivisorGraph, build_gamma, build_general
 from .indices import INDEX_NAMES, compute_index, compute_indices
-from .metric import DistanceMatrix, distance_matrix, diameter, transmissions
 
 __version__ = "0.1.0"
 
 __all__ = [
     "RadicalSum",
     "Value",
-    "inv_sqrt",
     "normalize",
     "sqf_decompose",
     "to_decimal",
@@ -20,9 +18,5 @@ __all__ = [
     "INDEX_NAMES",
     "compute_index",
     "compute_indices",
-    "DistanceMatrix",
-    "distance_matrix",
-    "diameter",
-    "transmissions",
     "__version__",
 ]

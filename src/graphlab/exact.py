@@ -386,15 +386,6 @@ def _ratio_str(num: int, den: int) -> str:
     return _int_str(num) if den == 1 else f"{_int_str(num)}/{_int_str(den)}"
 
 
-def inv_sqrt(q: Fraction | int) -> RadicalSum:
-    """1/sqrt(q) for rational q > 0, rationalized: sqrt(ab)/a for q = a/b."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError(f"expected a positive rational, got {q}")
-    a, b = q.numerator, q.denominator
-    return RadicalSum({a * b: Fraction(1, a)})
-
-
 def inv_sqrt_sum(pairs: Mapping[tuple[int, int], int], num: int = 1, den: int = 1) -> Value:
     """num/den (ints, den > 0) times the sum of c/sqrt(x*y) over pairs
     {(x, y): c}: the edge sums of Randic and Balaban.  Each distinct factor

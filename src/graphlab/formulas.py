@@ -1,7 +1,8 @@
 """Closed forms for Gamma_k: order, degrees, size, and four distance indices.
 
-They are verified against edge enumeration and the index engine by
-verification_lines (the verify subcommand) and the test suite.  The
+They are verified against edge enumeration and the index engine, whose
+values verification_lines (the verify subcommand) reads through
+indices.compute_index, and by the test suite.  The
 enumeration is the graph's unsorted two-way listing: the size is the sum of
 the lengths of the lists of multiples less V, and each degree the lengths of
 a vertex's lists of multiples and divisors less 2, so no row is sorted,
@@ -123,10 +124,10 @@ def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
                 tuple(count_by_omega(k, j) for j in range(k + 1)),
                 tuple(map(Counter(g.omegas).__getitem__, range(k + 1))),
             ),
-            ("wiener", wiener_formula(k), indices.wiener(g)),
-            ("hyper_wiener", hyper_wiener_formula(k), indices.hyper_wiener(g)),
-            ("harary", harary_formula(k), indices.harary(g)),
-            ("zagreb1", zagreb1_formula(k), indices.zagreb1(g)),
+            ("wiener", wiener_formula(k), indices.compute_index(g, "wiener")),
+            ("hyper_wiener", hyper_wiener_formula(k), indices.compute_index(g, "hyper_wiener")),
+            ("harary", harary_formula(k), indices.compute_index(g, "harary")),
+            ("zagreb1", zagreb1_formula(k), indices.compute_index(g, "zagreb1")),
         ]
         for name, formula_value, oracle_value in checks:
             fv, ov = format_value(formula_value), format_value(oracle_value)  # tuples print by str()

@@ -25,26 +25,26 @@ below it (down: its divisors), every code of a digit at once by whole-slice
 extends.  Each direction is built on first use, so the JSON and DOT exports
 and multiples(), which read only up, build no down list.  Both lists stay
 unsorted: the CSV export marks them and verify counts them.  multiples() is
-each up list sorted, less the vertex itself,
-which sorts first; a divisor precedes its multiples in both orders, so the
-rows list the edges in lexicographic order.  The JSON and DOT exports stream
+each up list sorted, less the vertex itself, which sorts first, listed anew
+on each call; a divisor precedes its multiples in both orders, so the rows
+list the edges in lexicographic order.  The JSON and DOT exports stream
 their text row by row (json_rows, dot_rows), sorting each row as they write
 it, one piece per non-empty row written at the indent where it sits, with
 one string per vertex index and one join per row, and build no object per
-edge.  The exponent vectors (vectors, read by adjacent(), the pair scan) and
-neighbors() serve the README and the tests' oracles; no export and no verify
-line reads them.
+edge.  No exponent vector, pair scan or neighbour list is kept here: the
+tests' references (tests/index_definitions.py) decode them from the codes
+and the listing.
 
 Limits are constants no caller overrides: the builders refuse k above
 _MAX_GAMMA_K and n with more than _MAX_DIVISORS divisors, and the exports and
 verify call require_edge_budget before listing more than _MAX_LISTED_EDGES edges.
 
 A graph is immutable.  Only its exponents, primes and order are set at
-construction; codes, omegas, vectors, the up and down lists, rows of
-multiples and degrees are computed on first use and cached, which keeps them
-safe to share across threads.  So is the index profile, which is kept per
-exponent shape by indices.shape_profile, not on the graph: each value and
-text is stored once and only read after.
+construction; codes, omegas, the up and down lists and degrees are
+computed on first use and cached, which keeps them safe to share across
+threads.  So is the index profile, which is kept per exponent shape by
+indices.shape_profile, not on the graph: each value and text is stored
+once and only read after.
 """
 
 from __future__ import annotations
@@ -69,9 +69,11 @@ _MAX_DIVISORS = 4096
 #: quadruples the matrix, so the budget stops at Gamma_12.
 _MAX_LISTED_EDGES = 3**12 - 2**12
 #: build_gamma refuses larger k: `indices --k 100 --index wiener` takes about
-#: 0.08 s as a whole process (Python 3.11, 2-core host; mostly start-up), and
-#: the nine indices other than Balaban, Randic and R1-R3 about 0.4 s, most
-#: of it harmonic's lcm of the degree sums, which takes 1.8 s at k = 150.
+#: 0.07 s as a whole process (Python 3.11, 2-core host; mostly start-up), and
+#: the nine indices other than Balaban, Randic and R1-R3 about 0.18 s.  Past
+#: k = 100 harmonic grows fastest: its exact sum over the distinct degree
+#: sums takes 0.03 s in-process at k = 100, 0.23 s at k = 150 and 1.2 s at
+#: k = 200.
 _MAX_GAMMA_K = 100
 
 
@@ -104,22 +106,9 @@ class DivisorGraph:
         return values
 
     @cached_property
-    def vectors(self) -> tuple[tuple[int, ...], ...]:
-        """Exponent vectors in canonical order."""
-        vectors = [()]
-        for e in self.exponents:
-            vectors = [v + (a,) for a in range(e + 1) for v in vectors]
-        return tuple(map(vectors.__getitem__, self._codes))
-
-    @cached_property
     def divisors(self) -> tuple[int, ...]:
         """Divisor values in canonical order (needs the primes)."""
         return tuple(map(self._code_values.__getitem__, self._codes))
-
-    def adjacent(self, i: int, j: int) -> bool:
-        """Edge exactly when one divisor strictly divides the other."""
-        a, b = self.vectors[i], self.vectors[j]
-        return a != b and (all(map(int.__le__, a, b)) or all(map(int.__le__, b, a)))
 
     @cached_property
     def omegas(self) -> tuple[int, ...]:
@@ -130,10 +119,6 @@ class DivisorGraph:
         for e in self.exponents:
             column += [o + 1 for o in column] * e
         return tuple(map(column.__getitem__, self._codes))
-
-    def omega(self, i: int) -> int:
-        """Number of distinct prime factors of vertex i."""
-        return self.omegas[i]
 
     def _prime_names(self, names: list[str], sep: str) -> list[str]:
         """Per vertex in canonical order, sep.join of the names of the primes
@@ -209,18 +194,9 @@ class DivisorGraph:
         # A vertex precedes its multiples in the canonical order: drop it.
         return (sorted(row)[1:] for row in self._up)
 
-    @cached_property
-    def _multiples(self) -> tuple[tuple[int, ...], ...]:
-        return tuple(map(tuple, self._rows()))
-
     def multiples(self) -> tuple[tuple[int, ...], ...]:
         """Per vertex, its proper multiples in ascending order: row i holds the edges (i, j > i)."""
-        return self._multiples
-
-    def edges(self) -> tuple[tuple[int, int], ...]:
-        """Edges as (i, j) with i < j, in canonical (lexicographic) order:
-        the rows of multiples(), one pair per entry."""
-        return tuple(chain.from_iterable(map(zip, map(repeat, range(self.order)), self.multiples())))
+        return tuple(map(tuple, self._rows()))
 
     def size(self) -> int:
         """Comparable pairs a <= b per prime, less the pairs a == b: no edge is listed."""
@@ -238,11 +214,6 @@ class DivisorGraph:
     def degrees(self) -> tuple[int, ...]:
         """Degrees in canonical vertex order: tau(d) + tau(n/d) - 2."""
         return self._degrees
-
-    def neighbors(self, i: int) -> tuple[int, ...]:
-        """Vertex i's proper divisors, then its proper multiples, in ascending
-        order (a divisor precedes its multiples, so i sorts last in down)."""
-        return tuple(sorted(self.listing()[1][i])[:-1]) + self.multiples()[i]
 
     def json_rows(self) -> Iterator[str]:
         """The JSON export, json.dumps(doc, indent=2) plus a newline, in
@@ -291,10 +262,6 @@ class DivisorGraph:
             if row:
                 yield f"  {v} -- " + f";\n  {v} -- ".join(map(names.__getitem__, row)) + ";\n"
         yield "}\n"
-
-    def to_dot(self) -> str:
-        """The DOT export as one string."""
-        return "".join(self.dot_rows())
 
     def __repr__(self) -> str:
         fields = [f"{key}=[{', '.join(map(_int_str, value))}]" if isinstance(value, list)

@@ -14,14 +14,18 @@ summing to S, and F = C(V, 2) - m pairs at distance 2:
   a = S - d_v and u = L/d_v, so R1 and R2 are quadratics in Q with small
   coefficients, and R3 = sum d_v * r(v) = S**2 - M1 + V*P.
 
-Every index is thus exact arithmetic over a Profile; Randic and Balaban pass
-their edge-pair counts (Balaban's as transmissions) to exact.inv_sqrt_sum.
-A divisor graph is fixed up to isomorphism by the multiset of its prime
-exponents, so every index is a function of that shape alone: profile(g) is
-one lookup in shape_profile, an lru_cache of the last _MAX_PROFILES shapes,
-and the Profile keeps each index's value and its exact.value_text once
-asked for, the text already indented to where report_text splices it.  Graphs, listings and labels stay on each graph.  The profile
-lists no vertex or edge:
+Every index is thus a formula over a Profile, a module-level function of
+it (wiener(p), ..., mostar(p)), and _DISPATCH is the one registry of them by
+name.  Randic and Balaban pass their edge-pair counts (Balaban's as
+transmissions) to exact.inv_sqrt_sum.  A divisor graph is fixed up to
+isomorphism by the multiset of its prime exponents, so every index is a
+function of that shape alone: profile(g) is one lookup in shape_profile, an
+lru_cache of the last _MAX_PROFILES shapes, and the Profile keeps each
+index's value (Profile.value, read from _DISPATCH) and its exact.value_text
+once asked for, the text already indented to where report_text splices it.
+compute_index(g, name) checks the name and reads profile(g).value(name);
+compute_indices reads every value from one lookup of the Profile.  Graphs,
+listings and labels stay on each graph.  The profile lists no vertex or edge:
 lattice_counts counts divisor pairs a | b by (tau(a), tau(n/a), tau(b),
 tau(n/b)), which fixes both degrees.  The exponent-1 primes give their states
 in closed form, by how many of them lie in a, in b only and in neither; only
@@ -33,15 +37,14 @@ degree pair unchanged; the last prime's fold therefore visits one state of
 each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
 report_text writes a report through exact.json_text, each value's text
-read from the Profile and spliced as it is; compute_indices reads every
-value from one lookup of the Profile.
+read from the Profile and spliced as it is.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
-from functools import cached_property, lru_cache, wraps
+from functools import cached_property, lru_cache
 from math import comb, lcm, prod
 
 from .exact import Value, _Text, inv_sqrt_sum, json_text, normalize, value_text
@@ -169,7 +172,7 @@ class Profile:
         """The value of the index name on this lattice, computed once; threads
         that both compute it keep and return the first one stored."""
         if name not in self._values:
-            self._values.setdefault(name, _FORMULAS[name](self))
+            self._values.setdefault(name, _DISPATCH[name](self))
         return self._values[name]
 
     def text(self, name: str) -> _Text:
@@ -236,66 +239,41 @@ def profile(g) -> Profile:
     return shape_profile(tuple(sorted(exponents)))
 
 
-#: Each index's formula(p) over a Profile, by name; filled by _index.
-_FORMULAS: dict = {}
-
-
-def _index(formula):
-    """Register formula(p) of a Profile under its name and return the index
-    itself: g -> the value of g's shape, computed once per shape."""
-    name = formula.__name__
-    _FORMULAS[name] = formula
-
-    @wraps(formula)
-    def index(g) -> Value:
-        return profile(g).value(name)
-
-    return index
-
-
-@_index
 def wiener(p: Profile) -> Value:
     """Sum of distances over unordered pairs: m + 2F."""
     return p.size + 2 * p.far_pairs
 
 
-@_index
 def hyper_wiener(p: Profile) -> Value:
     """Half the sum of d + d**2 over unordered pairs: m + 3F."""
     return p.size + 3 * p.far_pairs
 
 
-@_index
 def harary(p: Profile) -> Value:
     """Sum of reciprocal distances over unordered pairs: m + F/2."""
     return normalize(Fraction(2 * p.size + p.far_pairs, 2))
 
 
-@_index
 def zagreb1(p: Profile) -> Value:
     """Sum of squared vertex degrees."""
     return p.zagreb1
 
 
-@_index
 def zagreb2(p: Profile) -> Value:
     """Sum of degree products over edges."""
     return p.zagreb2
 
 
-@_index
 def degree_distance(p: Profile) -> Value:
     """Sum over unordered pairs of (deg u + deg v) * d(u, v) = sum d_v * D_v."""
     return sum(d * p.transmission(d) * c for d, c in p.degree_counts.items())
 
 
-@_index
 def gutman(p: Profile) -> Value:
     """Sum over unordered pairs of deg u * deg v * d(u, v) = S**2 - M1 - M2."""
     return p.degree_sum**2 - p.zagreb1 - p.zagreb2
 
 
-@_index
 def balaban(p: Profile) -> Value:
     """m/(mu+1) times the edge sum of 1/sqrt(D_u * D_v), D = transmission."""
     if p.size == 0:
@@ -306,24 +284,28 @@ def balaban(p: Profile) -> Value:
     return inv_sqrt_sum(transmissions, p.size, mu + 1)
 
 
-@_index
 def harmonic(p: Profile) -> Value:
-    """Edge sum of 2/(deg u + deg v), added as integers over the lcm L of the
-    distinct degree sums."""
+    """Edge sum of 2/(deg u + deg v): one term (2c, s) per distinct degree sum
+    s of c edges, added by a balanced pairwise split, (a, b) + (c, d) =
+    (ad + cb, bd), so the operands of each step are of one size, and reduced
+    once at the end."""
     by_sum: Counter = Counter()
     for (a, b), c in p.pair_counts.items():
         by_sum[a + b] += c
-    L = lcm(*by_sum)
-    return normalize(Fraction(2 * sum(c * (L // s) for s, c in by_sum.items()), L))
+    terms = [(2 * c, s) for s, c in by_sum.items()]
+    if not terms:
+        return 0
+    while len(terms) > 1:
+        tail = terms[-1:] if len(terms) % 2 else []
+        terms = [(a * d + c * b, b * d) for (a, b), (c, d) in zip(terms[::2], terms[1::2])] + tail
+    return normalize(Fraction(*terms[0]))
 
 
-@_index
 def randic(p: Profile) -> Value:
     """Edge sum of 1/sqrt(deg u * deg v)."""
     return inv_sqrt_sum(p.pair_counts)
 
 
-@_index
 def r1(p: Profile) -> Value:
     """Vertex sum of r(v)**2 = sum c*a**2 + 2Q * sum c*a*u + Q**2 * sum c*u**2,
     with a = S - d and u = L/d (Profile.r_quadratic)."""
@@ -340,7 +322,6 @@ def r1(p: Profile) -> Value:
     return c0 + 2 * c1 * Q + c2 * QQ
 
 
-@_index
 def r2(p: Profile) -> Value:
     """Edge sum of r(u) * r(v), over the edge classes {(x, y): c}:
     sum c*a_x*a_y + Q * sum c*(a_x*u_y + a_y*u_x) + Q**2 * sum c*u_x*u_y."""
@@ -357,33 +338,33 @@ def r2(p: Profile) -> Value:
     return c0 + c1 * Q + c2 * QQ
 
 
-@_index
 def r3(p: Profile) -> Value:
     """Edge sum of r(u) + r(v) = vertex sum of deg v * r(v) = S**2 - M1 + V*P."""
     return p.degree_sum**2 - p.zagreb1 + p.order * p.degree_product
 
 
-@_index
 def mostar(p: Profile) -> Value:
     """Edge sum of |n_u - n_v| (closer-vertex counts) = edge sum of |d_u - d_v|."""
     return sum((b - a) * c for (a, b), c in p.pair_counts.items())
 
 
+#: The registry: each index's formula over a Profile, by name.  Profile.value
+#: reads it; compute_index and compute_indices check names against it.
 _DISPATCH = {name: globals()[name] for name in INDEX_NAMES}
 
 
-def _index_function(name: str):
-    try:
-        return _DISPATCH[name]
-    except KeyError:
-        raise ValueError(
-            f"unknown index {name!r}; valid names: {', '.join(INDEX_NAMES)}"
-        ) from None
+def _check_names(names) -> None:
+    """Refuse any name that is not an index, listing the valid ones."""
+    for name in names:
+        if name not in _DISPATCH:
+            raise ValueError(f"unknown index {name!r}; valid names: {', '.join(INDEX_NAMES)}")
 
 
 def compute_index(g, name: str) -> Value:
-    """One index by name; unknown names raise ValueError listing valid ones."""
-    return _index_function(name)(g)
+    """One index by name, read from g's Profile; unknown names raise
+    ValueError listing valid ones."""
+    _check_names([name])
+    return profile(g).value(name)
 
 
 def compute_indices(g, names=None) -> dict[str, Value]:
@@ -392,8 +373,7 @@ def compute_indices(g, names=None) -> dict[str, Value]:
     if names is None:
         names = INDEX_NAMES
     else:
-        for n in names:
-            _index_function(n)
+        _check_names(names)
         chosen = set(names)
         names = [n for n in INDEX_NAMES if n in chosen]
     p = profile(g)

@@ -1,37 +1,25 @@
-"""Distances, transmissions and diameter.
+"""The distance matrix of a divisor graph, for the CSV export.
 
 Every graph the package builds follows one distance rule: 0 on the diagonal,
 1 between neighbours, 2 otherwise, because vertex 0 (the divisor 1) is
-adjacent to every other vertex.  So the transmission of v is 2(V-1) - deg v.
-The rule is written once, by digit_rows, as ASCII digits marked from the
-graph's unsorted two-way listing (each vertex's multiples and divisors), so
-no row is sorted or inverted: the CSV export, csv_rows, streams them line by
-line as they are, and distance_rows reads them as ints.
-require_universal_vertex is the one check of that condition, on the degree
-column the graph reads off its codes; every function
-here calls it, and raises ValueError on a graph it fails.  The index profile
-does not: it reads only the exponent lattice, where the condition holds by
-construction.
-Breadth-first search is not used: it is the tests' oracle, in
-tests/index_definitions.py.
+adjacent to every other vertex.  The rule is written once, by digit_rows, as
+ASCII digits marked from the graph's unsorted two-way listing (each vertex's
+multiples and divisors), so no row is sorted or inverted: the CSV export,
+csv_rows, streams them line by line as they are.  Transmissions
+(Profile.transmission) and every distance index read the same rule from the
+degree profile.  require_universal_vertex is the one check of its condition,
+on the degree column the graph reads off its codes; digit_rows calls it and
+raises ValueError on a graph it fails.  The index profile does not: it reads
+only the exponent lattice, where the condition holds by construction.
+Breadth-first search, and the matrix as lists of ints, are the tests'
+oracles, in tests/index_definitions.py.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from itertools import chain, repeat
-from typing import Iterator, NamedTuple
-
-
-class DistanceMatrix(NamedTuple):
-    """Symmetric all-pairs distance matrix in canonical vertex order."""
-
-    labels: list[str]
-    rows: list[list[int]]
-
-    def to_csv(self) -> str:
-        """Header row of vertex labels, then one row of entries per vertex."""
-        return "".join(",".join(map(str, row)) + "\n" for row in [self.labels, *self.rows])
+from typing import Iterator
 
 
 def require_universal_vertex(g) -> None:
@@ -70,29 +58,3 @@ def csv_rows(g) -> Iterator[str]:
     for digits in rows:
         line[:-1:2] = digits
         yield line.decode()
-
-
-_DISTANCES = bytes.maketrans(b"012", bytes((0, 1, 2)))
-
-
-def distance_rows(g) -> Iterator[list[int]]:
-    """Stream the distance matrix row by row: digit_rows as ints."""
-    return (list(row.translate(_DISTANCES)) for row in digit_rows(g))
-
-
-def distance_matrix(g) -> DistanceMatrix:
-    """Full matrix via distance_rows."""
-    return DistanceMatrix(g.labels(), list(distance_rows(g)))
-
-
-def transmissions(g) -> list[int]:
-    require_universal_vertex(g)
-    return [2 * (g.order - 1) - d for d in g.degrees()]
-
-
-def diameter(g) -> int:
-    """Largest distance over all pairs: 2 unless the graph is complete."""
-    require_universal_vertex(g)
-    if g.order < 2:
-        return 0
-    return 1 if 2 * g.size() == g.order * (g.order - 1) else 2

@@ -1,12 +1,13 @@
 """Definition-level reference for the fourteen indices, for the tests.
 
 Every value is enumerated from its definition: edges and degrees by testing
-adjacent() on every vertex pair, pair sums over breadth-first distance rows,
-Balaban from breadth-first transmissions, Mostar from closer-vertex counts
-read off two rows per edge, and r-values from the product of the other
-degrees of each vertex.  Nothing here uses the lattice edge listing, the
-closed-form degrees, the diameter-2 identities or the degree profile of
-graphlab, so the two can be compared on any connected graph.
+every vertex pair (adjacent: one exponent vector is coordinatewise <= the
+other), pair sums over breadth-first distance rows, Balaban from
+breadth-first transmissions, Mostar from closer-vertex counts read off two
+rows per edge, and r-values from the product of the other degrees of each
+vertex.  No index value here uses the lattice edge listing, the closed-form
+degrees, the diameter-2 identities or the degree profile of graphlab, so the
+two can be compared on any connected graph.
 
 The breadth-first distance engine (bfs_row, distance_matrix_bfs), the
 one-pair distance rule (distance_fast) and per-edge Mostar counts
@@ -21,6 +22,12 @@ exponent vectors and the DOT export from the pair scan.  degrees_reference,
 omegas_reference and subsets_reference read the degrees, the omega of each
 vertex and the JSON subset texts off the exponent vectors, as graphlab did
 before it read them off per-code columns.
+
+What graphlab keeps one path for, these keep as references beside it:
+vectors (the codes decoded over the exponents), adjacent (the one-pair
+test), neighbors (sorted from the listing), edges (pairs from multiples()),
+DistanceMatrix with distance_matrix (the 0/1/2 rows of metric.digit_rows as
+ints) and inv_sqrt (one term of exact.inv_sqrt_sum).
 """
 
 from collections import Counter, deque
@@ -28,9 +35,10 @@ from dataclasses import dataclass
 from itertools import combinations, compress
 from fractions import Fraction
 from math import prod
+from typing import NamedTuple
 
-from graphlab.exact import RadicalSum, _int_str, inv_sqrt, normalize, to_decimal
-from graphlab.metric import DistanceMatrix, require_universal_vertex
+from graphlab.exact import RadicalSum, _int_str, normalize, to_decimal
+from graphlab.metric import digit_rows, require_universal_vertex
 
 
 class DisconnectedGraphError(ValueError):
@@ -44,21 +52,81 @@ def _label_of(g, i: int) -> str:
         return str(i)
 
 
+class DistanceMatrix(NamedTuple):
+    """Symmetric all-pairs distance matrix in canonical vertex order."""
+
+    labels: list[str]
+    rows: list[list[int]]
+
+    def to_csv(self) -> str:
+        """Header row of vertex labels, then one row of entries per vertex."""
+        return "".join(",".join(map(str, row)) + "\n" for row in [self.labels, *self.rows])
+
+
+def distance_matrix(g) -> DistanceMatrix:
+    """The matrix of graphlab's 0/1/2 rule: metric.digit_rows read as ints."""
+    return DistanceMatrix(g.labels(), [list(map(int, row.decode())) for row in digit_rows(g)])
+
+
+def inv_sqrt(q) -> RadicalSum:
+    """1/sqrt(q) for rational q > 0, rationalized: sqrt(ab)/a for q = a/b."""
+    q = Fraction(q)
+    if q <= 0:
+        raise ValueError(f"expected a positive rational, got {q}")
+    return RadicalSum({q.numerator * q.denominator: Fraction(1, q.numerator)})
+
+
+def _vector(g, code: int) -> tuple[int, ...]:
+    digits = []
+    for e in g.exponents:
+        code, a = divmod(code, e + 1)
+        digits.append(a)
+    return tuple(digits)
+
+
+def vectors(g) -> tuple[tuple[int, ...], ...]:
+    """Exponent vectors in canonical order: each code decoded over the
+    exponents, first prime the lowest digit."""
+    return tuple(_vector(g, c) for c in g._codes)
+
+
+def _comparable(a, b) -> bool:
+    return a != b and (all(map(int.__le__, a, b)) or all(map(int.__le__, b, a)))
+
+
+def adjacent(g, i: int, j: int) -> bool:
+    """Edge exactly when one divisor strictly divides the other."""
+    return _comparable(_vector(g, g._codes[i]), _vector(g, g._codes[j]))
+
+
+def neighbors(g, i: int) -> tuple[int, ...]:
+    """Vertex i's proper divisors, then its proper multiples, in ascending
+    order, from g.listing() (i sorts last in down and first in up)."""
+    up, down = g.listing()
+    return tuple(sorted(down[i])[:-1] + sorted(up[i])[1:])
+
+
+def edges(g) -> list[tuple[int, int]]:
+    """The edges (i, j), i < j, in lexicographic order: pairs from g.multiples()."""
+    return [(i, j) for i, row in enumerate(g.multiples()) for j in row]
+
+
 def masks(g) -> tuple[int, ...]:
     """Per vertex of g, the bitmask of the prime positions dividing it (bit i
     for the (i+1)-th prime), in canonical order."""
-    return tuple(sum(1 << p for p, a in enumerate(v) if a) for v in g.vectors)
+    return tuple(sum(1 << p for p, a in enumerate(v) if a) for v in vectors(g))
 
 
 def bfs_row(g, source: int) -> list[int]:
-    """Distances from one vertex by breadth-first search (any graph shape
-    exposing order and neighbors); raises if some vertex is unreachable."""
+    """Distances from one vertex by breadth-first search (a divisor graph, or a
+    stub exposing order and neighbors); raises if some vertex is unreachable."""
+    step = g.neighbors if hasattr(g, "neighbors") else lambda u: neighbors(g, u)
     dist = [-1] * g.order
     dist[source] = 0
     queue = deque([source])
     while queue:
         u = queue.popleft()
-        for w in g.neighbors(u):
+        for w in step(u):
             if dist[w] < 0:
                 dist[w] = dist[u] + 1
                 queue.append(w)
@@ -80,7 +148,7 @@ def distance_fast(g, i: int, j: int) -> int:
     require_universal_vertex(g)
     if i == j:
         return 0
-    return 1 if g.adjacent(i, j) else 2
+    return 1 if adjacent(g, i, j) else 2
 
 
 @dataclass
@@ -99,9 +167,9 @@ def mostar_counts(g, edge: tuple[int, int]) -> EdgeCloserCounts:
     """Closer-vertex counts for one edge, from two breadth-first rows; refuses
     a graph that the 0/1/2 rule refuses."""
     i, j = edge
-    if not g.adjacent(i, j):
-        raise ValueError(f"({i}, {j}) is not an edge")
     require_universal_vertex(g)
+    if not adjacent(g, i, j):
+        raise ValueError(f"({i}, {j}) is not an edge")
     ri, rj = bfs_row(g, i), bfs_row(g, j)
     n_u = sum(1 for a, b in zip(ri, rj) if a < b)
     n_v = sum(1 for a, b in zip(ri, rj) if b < a)
@@ -119,8 +187,9 @@ def edges_and_degrees(g):
     """Edges (i < j, lexicographic) and degrees by testing every vertex pair."""
     deg = [0] * g.order
     edges = []
+    v = vectors(g)
     for i, j in combinations(range(g.order), 2):
-        if g.adjacent(i, j):
+        if _comparable(v[i], v[j]):
             edges.append((i, j))
             deg[i] += 1
             deg[j] += 1
@@ -212,17 +281,11 @@ class Path3:
 
     order = 3
 
-    def edges(self):
-        return ((0, 1), (1, 2))
-
     def degrees(self):
         return (1, 2, 1)
 
     def neighbors(self, i):
         return {0: (1,), 1: (0, 2), 2: (1,)}[i]
-
-    def adjacent(self, i, j):
-        return abs(i - j) == 1
 
     def labels(self):
         return ["a", "b", "c"]
@@ -230,19 +293,19 @@ class Path3:
 
 def graph_dict(g) -> dict:
     """The JSON export of g as a plain dict: the descriptor less its family,
-    one record per vertex, and the edges as [i, j] lists from edges()."""
+    one record per vertex, and the edges as [i, j] lists from edges(g)."""
     doc = g.descriptor()
     del doc["family"]
     if g.gamma:
         doc["vertices"] = [{"subset": [p + 1 for p, a in enumerate(v) if a], "omega": sum(v)}
-                           for v in g.vectors]
+                           for v in vectors(g)]
         if g.primes is not None:
             for vertex, d in zip(doc["vertices"], g.divisors):
                 vertex["value"] = d
     else:
         doc["vertices"] = [{"value": d, "omega": sum(map(bool, v))}
-                           for d, v in zip(g.divisors, g.vectors)]
-    doc["edges"] = [[i, j] for i, j in g.edges()]
+                           for d, v in zip(g.divisors, vectors(g))]
+    doc["edges"] = [[i, j] for i, j in edges(g)]
     return doc
 
 
@@ -250,8 +313,8 @@ def labels_reference(g) -> list[str]:
     """Per vertex, the product of its prime powers, or of the names p1..pk of
     its primes on a symbolic Gamma_k ("1" for the empty product)."""
     if g.primes is None:
-        return ["".join(f"p{p + 1}" for p, a in enumerate(v) if a) or "1" for v in g.vectors]
-    return [_int_str(prod(p**a for p, a in zip(g.primes, v))) for v in g.vectors]
+        return ["".join(f"p{p + 1}" for p, a in enumerate(v) if a) or "1" for v in vectors(g)]
+    return [_int_str(prod(p**a for p, a in zip(g.primes, v))) for v in vectors(g)]
 
 
 def dot_reference(g) -> str:
@@ -268,7 +331,7 @@ def dot_reference(g) -> str:
 def degrees_reference(g) -> tuple[int, ...]:
     """tau(d) + tau(n/d) - 2 per vertex, from its exponent vector."""
     degrees = []
-    for v in g.vectors:
+    for v in vectors(g):
         tau = cotau = 1
         for a, e in zip(v, g.exponents):
             tau *= a + 1
@@ -279,7 +342,7 @@ def degrees_reference(g) -> tuple[int, ...]:
 
 def omegas_reference(g) -> tuple[int, ...]:
     """The number of nonzero entries of each exponent vector."""
-    return tuple(len(g.exponents) - v.count(0) for v in g.vectors)
+    return tuple(len(g.exponents) - v.count(0) for v in vectors(g))
 
 
 def subsets_reference(g) -> list[str]:
@@ -287,4 +350,4 @@ def subsets_reference(g) -> list[str]:
     numbers of the primes in its exponent vector, one per line at the
     record's indent, or [] for the divisor 1."""
     numbers = [f"\n        {p}" for p in range(1, len(g.exponents) + 1)]
-    return [f"[{','.join(compress(numbers, v))}\n      ]" if any(v) else "[]" for v in g.vectors]
+    return [f"[{','.join(compress(numbers, v))}\n      ]" if any(v) else "[]" for v in vectors(g)]

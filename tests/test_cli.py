@@ -15,6 +15,7 @@ from graphlab.cli import main
 from graphlab.exact import _int_from_str, _int_str
 from graphlab.formulas import verification_lines
 from graphlab.graphs import build_gamma, build_general
+from index_definitions import distance_matrix
 
 
 def run_cli(capsys, *argv):
@@ -142,18 +143,13 @@ def test_json_prints_integers_past_the_str_digit_limit(capsys):
             set_limit(limit)
 
 
-def test_csv_export_builds_no_int_rows(capsys, monkeypatch):
+def test_csv_export_builds_no_int_rows(capsys):
     """The CSV export writes the digit rows of the distance rule as they are:
-    no list of int distances and no DistanceMatrix is built."""
+    metric has no list of int distances and no matrix of them to build."""
     cases = ((["gamma", "--k", "6", "--emit", "csv"], build_gamma(6)),
              (["divisor-graph", "--n", "5040", "--emit", "csv"], build_general(5040)))
-    want = [metric.distance_matrix(g).to_csv() for _, g in cases]
-
-    def refuse(*args):
-        raise AssertionError("int distance rows built for a CSV export")
-
-    monkeypatch.setattr(metric, "distance_rows", refuse)
-    monkeypatch.setattr(metric.DistanceMatrix, "to_csv", refuse)
+    want = [distance_matrix(g).to_csv() for _, g in cases]
+    assert not {"distance_rows", "distance_matrix", "DistanceMatrix"} & vars(metric).keys()
     for (argv, _), text in zip(cases, want):
         assert run_cli(capsys, *argv) == (0, text, "")
 
@@ -185,7 +181,7 @@ def test_exports_stream_row_by_row(monkeypatch):
         g.listing(), g.degrees()  # the two-way listing and the degree column
         edge_rows = sum(map(bool, g.multiples()))
         for emit, writes, text in (("json", edge_rows + 2, "".join(g.json_rows())),
-                                   ("dot", edge_rows + 2, g.to_dot()),
+                                   ("dot", edge_rows + 2, "".join(g.dot_rows())),
                                    ("csv", g.order + 1, "".join(metric.csv_rows(g)))):
             out = _Sink(keep=True)
             monkeypatch.setattr(sys, "stdout", out)

@@ -16,7 +16,6 @@ from graphlab.exact import (
     RadicalSum,
     factorize,
     format_value,
-    inv_sqrt,
     is_prime,
     normalize,
     sqf_decompose,
@@ -25,7 +24,7 @@ from graphlab.exact import (
     value_text,
 )
 from graphlab.graphs import build_gamma, build_general
-from index_definitions import value_to_json
+from index_definitions import inv_sqrt, value_to_json
 
 F = Fraction
 
@@ -495,7 +494,7 @@ def test_float_pass_prints_randic_without_isqrt(monkeypatch):
     """Randic of Gamma_5 prints at six places from the float interval alone:
     with isqrt refused, to_decimal and value_text still give what the exact
     loop gives."""
-    v = indices.randic(build_gamma(5))
+    v = indices.compute_index(build_gamma(5), "randic")
     with monkeypatch.context() as m:
         m.setattr(exact, "_float_scaled", lambda terms, digits: None)
         want = to_decimal(v, 6)
@@ -516,7 +515,8 @@ def test_value_text_is_json_dumps_of_value_to_json():
               RadicalSum({1: F(23, 14), 7: F(6, 7)}), RadicalSum({2: F(-3, 7), 3: F(5, 11), 1: F(1, 3)}),
               RadicalSum({2: F(big, 3), 3: 1}), RadicalSum({5: F(1, big)}),
               RadicalSum._fold([(2, 1, 1), (2**2100 + 1, 1, 1)]),
-              indices.randic(build_gamma(6)), indices.balaban(build_general(720))]
+              indices.compute_index(build_gamma(6), "randic"),
+              indices.compute_index(build_general(720), "balaban")]
     for v in values:
         assert value_text(v) == json.dumps(value_to_json(v), indent=2), v
     for v in values[:12]:

@@ -14,14 +14,18 @@ from graphlab.exact import _int_str
 from graphlab.formulas import verification_lines
 from graphlab.graphs import build_gamma, build_general
 from index_definitions import (
+    adjacent,
     degrees_reference,
     dot_reference,
+    edges,
     edges_and_degrees,
     graph_dict,
     labels_reference,
     masks,
+    neighbors,
     omegas_reference,
     subsets_reference,
+    vectors,
 )
 
 # 2^4*3^2*5, 2^5*3*5*7, 2^4*3^2*5*7, 2^3*3^3*5^2, 2^5*3^3*5^2*7*11*13,
@@ -34,7 +38,7 @@ def test_gamma3_canonical_order():
     g = build_gamma(3)
     assert g.order == 8
     assert g.labels() == ["1", "p1", "p2", "p3", "p1p2", "p1p3", "p2p3", "p1p2p3"]
-    assert [g.omega(i) for i in range(8)] == [0, 1, 1, 1, 2, 2, 2, 3]
+    assert g.omegas == (0, 1, 1, 1, 2, 2, 2, 3)
 
 
 def test_gamma3_with_basis():
@@ -46,11 +50,11 @@ def test_gamma3_with_basis():
 def test_gamma0_and_gamma1():
     g0 = build_gamma(0)
     assert g0.order == 1
-    assert g0.edges() == ()
+    assert edges(g0) == []
     assert g0.labels() == ["1"]
     g1 = build_gamma(1)
     assert g1.order == 2
-    assert g1.edges() == ((0, 1),)
+    assert edges(g1) == [(0, 1)]
 
 
 def test_adjacency_rule():
@@ -59,23 +63,23 @@ def test_adjacency_rule():
     p1 = masks(g).index(0b001)
     p2 = masks(g).index(0b010)
     p1p2 = masks(g).index(0b011)
-    assert g.adjacent(one, n)
-    assert g.adjacent(p1, p1p2)
-    assert not g.adjacent(p1, p2)
-    assert not g.adjacent(p1p2, masks(g).index(0b101))
-    assert not g.adjacent(p1, p1)
+    assert adjacent(g, one, n)
+    assert adjacent(g, p1, p1p2)
+    assert not adjacent(g, p1, p2)
+    assert not adjacent(g, p1p2, masks(g).index(0b101))
+    assert not adjacent(g, p1, p1)
 
 
 def test_edge_counts():
     # |E| = 3^k - 2^k by enumeration
     for k, size in [(0, 0), (1, 1), (2, 5), (3, 19), (4, 65), (5, 211)]:
-        assert len(build_gamma(k).edges()) == size
+        assert len(edges(build_gamma(k))) == size
 
 
 def test_edges_canonical_order():
     g = build_gamma(3)
-    e = g.edges()
-    assert e == tuple(sorted(e))
+    e = edges(g)
+    assert e == sorted(e)
     assert all(i < j for i, j in e)
 
 
@@ -91,7 +95,7 @@ def lattice_graphs():
 
 
 def slice_branches(g) -> list[str]:
-    """Per prime, the slices _multiples extends by: strided (one slice per
+    """Per prime, the slices _lists extends by: strided (one slice per
     low part) when the weight w is at most order // block, else contiguous."""
     branches, w = [], 1
     for e in g.exponents:
@@ -103,10 +107,10 @@ def slice_branches(g) -> list[str]:
 
 def test_lattice_edges_and_degrees_equal_pair_scan():
     for g in lattice_graphs():
-        edges, deg = edges_and_degrees(g)
-        assert g.edges() == edges, g
+        pairs, deg = edges_and_degrees(g)
+        assert edges(g) == list(pairs), g
         assert g.degrees() == deg, g
-        assert g.size() == len(edges), g
+        assert g.size() == len(pairs), g
 
 
 def test_multiples_and_neighbors_equal_pair_scan():
@@ -131,7 +135,7 @@ def test_multiples_and_neighbors_equal_pair_scan():
         assert list(map(sorted, up)) == list(map(sorted, above)), g
         assert list(map(sorted, down)) == list(map(sorted, below)), g
         assert g.multiples() == tuple(map(tuple, rows)), g
-        assert all(g.neighbors(i) == tuple(sorted(adjacent[i])) for i in range(g.order)), g
+        assert all(neighbors(g, i) == tuple(sorted(adjacent[i])) for i in range(g.order)), g
 
 
 def test_columns_equal_the_vector_references():
@@ -159,7 +163,7 @@ def test_degree_sequences_match_printed_tables():
 def test_degree_sum_is_twice_size():
     for k in range(9):
         g = build_gamma(k)
-        assert sum(g.degrees()) == 2 * len(g.edges())
+        assert sum(g.degrees()) == 2 * len(edges(g))
 
 
 def test_label_invariance_of_adjacency():
@@ -167,7 +171,7 @@ def test_label_invariance_of_adjacency():
     b = build_gamma(4, (101, 103, 107, 109))
     c = build_gamma(4)
     for g in (b, c):
-        assert g.edges() == a.edges()
+        assert g.multiples() == a.multiples()
         assert g.degrees() == a.degrees()
 
 
@@ -204,18 +208,18 @@ def test_basis_check_is_fast_and_bounded():
 def test_build_general_small():
     g = build_general(6)
     assert g.divisors == (1, 2, 3, 6)
-    assert len(g.edges()) == 5
+    assert len(edges(g)) == 5
     g1 = build_general(1)
     assert g1.order == 1
-    assert g1.edges() == ()
+    assert edges(g1) == []
 
 
 def test_build_general_12():
     g = build_general(12)
     assert g.divisors == (1, 2, 3, 4, 6, 12)
     assert g.order == 6
-    assert len(g.edges()) == 12
-    assert [g.omega(i) for i in range(6)] == [0, 1, 1, 1, 2, 2]
+    assert len(edges(g)) == 12
+    assert g.omegas == (0, 1, 1, 1, 2, 2)
 
 
 def test_build_general_validation():
@@ -263,12 +267,12 @@ def test_general_squarefree_matches_gamma_small():
     # for k <= 3 the (omega, value) order coincides with the canonical order
     for n, k in [(6, 2), (30, 3)]:
         gd = build_general(n)
-        order = sorted(range(gd.order), key=lambda i: (gd.omega(i), gd.divisors[i]))
+        order = sorted(range(gd.order), key=lambda i: (gd.omegas[i], gd.divisors[i]))
         gg = build_gamma(k)
         for a in range(gd.order):
             for b in range(gd.order):
                 if a != b:
-                    assert gd.adjacent(order[a], order[b]) == gg.adjacent(a, b)
+                    assert adjacent(gd, order[a], order[b]) == adjacent(gg, a, b)
 
 
 def test_general_squarefree_matches_gamma_by_subset_map():
@@ -276,11 +280,11 @@ def test_general_squarefree_matches_gamma_by_subset_map():
         gd = build_general(n)
         gg = build_gamma(k)
         m = masks(gd)
-        order = sorted(range(gd.order), key=lambda i: (gd.omega(i), m[i]))
+        order = sorted(range(gd.order), key=lambda i: (gd.omegas[i], m[i]))
         assert [m[i] for i in order] == list(masks(gg))
         for a in range(gd.order):
             for b in range(a + 1, gd.order):
-                assert gd.adjacent(order[a], order[b]) == gg.adjacent(a, b)
+                assert adjacent(gd, order[a], order[b]) == adjacent(gg, a, b)
 
 
 def export(g) -> str:
@@ -331,9 +335,9 @@ def test_dot_output_deterministic():
         "  v0 -- v1;\n"
         "}\n"
     )
-    assert g.to_dot() == expected
-    assert g.to_dot() == g.to_dot()
-    assert build_general(4).to_dot().startswith("graph divisors_4 {")
+    assert "".join(g.dot_rows()) == expected
+    assert "".join(g.dot_rows()) == "".join(g.dot_rows())
+    assert "".join(build_general(4).dot_rows()).startswith("graph divisors_4 {")
 
 
 def test_dot_matches_the_pair_scan():
@@ -341,10 +345,10 @@ def test_dot_matches_the_pair_scan():
     adjacent() pair scan with the labels read off the vectors."""
     for k in range(11):
         for g in (build_gamma(k), build_gamma(k, PRIMES[:k])):
-            assert "".join(g.dot_rows()) == g.to_dot() == dot_reference(g), g
+            assert "".join(g.dot_rows()) == dot_reference(g), g
     for n in (*range(1, 301), 5040, 720720, 735134400):
         g = build_general(n)
-        assert "".join(g.dot_rows()) == g.to_dot() == dot_reference(g), g
+        assert "".join(g.dot_rows()) == dot_reference(g), g
 
 
 def test_labels_match_the_vectors():
@@ -354,7 +358,7 @@ def test_labels_match_the_vectors():
     g = build_gamma(12)
     labels = g.labels()
     assert labels[:14] == ["1", *(f"p{p}" for p in range(1, 13)), "p1p2"]
-    assert labels[g.vectors.index((1,) + (0,) * 8 + (1, 0, 1))] == "p1p10p12"
+    assert labels[vectors(g).index((1,) + (0,) * 8 + (1, 0, 1))] == "p1p10p12"
     assert labels[-1] == "p1p2p3p4p5p6p7p8p9p10p11p12"
     for n in (*range(1, 301), *MIXED_SHAPES):
         g = build_general(n)
@@ -365,7 +369,7 @@ def test_divisor_vertex_data():
     g = build_gamma(3, (2, 3, 5))
     i = masks(g).index(0b101)
     assert json.loads(export(g))["vertices"][i]["subset"] == [1, 3]
-    assert g.omega(i) == 2
+    assert g.omegas[i] == 2
     assert g.divisors[i] == 10
     assert g.labels()[i] == "10"
 
@@ -377,7 +381,7 @@ def test_construction_lists_no_vertex():
     assert g.order == 2**40
     assert g.descriptor() == {"family": "gamma", "k": 40}
     assert repr(g) == "DivisorGraph(k=40)"
-    assert "vectors" not in vars(g)
+    assert "_codes" not in vars(g)
     assert repr(build_gamma(2, (3, 2))) == "DivisorGraph(k=2, primes=[3, 2])"
     assert build_general(12).descriptor() == {"family": "divisor", "n": 12}
     assert repr(build_general(12)) == "DivisorGraph(n=12)"
@@ -416,38 +420,32 @@ def test_size_is_closed_form():
     assert big.size() == 4096 * 4095 // 2
     assert build_gamma(40).size() == 3**40 - 2**40
     for h in (g, big):
-        assert not {"vectors", "_codes", "_degrees", "_multiples"} & vars(h).keys()
+        assert not {"_codes", "_degrees", "_up", "_down"} & vars(h).keys()
 
 
 def test_json_and_dot_exports_build_only_the_up_lists():
     """The JSON and DOT exports and multiples() read the multiples alone, so
     no list of divisors is built for them; listing() builds both."""
     for g in (build_gamma(6), build_gamma(4, PRIMES[:4]), build_general(5040), build_general(1)):
-        assert "".join(g.json_rows()) and g.to_dot() and g.multiples() is not None
+        assert "".join(g.json_rows()) and "".join(g.dot_rows()) and g.multiples() is not None
         assert "_up" in vars(g) and "_down" not in vars(g), g
         up, down = g.listing()
         assert up is vars(g)["_up"] and down is vars(g)["_down"], g
 
 
 def test_exports_and_verify_read_no_vectors(monkeypatch):
-    """The exports and verify read the codes and the listing: no exponent
-    vector, pair scan or neighbour list.  The CSV export and verify also
-    sort no row: they mark and count the unsorted listing."""
+    """The graph keeps no exponent vector, pair scan, neighbour list or edge
+    tuple: the exports and verify read the codes and the listing.  The CSV
+    export and verify also sort no row: they mark and count the unsorted
+    listing."""
     def refuse(*args):
-        raise AssertionError("vectors, a pair scan, neighbours or sorted rows read")
+        raise AssertionError("sorted rows read")
 
-    def fresh():
-        return build_gamma(8), build_gamma(6, PRIMES[:6]), build_general(5040), build_general(1)
-
+    for name in ("vectors", "adjacent", "omega", "edges", "neighbors", "to_dot", "_multiples"):
+        assert not hasattr(graphs.DivisorGraph, name), name
     indices.shape_profile.cache_clear()  # verify's index values are computed here
-    monkeypatch.setattr(graphs.DivisorGraph, "vectors", property(refuse))
-    for name in ("adjacent", "edges", "neighbors"):
-        monkeypatch.setattr(graphs.DivisorGraph, name, refuse)
-    for g in fresh():
-        assert "".join(g.json_rows()) and g.to_dot() and "".join(metric.csv_rows(g))
-    assert verification_lines(0, 8)[1]
     for name in ("multiples", "_rows"):
         monkeypatch.setattr(graphs.DivisorGraph, name, refuse)
-    for g in fresh():
+    for g in (build_gamma(8), build_gamma(6, PRIMES[:6]), build_general(5040), build_general(1)):
         assert "".join(metric.csv_rows(g))
     assert verification_lines(0, 8)[1]

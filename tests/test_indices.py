@@ -18,7 +18,7 @@ from math import comb, gcd, isqrt, prod
 import pytest
 
 from graphlab import exact, graphs, indices, metric
-from graphlab.exact import RadicalSum, inv_sqrt, inv_sqrt_sum, normalize, value_text
+from graphlab.exact import RadicalSum, inv_sqrt_sum, normalize, value_text
 from graphlab.formulas import (
     degree_formula,
     harary_formula,
@@ -28,31 +28,14 @@ from graphlab.formulas import (
 )
 from graphlab.graphs import build_gamma, build_general
 from graphlab.indices import (
-    INDEX_NAMES,
-    balaban,
-    compute_index,
-    compute_indices,
-    degree_distance,
-    gutman,
-    harary,
-    harmonic,
-    hyper_wiener,
-    lattice_counts,
-    mostar,
-    profile,
-    r1,
-    r2,
-    r3,
-    randic,
-    report_text,
-    wiener,
-    zagreb1,
-    zagreb2,
+    INDEX_NAMES, compute_index, compute_indices, lattice_counts, profile, report_text,
 )
 from index_definitions import (
     Path3,
     distance_matrix_bfs,
+    edges,
     edges_and_degrees,
+    inv_sqrt,
     reference_indices,
     report_dict,
     value_to_json,
@@ -63,6 +46,14 @@ F = Fraction
 G3 = build_gamma(3)
 G4 = build_gamma(4)
 G5 = build_gamma(5)
+
+
+def _by_name(name):
+    return lambda g: compute_index(g, name)
+
+
+(wiener, hyper_wiener, harary, zagreb1, zagreb2, degree_distance, gutman, balaban, harmonic,
+ randic, r1, r2, r3, mostar) = map(_by_name, INDEX_NAMES)
 
 
 def edge_class_counts(k):
@@ -78,8 +69,8 @@ def test_edge_class_oracle_matches_enumeration():
     for k in range(1, 7):
         g = build_gamma(k)
         seen = {}
-        for i, j in g.edges():
-            key = tuple(sorted((g.omega(i), g.omega(j))))
+        for i, j in edges(g):
+            key = tuple(sorted((g.omegas[i], g.omegas[j])))
             seen[key] = seen.get(key, 0) + 1
         assert seen == edge_class_counts(k)
 
@@ -150,7 +141,7 @@ def test_diameter_two_identities():
 def test_edge_degree_sum_identity():
     for k in range(7):
         g = build_gamma(k)
-        assert sum(g.degrees()[i] + g.degrees()[j] for i, j in g.edges()) == zagreb1(g)
+        assert sum(g.degrees()[i] + g.degrees()[j] for i, j in edges(g)) == zagreb1(g)
 
 
 def test_balaban():
@@ -191,7 +182,7 @@ def test_randic_definition_cross_check():
     for k in range(7):
         g = build_gamma(k)
         acc = RadicalSum()
-        for i, j in g.edges():
+        for i, j in edges(g):
             acc = acc + inv_sqrt(g.degrees()[i] * g.degrees()[j])
         assert randic(g) == acc
 
@@ -282,10 +273,33 @@ def test_compute_indices_selection_and_order():
 
 
 def test_compute_index_unknown_name():
-    with pytest.raises(ValueError, match="unknown index"):
-        compute_index(G3, "szeged")
-    with pytest.raises(ValueError, match="wiener"):
-        compute_indices(G3, ["szeged"])
+    message = f"unknown index 'szeged'; valid names: {', '.join(INDEX_NAMES)}"
+    for call in (lambda: compute_index(G3, "szeged"), lambda: compute_indices(G3, ["szeged"])):
+        with pytest.raises(ValueError) as refused:
+            call()
+        assert str(refused.value) == message
+
+
+def test_one_registry_reads_the_profile():
+    """_DISPATCH holds one formula per index name, and compute_index returns
+    the value the shape's Profile keeps."""
+    assert set(indices._DISPATCH) == set(INDEX_NAMES)
+    for g in (G3, build_general(720)):
+        for name in INDEX_NAMES:
+            assert compute_index(g, name) is profile(g).value(name), (g, name)
+
+
+def test_harmonic_beyond_enumeration():
+    """harmonic equals the sum of 2c/(a + b) over the edge-pair classes on
+    Gamma_20, Gamma_50 and Gamma_100 and on mixed shapes."""
+    for k in (20, 50, 100):
+        p = profile(build_gamma(k))
+        want = sum(Fraction(2 * c, a + b) for (a, b), c in p.pair_counts.items())
+        assert compute_index(build_gamma(k), "harmonic") == want, k
+    for shape in ((1, 2, 3, 5), (1, 1, 1, 1, 4, 7), (2,) * 8, (1, 1, 1, 2, 2, 3)):
+        p = indices.shape_profile(shape)
+        assert p.value("harmonic") == sum(Fraction(2 * c, a + b)
+                                          for (a, b), c in p.pair_counts.items()), shape
 
 
 def test_report_dict_shape():
@@ -360,15 +374,15 @@ def test_randic_balaban_store_reduced_int_pairs(monkeypatch):
     for g in graphs:
         want = reference_indices(g)
         profile(g)
-        for index in (randic, balaban):
-            got, made = _fractions_made(monkeypatch, lambda: index(g))
+        for index in ("randic", "balaban"):
+            got, made = _fractions_made(monkeypatch, lambda: compute_index(g, index))
             terms = RadicalSum.from_value(got)._terms
             for pair in terms.values():
                 assert type(pair) is tuple and len(pair) == 2, (g, index, pair)
                 num, den = pair
                 assert type(num) is int and type(den) is int, (g, index, pair)
                 assert num != 0 and den > 0 and gcd(num, den) == 1, (g, index, pair)
-            assert terms == RadicalSum.from_value(want[index.__name__])._terms, (g, index)
+            assert terms == RadicalSum.from_value(want[index])._terms, (g, index)
             if isinstance(got, RadicalSum):
                 assert made == 0, (g, index)
 
@@ -493,13 +507,13 @@ def test_r_indices_equal_sums_of_r():
 
 def test_indices_list_no_edges(monkeypatch):
     def refuse(*args):
-        raise AssertionError("edges, degrees or vectors listed at run time")
+        raise AssertionError("edges, degrees or codes listed at run time")
 
     indices.shape_profile.cache_clear()  # so every profile is built under the refusals
-    monkeypatch.setattr(graphs.DivisorGraph, "edges", refuse)
-    monkeypatch.setattr(graphs.DivisorGraph, "adjacent", refuse)
+    monkeypatch.setattr(graphs.DivisorGraph, "listing", refuse)
+    monkeypatch.setattr(graphs.DivisorGraph, "multiples", refuse)
     monkeypatch.setattr(graphs.DivisorGraph, "degrees", refuse)
-    monkeypatch.setattr(graphs.DivisorGraph, "vectors", property(refuse))
+    monkeypatch.setattr(graphs.DivisorGraph, "_codes", property(refuse))
     for g in (build_gamma(6), build_gamma(3, (2, 3, 5)), build_general(5040), build_general(1)):
         assert list(compute_indices(g)) == list(INDEX_NAMES)
 
@@ -513,7 +527,7 @@ def test_gamma20_indices_read_only_the_exponents():
     assert values["hyper_wiener"] == hyper_wiener_formula(20)
     assert values["harary"] == harary_formula(20)
     assert values["zagreb1"] == zagreb1_formula(20)
-    assert "vectors" not in vars(g)
+    assert "_codes" not in vars(g)
     assert "degree_product" not in vars(profile(g))
 
 
@@ -528,7 +542,7 @@ def test_indices_run_no_breadth_first_search(monkeypatch):
         raise AssertionError("distance rows requested at run time")
 
     indices.shape_profile.cache_clear()
-    monkeypatch.setattr(metric, "distance_rows", refuse)
+    monkeypatch.setattr(metric, "digit_rows", refuse)
     for g in (build_gamma(5), build_general(5040)):
         assert list(compute_indices(g)) == list(INDEX_NAMES)
 

