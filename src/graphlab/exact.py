@@ -5,13 +5,14 @@ occur: plain integers, rationals, and finite sums of rational multiples of
 square roots of squarefree integers (as produced by Randic- and Balaban-type
 edge sums).  All of them are kept canonical so that equality is literal
 structural equality.  A radical sum stores each coefficient as a reduced int
-pair (num, den), den > 0, and every sum (constructor, +, -, *, the Randic
-and Balaban sums of inv_sqrt_sum) is folded by RadicalSum._fold with integer
-lcms and gcds, so no Fraction is made per term (RadicalSum.terms gives
-Fractions to other callers).  Decimal strings are derived on demand and are
-correctly rounded (round half to even): a float interval with a proven
-error bound settles almost every radical at up to 15 places, and integer
-square-root bounds refined until they decide the rounding settle the rest.
+pair (num, den), den > 0, and is built by RadicalSum._fold with integer lcms
+and gcds (from the constructor, a rational multiple, or the Randic and
+Balaban sums of inv_sqrt_sum), so no Fraction is made per term
+(RadicalSum.terms gives Fractions to other callers).  Decimal strings are
+derived on demand and are correctly rounded (round half to even): a float
+interval with a proven error bound settles almost every radical at up to 15
+places, and integer square-root bounds refined until they decide the
+rounding settle the rest.
 Integers print and parse at any size, in JSON documents too: up to 2000
 bits (603 digits, below every digit limit Python allows) they print with
 int.__repr__, above that by a binary split into exact Decimal arithmetic,
@@ -175,7 +176,7 @@ class RadicalSum:
     when their canonical term maps are identical; __eq__ relies on that.
     Each coefficient is stored as a reduced int pair (num, den), den > 0,
     and folded by _fold; terms gives them as Fractions.  Instances are
-    immutable.
+    immutable and scale by a rational on either side; every sum is one _fold.
     """
 
     __slots__ = ("_terms",)
@@ -217,13 +218,6 @@ class RadicalSum:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("RadicalSum is immutable")
 
-    @classmethod
-    def from_value(cls, v: Value) -> "RadicalSum":
-        """Promote an int, Fraction, or RadicalSum to a RadicalSum."""
-        if isinstance(v, RadicalSum):
-            return v
-        return cls._fold([(1, *v.as_integer_ratio())])
-
     @property
     def terms(self) -> tuple[tuple[int, Fraction], ...]:
         """Canonical (radicand, coefficient) pairs, radicand ascending."""
@@ -237,36 +231,10 @@ class RadicalSum:
             raise ValueError(f"{self} is irrational")
         return Fraction(*self._terms.get(1, (0, 1)))
 
-    def __add__(self, other: "RadicalSum | Fraction | int") -> "RadicalSum":
-        if isinstance(other, (RadicalSum, int, Fraction)):
-            return RadicalSum._fold(_triples(self) + _triples(RadicalSum.from_value(other)))
-        return NotImplemented
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "RadicalSum":
-        return RadicalSum._fold(_triples(self), -1)
-
-    def __sub__(self, other: "RadicalSum | Fraction | int") -> "RadicalSum":
-        if isinstance(other, (RadicalSum, int, Fraction)):
-            return self + (-RadicalSum.from_value(other))
-        return NotImplemented
-
-    def __rsub__(self, other: "Fraction | int") -> "RadicalSum":
-        return RadicalSum.from_value(other) + (-self)
-
-    def __mul__(self, other: "RadicalSum | Fraction | int") -> "RadicalSum":
-        """Product; with g = gcd(a, b) of squarefree a and b,
-        sqrt(a)*sqrt(b) = g*sqrt((a/g)*(b/g)), whose radicand is squarefree."""
+    def __mul__(self, other: "Fraction | int") -> "RadicalSum":
+        """The sum scaled by a rational, on either side."""
         if isinstance(other, (int, Fraction)):
             return RadicalSum._fold(_triples(self), *other.as_integer_ratio())
-        if isinstance(other, RadicalSum):
-            products = []
-            for da, na, qa in _triples(self):
-                for db, nb, qb in _triples(other):
-                    g = gcd(da, db)
-                    products.append(((da // g) * (db // g), na * nb * g, qa * qb))
-            return RadicalSum._fold(products)
         return NotImplemented
 
     __rmul__ = __mul__

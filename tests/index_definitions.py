@@ -7,7 +7,10 @@ breadth-first transmissions, Mostar from closer-vertex counts read off two
 rows per edge, and r-values from the product of the other degrees of each
 vertex.  No index value here uses the lattice edge listing, the closed-form
 degrees, the diameter-2 identities or the degree profile of graphlab, so the
-two can be compared on any connected graph.
+two can be compared on any connected graph.  Randic and Balaban are the
+canonical terms of the reference arithmetic in radical_reference, which
+imports nothing from graphlab; comparable puts engine values and these side
+by side, radical indices by their terms and the rest by their JSON.
 
 The breadth-first distance engine (bfs_row, distance_matrix_bfs), the
 one-pair distance rule (distance_fast) and per-edge Mostar counts
@@ -25,9 +28,9 @@ before it read them off per-code columns.
 
 What graphlab keeps one path for, these keep as references beside it:
 vectors (the codes decoded over the exponents), adjacent (the one-pair
-test), neighbors (sorted from the listing), edges (pairs from multiples()),
-DistanceMatrix with distance_matrix (the 0/1/2 rows of metric.digit_rows as
-ints) and inv_sqrt (one term of exact.inv_sqrt_sum).
+test), neighbors (sorted from the listing), edges (pairs from multiples())
+and DistanceMatrix with distance_matrix (the 0/1/2 rows of metric.digit_rows
+as ints).
 """
 
 from collections import Counter, deque
@@ -37,8 +40,12 @@ from fractions import Fraction
 from math import prod
 from typing import NamedTuple
 
-from graphlab.exact import RadicalSum, _int_str, normalize, to_decimal
+from graphlab.exact import _int_str, normalize, to_decimal
 from graphlab.metric import digit_rows, require_universal_vertex
+from radical_reference import reference_terms, scale, terms_of
+
+#: The indices whose values are sums of square roots.
+RADICAL_INDICES = ("balaban", "randic")
 
 
 class DisconnectedGraphError(ValueError):
@@ -66,14 +73,6 @@ class DistanceMatrix(NamedTuple):
 def distance_matrix(g) -> DistanceMatrix:
     """The matrix of graphlab's 0/1/2 rule: metric.digit_rows read as ints."""
     return DistanceMatrix(g.labels(), [list(map(int, row.decode())) for row in digit_rows(g)])
-
-
-def inv_sqrt(q) -> RadicalSum:
-    """1/sqrt(q) for rational q > 0, rationalized: sqrt(ab)/a for q = a/b."""
-    q = Fraction(q)
-    if q <= 0:
-        raise ValueError(f"expected a positive rational, got {q}")
-    return RadicalSum({q.numerator * q.denominator: Fraction(1, q.numerator)})
 
 
 def _vector(g, code: int) -> tuple[int, ...]:
@@ -177,10 +176,8 @@ def mostar_counts(g, edge: tuple[int, int]) -> EdgeCloserCounts:
 
 
 def _inv_sqrt_sum(counts):
-    acc = RadicalSum()
-    for q, c in counts.items():
-        acc = acc + inv_sqrt(q) * c
-    return acc
+    """The terms of the sum of c/sqrt(q) = (c/q)*sqrt(q) over {q: c}."""
+    return reference_terms((q, Fraction(c, q)) for q, c in counts.items())
 
 
 def edges_and_degrees(g):
@@ -211,7 +208,9 @@ class _ScannedGraph:
 
 
 def reference_indices(g) -> dict:
-    """All fourteen indices of g by enumeration, keyed by index name."""
+    """All fourteen indices of g by enumeration, keyed by index name: Randic
+    and Balaban as canonical terms (radical_reference), the others as ints
+    and Fractions."""
     edges, deg = edges_and_degrees(g)
     scanned = _ScannedGraph(g.order, edges)
     rows = [bfs_row(scanned, i) for i in range(g.order)]
@@ -220,10 +219,10 @@ def reference_indices(g) -> dict:
     tr = [sum(row) for row in rows]
     r = [sum(deg) - deg[i] + prod(deg[j] for j in range(g.order) if j != i)
          for i in range(g.order)]
-    balaban = 0
+    balaban = ()
     if m:
         mu = m - g.order + 1
-        balaban = _inv_sqrt_sum(Counter(tr[i] * tr[j] for i, j in edges)) * Fraction(m, mu + 1)
+        balaban = scale(_inv_sqrt_sum(Counter(tr[i] * tr[j] for i, j in edges)), Fraction(m, mu + 1))
     mostar = 0
     for i, j in edges:
         n_u = sum(1 for a, b in zip(rows[i], rows[j]) if a < b)
@@ -245,7 +244,15 @@ def reference_indices(g) -> dict:
         "r3": sum(r[i] + r[j] for i, j in edges),
         "mostar": mostar,
     }
-    return {name: normalize(v) for name, v in values.items()}
+    return {name: v if name in RADICAL_INDICES else normalize(v) for name, v in values.items()}
+
+
+def comparable(values: dict) -> dict:
+    """Index values keyed by name, engine or reference alike, as the tests
+    compare them: Randic and Balaban by their canonical terms, every other
+    index by its JSON document."""
+    return {name: terms_of(v) if name in RADICAL_INDICES else value_to_json(v)
+            for name, v in values.items()}
 
 
 def value_to_json(v) -> dict | None:

@@ -184,8 +184,7 @@ def test_criterion_8_property_suites(criterion):
         produced = [indices.compute_index(build_gamma(k), "randic") for k in range(3, 7)]
         produced += [indices.compute_index(build_gamma(k), "balaban") for k in range(3, 7)]
         for v in produced:
-            rs = RadicalSum.from_value(v)
-            assert RadicalSum(dict(rs.terms)) == rs
+            assert isinstance(v, RadicalSum) and RadicalSum(dict(v.terms)) == v
 
         # 50-digit decimals agree with an independent floating recomputation
         mpmath = pytest.importorskip("mpmath")

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import random
 import sys
 import time
 from pathlib import Path
@@ -687,3 +688,76 @@ def test_json_outputs_skip_the_pure_python_encoder(capsys, monkeypatch):
         code, out, _ = run_cli(capsys, *argv)
         assert code == 0
         assert out == _fresh_process_stdout(*argv)
+
+
+#: Small primes for random --primes lists, with two composites and the
+#: largest prime below 10**6.
+_ARGV_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 4, 9, 999983)
+
+
+def _random_index_option(rng) -> str:
+    """'all', or a comma list of one to four index names with, at times, an
+    unknown name, an empty name, a repeated name, 'all' or a padded name."""
+    if rng.random() < 0.25:
+        return "all"
+    names = rng.sample(indices.INDEX_NAMES, rng.randint(1, 4))
+    extra = rng.choice((None, None, "bogus", "", names[0], "all", f" {names[-1]} "))
+    if extra is not None:
+        names.insert(rng.randint(0, len(names)), extra)
+    return ",".join(names)
+
+
+def _random_argv(rng) -> list[str]:
+    """One seeded argv over the five subcommands: --k from -2 to 18, --n up to
+    10**15 or a power of 2 up to 2**64, every --emit and --format, and at
+    times a --primes list of the wrong length or with a composite.  An
+    R-index on Gamma_13..Gamma_16 prints r-values of up to about a million
+    digits (0.1-0.6 s each), so k avoids that range when one is asked for;
+    k = 17 and 18 still reach the R-indices' refusal."""
+    command = rng.choice(("gamma", "divisor-graph", "indices", "verify", "claims"))
+    k = rng.randint(-2, 18)
+    n = rng.choice((rng.randint(-2, 10**15), 2 ** rng.randint(0, 64), rng.randint(1, 5000)))
+    primes = ",".join(map(str, rng.sample(_ARGV_PRIMES, max(0, min(k + rng.randint(-1, 1), 12)))))
+    if command in ("gamma", "divisor-graph"):
+        argv = [command, *(("--k", str(k)) if command == "gamma" else ("--n", str(n)))]
+        if command == "gamma" and rng.random() < 0.3:
+            argv += ["--primes", primes]
+        return argv + ["--emit", rng.choice(("json", "dot", "csv"))]
+    if command == "indices":
+        index = _random_index_option(rng)
+        if (index == "all" or {"r1", "r2", "r3"} & {*index.split(",")}) and 13 <= k <= 16:
+            k = rng.choice((*range(-2, 13), 17, 18))
+        target = ["--k", str(k)] if rng.random() < 0.6 else ["--n", str(n)]
+        if rng.random() < 0.2:
+            target += ["--primes", primes]
+        return [command, *target, "--index", index, "--format", rng.choice(("json", "table"))]
+    if command == "verify":
+        return [command, "--k-min", str(rng.randint(-2, 18)), "--k-max", str(k)]
+    argv = [command, "--format", rng.choice(("json", "markdown"))]
+    if rng.random() < 0.6:
+        argv += ["--k", str(k)]
+    return argv + ["--strict"] * rng.randint(0, 1)
+
+
+def test_seeded_argv_exit_cleanly_and_quickly(capsys):
+    """Random argv, run in-process: each exits 0 with output and no stderr;
+    1 only from verify and 3 only from claims --strict; or 2 with output
+    nothing and stderr holding one 'error: ' line.  No run takes 2 s."""
+    rng = random.Random(20261020)
+    seen = set()
+    for _ in range(240):
+        argv = _random_argv(rng)
+        start = time.perf_counter()
+        code, out, err = _outcome(capsys, main, argv)
+        elapsed = time.perf_counter() - start
+        code = code[1] if isinstance(code, tuple) else code  # a SystemExit's code
+        seen.add((argv[0], code))
+        assert elapsed < 2.0, (argv, elapsed)
+        if code == 2:
+            assert out == "" and len([line for line in err.splitlines() if "error: " in line]) == 1, argv
+        else:
+            assert code == 0 or (code, argv[0]) == (1, "verify") or (
+                (code, argv[0]) == (3, "claims") and "--strict" in argv), (argv, code)
+            assert out and err == "", argv
+    assert {c for c, code in seen if code == 0} == {"gamma", "divisor-graph", "indices", "verify", "claims"}
+    assert {c for c, code in seen if code == 2} == {"gamma", "divisor-graph", "indices", "verify", "claims"}

@@ -16,6 +16,7 @@ from graphlab.exact import (
     RadicalSum,
     factorize,
     format_value,
+    inv_sqrt_sum,
     is_prime,
     normalize,
     sqf_decompose,
@@ -24,17 +25,10 @@ from graphlab.exact import (
     value_text,
 )
 from graphlab.graphs import build_gamma, build_general
-from index_definitions import inv_sqrt, value_to_json
+from index_definitions import value_to_json
+from radical_reference import brute_sqf, inv_sqrt, reference_terms, scale, terms_of
 
 F = Fraction
-
-
-def brute_sqf(m):
-    """Independent oracle: largest square divisor by descending search."""
-    for f in range(isqrt(m), 0, -1):
-        if m % (f * f) == 0:
-            return f, m // (f * f)
-    raise AssertionError
 
 
 def is_squarefree(d):
@@ -104,55 +98,45 @@ def test_sqf_decompose_budget():
 
 
 def test_radical_arithmetic_splits_no_radicand():
-    """Sums and products of canonical radical sums keep squarefree radicands
-    without splitting them again, so a radicand beyond the sqf_decompose
-    budget still adds and multiplies."""
+    """_fold and scalar * keep squarefree radicands without splitting them
+    again, so a radicand beyond the sqf_decompose budget still adds, scales
+    and cancels."""
     p, q, r = 1000003, 1000033, 1000037
     root = RadicalSum._fold([(p * q * r, 1, 1)])
     with pytest.raises(ValueError, match="factorisation budget"):
         RadicalSum({p * q * r: 1})
-    assert (root + root).terms == ((p * q * r, F(2)),)
-    assert root * root == p * q * r
-    assert (root * RadicalSum({p: 1})).terms == ((q * r, F(p)),)
-    assert (root * F(1, 3) - root).terms == ((p * q * r, F(-2, 3)),)
-    assert not root - root
-    assert RadicalSum({2: 1, 3: 1}) * RadicalSum({6: 1}) == RadicalSum({3: 2, 2: 3})
+    assert RadicalSum._fold([(p * q * r, 1, 1)] * 2).terms == ((p * q * r, F(2)),)
+    assert (root * F(1, 3)).terms == (F(-2, 3) * root * F(-1, 2)).terms == ((p * q * r, F(1, 3)),)
+    assert RadicalSum._fold([(p * q * r, 1, 3), (p * q * r, -1, 1)]).terms == ((p * q * r, F(-2, 3)),)
+    assert not RadicalSum._fold([(p * q * r, 1, 1), (p * q * r, -1, 1)])
+    assert not root * 0 and (0 * root).terms == ()
     # Randic writes 1/sqrt(x*y) with such a radicand p*q for degrees x = p, y = q,
     # and a report holding it reads back.
-    pair = inv_sqrt(p * q)
+    pair = inv_sqrt_sum({(p, q): 1})
     assert pair.terms == ((p * q, F(1, p * q)),)
     assert value_from_json(value_to_json(pair)) == pair
 
 
 def test_inv_sqrt_examples():
-    assert inv_sqrt(1) == RadicalSum({1: 1})
-    assert inv_sqrt(49) == RadicalSum({1: F(1, 7)})
-    assert inv_sqrt(28) == RadicalSum({7: F(1, 14)})
-    assert inv_sqrt(F(1, 4)) == RadicalSum({1: 2})
-
-
-def test_inv_sqrt_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        inv_sqrt(0)
-    with pytest.raises(ValueError):
-        inv_sqrt(F(-3, 7))
-
-
-def test_inv_sqrt_square_is_reciprocal():
-    rng = random.Random(7)
-    for _ in range(50):
-        q = F(rng.randint(1, 500), rng.randint(1, 500))
-        s = inv_sqrt(q)
-        assert s * s == RadicalSum({1: 1 / q})
+    """One term of inv_sqrt_sum, 1/sqrt(q) = b/sqrt(a*b) for q = a/b, equals
+    the reference's sqrt(a*b)/a and the rationalised value."""
+    for q, want in ((1, {1: 1}), (49, {1: F(1, 7)}), (28, {7: F(1, 14)}), (F(1, 4), {1: 2}),
+                    (F(3, 8), {6: F(2, 3)})):
+        q = F(q)
+        engine = inv_sqrt_sum({(q.numerator, q.denominator): q.denominator})
+        assert terms_of(engine) == inv_sqrt(q) == RadicalSum(want).terms, q
 
 
 def test_radical_canonicalization():
     # non-squarefree radicands fold into the coefficient
     assert RadicalSum({8: 1}) == RadicalSum({2: 2})
     assert RadicalSum({4: F(3, 2)}) == RadicalSum({1: 3})
+    assert RadicalSum({8: 1, 18: -1, 50: F(1, 5)}).terms == reference_terms(
+        [(8, 1), (18, -1), (50, F(1, 5))]) == ()
     # zero coefficients vanish
     assert RadicalSum({7: 0}) == RadicalSum()
-    assert not RadicalSum({7: 1}) - RadicalSum({7: 1})
+    assert not RadicalSum({7: 1, 28: F(-1, 2)})
+    assert not RadicalSum({7: 1}) * 0
 
 
 def test_radical_canonicalization_idempotent():
@@ -169,24 +153,28 @@ def test_radical_canonicalization_idempotent():
             assert q != 0
 
 
-def reference_terms(triples):
-    """Independent oracle: the canonical terms of the sum of q * sqrt(m) over
-    (m, q) pairs, m >= 1 and q a Fraction, as (squarefree radicand, (num,
-    den)) items in radicand order, added as Fractions per radicand."""
-    sums = {}
-    for m, q in triples:
-        c, d = brute_sqf(m)
-        sums[d] = sums.get(d, F(0)) + q * c
-    return [(d, sums[d].as_integer_ratio()) for d in sorted(sums) if sums[d]]
+def merged(*sums):
+    """The constructor's input for the sum of these values: dict(v.terms)
+    added per radicand, as the README's migration note for + says."""
+    terms = {}
+    for v in sums:
+        for d, q in terms_of(v):
+            terms[d] = terms.get(d, 0) + q
+    return terms
+
+
+def stored_as(terms):
+    """The stored items of a RadicalSum with these canonical terms."""
+    return [(d, q.as_integer_ratio()) for d, q in terms]
 
 
 def test_radical_arithmetic_matches_a_fraction_reference():
-    """+, -, * and scalar * on random canonical sums give the terms of a
-    per-radicand Fraction sum: sqrt(a)*sqrt(b) is split as sqrt(a*b), not by
-    the gcd rule of RadicalSum.__mul__.  The stored items are compared, so
-    zero sums, reduced pairs and the radicand order are checked too."""
+    """The constructor, _fold, scalar * on either side and the constructor
+    over merged terms give the reference arithmetic's terms.  The stored
+    items are compared, so zero sums, reduced pairs and the radicand order
+    are checked too."""
     rng = random.Random(20261019)
-    radicands = [d for d in range(1, 80) if is_squarefree(d)]
+    radicands = [*range(1, 80), *rng.sample(range(80, 10**6), 40)]
 
     def rand_terms():
         return {rng.choice(radicands): F(rng.randint(-12, 12), rng.randint(1, 12))
@@ -199,47 +187,37 @@ def test_radical_arithmetic_matches_a_fraction_reference():
         ta, tb = rand_terms(), rand_terms()
         a, b = RadicalSum(ta), RadicalSum(tb)
         s = F(rng.randint(-20, 20), rng.randint(1, 20))
-        assert stored(a) == reference_terms(ta.items())
-        assert stored(a + b) == reference_terms([*ta.items(), *tb.items()])
-        assert stored(a - b) == reference_terms([*ta.items(), *((d, -q) for d, q in tb.items())])
-        assert stored(a * b) == reference_terms(
-            [(da * db, qa * qb) for da, qa in ta.items() for db, qb in tb.items()])
-        assert stored(a * s) == stored(s * a) == reference_terms([(d, q * s) for d, q in ta.items()])
-        assert stored(a + s) == reference_terms([*ta.items(), (1, s)])
-        assert stored(a - a) == []
-
-
-def test_radical_sum_ops_commute():
-    rng = random.Random(4)
-
-    def rand_sum():
-        return RadicalSum({rng.randint(1, 60): F(rng.randint(-9, 9), rng.randint(1, 9))
-                           for _ in range(rng.randint(0, 4))})
-
-    for _ in range(60):
-        a, b, c = rand_sum(), rand_sum(), rand_sum()
-        assert a + b == b + a
-        assert (a + b) + c == a + (b + c)
-        assert a * b == b * a
-        assert a * (b + c) == a * b + a * c
+        ra, rb = reference_terms(ta.items()), reference_terms(tb.items())
+        assert stored(a) == stored_as(ra) and a.terms == ra
+        assert stored(RadicalSum._fold(exact._triples(a) + exact._triples(b))) == stored_as(
+            reference_terms([*ta.items(), *tb.items()]))
+        assert stored(RadicalSum(merged(a, b, s))) == stored_as(reference_terms([*ra, *rb, (1, s)]))
+        assert stored(a * s) == stored(s * a) == stored_as(scale(ra, s))
+        assert stored(RadicalSum._fold(exact._triples(a), *s.as_integer_ratio())) == stored_as(scale(ra, s))
+        assert stored(RadicalSum(merged(a, a * -1))) == []
 
 
 def test_radical_scale():
     v = RadicalSum({1: F(23, 14), 7: F(6, 7)})
     assert v * 0 == RadicalSum()
-    assert v * 2 == RadicalSum({1: F(23, 7), 7: F(12, 7)})
+    assert v * 2 == 2 * v == RadicalSum({1: F(23, 7), 7: F(12, 7)})
     assert v * F(1, 2) * 2 == v
+    assert F(19, 26) * RadicalSum({1: F(52, 35), 70: F(12, 35)}) == RadicalSum({1: F(38, 35), 70: F(114, 455)})
+    assert v.__mul__(v) is NotImplemented and v.__mul__(1.5) is NotImplemented
+    for op in ("__add__", "__radd__", "__sub__", "__rsub__", "__neg__", "from_value"):
+        assert not hasattr(v, op), op
 
 
 def test_randic_style_accumulation():
     # edge sum for Gamma_3: one (7,7) edge, twelve (7,4), six (4,4)
-    acc = inv_sqrt(49) + 12 * inv_sqrt(28) + 6 * inv_sqrt(16)
-    assert acc == RadicalSum({1: F(23, 14), 7: F(6, 7)})
+    want = RadicalSum({1: F(23, 14), 7: F(6, 7)})
+    assert inv_sqrt_sum({(7, 7): 1, (7, 4): 12, (4, 4): 6}) == want
+    assert reference_terms([*inv_sqrt(49), *scale(inv_sqrt(28), 12), *scale(inv_sqrt(16), 6)]) == want.terms
 
 
 def test_coefficients_stored_as_reduced_int_pairs():
     """Every stored coefficient is an int pair (num, den) in lowest terms with
-    den > 0 and num != 0, through construction and every operation; terms
+    den > 0 and num != 0, through the constructor, _fold and scalar *; terms
     gives the same coefficients as Fractions."""
     rng = random.Random(1301)
 
@@ -250,7 +228,9 @@ def test_coefficients_stored_as_reduced_int_pairs():
     for _ in range(200):
         a, b = rand_sum(), rand_sum()
         q = F(rng.randint(-9, 9), rng.randint(1, 9))
-        for v in (a, a + b, a - b, -a, a * b, a * q, q - a, a + rng.randint(-5, 5)):
+        for v in (a, RadicalSum(merged(a, b)), RadicalSum(merged(a, b * -1)), a * -1, a * q, q * a,
+                  RadicalSum._fold(exact._triples(a) + exact._triples(b), *q.as_integer_ratio()),
+                  RadicalSum(merged(a, rng.randint(-5, 5)))):
             for d, pair in v._terms.items():
                 assert type(pair) is tuple and len(pair) == 2, (d, pair)
                 num, den = pair
@@ -266,7 +246,7 @@ def test_radical_text_and_hash():
     v = RadicalSum({1: F(23, 14), 7: F(6, 7)})
     assert v._terms == {1: (23, 14), 7: (6, 7)}
     assert str(v) == "23/14 + 6/7*sqrt(7)"
-    assert str(-v) == "-23/14 - 6/7*sqrt(7)"
+    assert str(v * -1) == "-23/14 - 6/7*sqrt(7)"
     assert repr(v) == "RadicalSum({1: Fraction(23, 14), 7: Fraction(6, 7)})"
     assert repr(RadicalSum({7: F(3, 2)})) == "RadicalSum({7: Fraction(3, 2)})"
     assert str(RadicalSum({7: 1, 3: -2})) == "-2*sqrt(3) + sqrt(7)"
@@ -305,7 +285,7 @@ def test_values_equal_across_shapes():
               RadicalSum({7: F(6, 7)}), RadicalSum({1: 1, 7: 1}), RadicalSum({3: 2, 5: -1})]
     for a in values:
         for b in values:
-            same = RadicalSum.from_value(a).terms == RadicalSum.from_value(b).terms
+            same = terms_of(a) == terms_of(b)
             assert (a == b) is same, (a, b)
 
 
@@ -376,12 +356,12 @@ def boundary_cases():
         for c in close_convergents(d):
             b = tie + F(1, 2 * 10**6)
             v = RadicalSum({1: b - c, d: 1})
-            cases += [v, -v]
+            cases += [v, v * -1]
     (p2, _), (_, p3), (p5, _) = (close_convergents(d) for d in (2, 3, 5))
     big = 10**12
     b = F(2718281, 10**6) + F(1, 2 * 10**6)
     v = RadicalSum({1: b - big * p2 + big * p3 - 7 * big * p5, 2: big, 3: -big, 5: 7 * big})
-    cases += [v, -v]
+    cases += [v, v * -1]
     return cases
 
 

@@ -32,14 +32,15 @@ from graphlab.indices import (
 )
 from index_definitions import (
     Path3,
+    comparable,
     distance_matrix_bfs,
     edges,
     edges_and_degrees,
-    inv_sqrt,
     reference_indices,
     report_dict,
     value_to_json,
 )
+from radical_reference import reference_terms, scale, terms_of
 
 F = Fraction
 
@@ -179,12 +180,12 @@ def test_randic():
 
 
 def test_randic_definition_cross_check():
+    """Randic equals the reference sum of sqrt(x*y)/(x*y) taken edge by edge."""
     for k in range(7):
         g = build_gamma(k)
-        acc = RadicalSum()
-        for i, j in edges(g):
-            acc = acc + inv_sqrt(g.degrees()[i] * g.degrees()[j])
-        assert randic(g) == acc
+        deg = g.degrees()
+        want = reference_terms((deg[i] * deg[j], F(1, deg[i] * deg[j])) for i, j in edges(g))
+        assert terms_of(randic(g)) == want, k
 
 
 def test_r_degree_gamma3():
@@ -334,9 +335,60 @@ def test_profile_engine_equals_definitions():
     graphs += [build_general(n) for n in range(1, 601)]
     graphs += [build_general(n) for n in MIXED_SHAPES]
     for g in graphs:
-        got = {name: value_to_json(v) for name, v in compute_indices(g).items()}
-        expected = {name: value_to_json(v) for name, v in reference_indices(g).items()}
-        assert got == expected, g
+        assert comparable(compute_indices(g)) == comparable(reference_indices(g)), g
+
+
+#: The primes below 1000, for random divisor graphs.
+SMALL_PRIMES = [p for p in range(2, 1000) if all(p % f for f in range(2, isqrt(p) + 1))]
+
+
+def random_exponents(rng, max_divisors=150):
+    """A seeded exponent vector of up to 7 entries, each 1..9, with at most
+    max_divisors divisors: each drawn entry is kept while it fits."""
+    exponents = []
+    for _ in range(rng.randint(0, 7)):
+        e = rng.randint(1, rng.choice((1, 3, 9)))
+        if prod(x + 1 for x in exponents) * (e + 1) <= max_divisors:
+            exponents.append(e)
+    return exponents
+
+
+def shape_forms(exponents) -> dict:
+    """W, WW, H and M1 of the divisor graph of any n with these exponents,
+    from the exponents alone.  With V = prod(e+1) divisors, T = prod C(e+2, 2)
+    divisor pairs d | d' (d = d' included), m = T - V edges and F = C(V, 2) - m
+    pairs at distance 2: W = m + 2F, WW = m + 3F and H = m + F/2.  The degree
+    of d is tau(d) + tau(n/d) - 2, so M1 = 2A + 2B + 4V - 8T with
+    A = prod sum_a (a+1)^2 and B = prod sum_a (a+1)(e-a+1)."""
+    v = prod(e + 1 for e in exponents)
+    t = prod(comb(e + 2, 2) for e in exponents)
+    a = prod(sum((x + 1) ** 2 for x in range(e + 1)) for e in exponents)
+    b = prod(sum((x + 1) * (e - x + 1) for x in range(e + 1)) for e in exponents)
+    m = t - v
+    far = comb(v, 2) - m
+    return {"wiener": m + 2 * far, "hyper_wiener": m + 3 * far,
+            "harary": normalize(m + F(far, 2)), "zagreb1": 2 * a + 2 * b + 4 * v - 8 * t}
+
+
+def test_seeded_shapes_equal_the_definitions_and_the_shape_forms():
+    """Random exponent vectors on random primes below 1000, and Gamma_k for
+    k <= 6 on random prime bases, through the engine and the enumeration
+    oracle: all fourteen indices agree (Randic and Balaban by their terms in
+    the reference arithmetic), and W, WW, H and M1 equal their closed forms."""
+    rng = random.Random(20261020)
+    cases = []
+    for _ in range(24):
+        exponents = random_exponents(rng)
+        primes = rng.sample(SMALL_PRIMES, len(exponents))
+        cases.append((build_general(prod(p**e for p, e in zip(primes, exponents))), exponents))
+    for _ in range(6):
+        k = rng.randint(0, 6)
+        cases.append((build_gamma(k, rng.sample(SMALL_PRIMES + [999983, 2**61 - 1], k)), [1] * k))
+    for g, exponents in cases:
+        got, want = compute_indices(g), reference_indices(g)
+        assert comparable(got) == comparable(want), exponents
+        forms = shape_forms(exponents)
+        assert {name: got[name] for name in forms} == forms, exponents
 
 
 def _fractions_made(monkeypatch, call):
@@ -376,14 +428,13 @@ def test_randic_balaban_store_reduced_int_pairs(monkeypatch):
         profile(g)
         for index in ("randic", "balaban"):
             got, made = _fractions_made(monkeypatch, lambda: compute_index(g, index))
-            terms = RadicalSum.from_value(got)._terms
-            for pair in terms.values():
-                assert type(pair) is tuple and len(pair) == 2, (g, index, pair)
-                num, den = pair
-                assert type(num) is int and type(den) is int, (g, index, pair)
-                assert num != 0 and den > 0 and gcd(num, den) == 1, (g, index, pair)
-            assert terms == RadicalSum.from_value(want[index])._terms, (g, index)
+            assert terms_of(got) == want[index], (g, index)
             if isinstance(got, RadicalSum):
+                for pair in got._terms.values():
+                    assert type(pair) is tuple and len(pair) == 2, (g, index, pair)
+                    num, den = pair
+                    assert type(num) is int and type(den) is int, (g, index, pair)
+                    assert num != 0 and den > 0 and gcd(num, den) == 1, (g, index, pair)
                 assert made == 0, (g, index)
 
 
@@ -548,28 +599,20 @@ def test_indices_run_no_breadth_first_search(monkeypatch):
 
 
 def test_inv_sqrt_sum_equals_term_by_term_sum():
-    """The engine's sum equals num/den times c/sqrt(x*y) added term by term as
-    Fractions per squarefree radicand, with x*y split by trial division here,
-    down to the canonical term order."""
+    """The engine's sum equals num/den times c/sqrt(x*y) = (c/(x*y))*sqrt(x*y)
+    added term by term by the reference arithmetic, down to the canonical
+    term order."""
     rng = random.Random(20241018)
-    split = {}  # m -> (f, d) with m = f*f*d, d squarefree
     for _ in range(100):
         pairs = Counter({
             (rng.randint(1, 400), rng.randint(1, 400)): rng.randint(1, 30)
             for _ in range(rng.randint(1, 40))
         })
         num, den = rng.randint(1, 500), rng.randint(1, 500)
-        sums = {}
-        for (x, y), c in pairs.items():
-            m = x * y
-            if m not in split:
-                f = max(f for f in range(1, isqrt(m) + 1) if m % (f * f) == 0)
-                split[m] = f, m // (f * f)
-            f, d = split[m]
-            sums[d] = sums.get(d, Fraction(0)) + Fraction(c, f * d)  # c/sqrt(m) = c/(f*d) * sqrt(d)
-        want = tuple((d, sums[d] * Fraction(num, den)) for d in sorted(sums))
+        want = scale(reference_terms((x * y, Fraction(c, x * y)) for (x, y), c in pairs.items()),
+                     Fraction(num, den))
         got = inv_sqrt_sum(pairs, num, den)
-        assert RadicalSum.from_value(got).terms == want
+        assert terms_of(got) == want
         assert got == normalize(RadicalSum(dict(want)))
 
 
@@ -587,14 +630,15 @@ def test_cold_and_warm_values_equal_the_definitions():
     """Each value computed on an empty memo, and read again from it, equals
     the enumeration oracle; so do the texts report_text writes."""
     for g in [build_gamma(k) for k in range(11)] + [build_general(n) for n in range(1, 400)]:
-        want = {name: value_to_json(v) for name, v in reference_indices(g).items()}
+        want = comparable(reference_indices(g))
         indices.shape_profile.cache_clear()
         cold = compute_indices(g)
         warm = compute_indices(g)
         assert all(warm[name] is cold[name] for name in INDEX_NAMES), g
+        assert comparable(cold) == want, g
+        docs = {name: value_to_json(v) for name, v in cold.items()}
         for values in (cold, warm):
-            assert {name: value_to_json(v) for name, v in values.items()} == want, g
-            assert json.loads(report_text(g, values))["indices"] == want, g
+            assert json.loads(report_text(g, values))["indices"] == docs, g
     # A value the memo does not hold is written from itself, under any name.
     compute_indices(G3)
     other = {"wiener": -1, "randic": compute_index(G4, "randic")}
