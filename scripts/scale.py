@@ -12,6 +12,11 @@ is needed.  The medians over RUNS runs of each case print as one JSON
 object.  The exit code is 1 when a run exits nonzero or when a run that
 lists Gamma_12 (an export, or verify up to k = 12) peaks at or above
 LISTING_RSS_MB.
+
+The in_process section times formulas.verification_lines(0, k_max) in this
+process, imported from the same src/: cold, with formulas' per-k record
+cleared before each run (the index memo stays warm), and then warm, as
+medians over IN_PROCESS_RUNS runs.  It is reported only and gates nothing.
 """
 
 from __future__ import annotations
@@ -21,6 +26,7 @@ import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parent.parent / "src"
@@ -53,6 +59,10 @@ CASES = LISTING_CASES + (
     ("indices", "--k", "100", "--index", NON_RADICAL),
 )
 
+#: The k_max of the in-process verification_lines cases, and runs per median.
+IN_PROCESS_K_MAX = (8, 12)
+IN_PROCESS_RUNS = 5
+
 #: Run by a fresh interpreter, so RUSAGE_CHILDREN holds the CLI alone.
 _MEASURE = """
 import json, resource, subprocess, sys, time
@@ -76,6 +86,28 @@ def measure(argv: tuple[str, ...]) -> dict:
     return json.loads(line)
 
 
+def in_process() -> dict:
+    sys.path.insert(0, str(SRC))
+    from graphlab import formulas
+
+    def median_s(k_max: int, cold: bool) -> float:
+        times = []
+        for _ in range(IN_PROCESS_RUNS):
+            if cold:
+                formulas._oracle.cache_clear()
+            start = time.perf_counter()
+            formulas.verification_lines(0, k_max)
+            times.append(time.perf_counter() - start)
+        return statistics.median(times)
+
+    report = {}
+    for k_max in IN_PROCESS_K_MAX:
+        formulas.verification_lines(0, k_max)  # fills the index memo
+        report[f"verification_lines(0, {k_max})"] = {
+            "cold_s": median_s(k_max, cold=True), "warm_s": median_s(k_max, cold=False)}
+    return report
+
+
 def main() -> int:
     report, ok = {}, True
     for argv in CASES:
@@ -86,7 +118,7 @@ def main() -> int:
         if argv in LISTING_CASES:
             ok &= max(r["peak_rss_mb"] for r in runs) < LISTING_RSS_MB
         report[" ".join(argv)] = row
-    print(json.dumps({"runs": RUNS, "cases": report}, indent=2))
+    print(json.dumps({"runs": RUNS, "cases": report, "in_process": in_process()}, indent=2))
     return 0 if ok else 1
 
 

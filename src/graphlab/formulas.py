@@ -6,14 +6,20 @@ indices.compute_index, and by the test suite.  The
 enumeration is the graph's unsorted two-way listing: the size is the sum of
 the lengths of the lists of multiples less V, and each degree the lengths of
 a vertex's lists of multiples and divisors less 2, so no row is sorted,
-inverted or hashed.  Everything is exact; k = 0 routes through rationals
-where an intermediate 2**(k-1) appears.
+inverted or hashed.  That oracle side never changes for a given k, so it is
+counted once per process and kept per k (_oracle, the last 16 k): the
+order, m, the omega counts and column, the degree tuple, and W, WW, H and M1
+with their texts, never the graph or its lists.  The closed forms stay live:
+every verify call evaluates and formats them and compares them with the
+record.  Everything is exact; k = 0 routes through rationals where an
+intermediate 2**(k-1) appears.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import comb
 
 from . import indices
@@ -99,50 +105,59 @@ def zagreb1_formula(k: int) -> int:
     return 2 * (2**k - 1) ** 2 + interior
 
 
+#: The checks of each k, in the order verify prints them; the degree line follows.
+_CHECKS = ("order", "size", "size_recursive", "count_by_omega",
+           "wiener", "hyper_wiener", "harary", "zagreb1")
+
+
+def _closed_forms(k: int) -> tuple:
+    """The closed form of each of _CHECKS at k, evaluated anew on every call."""
+    return (order_formula(k), size_formula(k), size_recursive(k),
+            tuple(count_by_omega(k, j) for j in range(k + 1)),
+            wiener_formula(k), hyper_wiener_formula(k), harary_formula(k), zagreb1_formula(k))
+
+
+@lru_cache(maxsize=16)
+def _oracle(k: int) -> tuple[tuple, tuple[int, ...], tuple[int, ...]]:
+    """((value, format_value text) per check of _CHECKS, omega column, degree
+    tuple) of Gamma_k, counted from its listing and read from the index
+    engine; the graph and its lists are dropped on return."""
+    g = build_gamma(k)
+    up, down = g.listing()
+    m = sum(map(len, up)) - g.order
+    deg = tuple([len(a) + len(b) - 2 for a, b in zip(up, down)])
+    values = (g.order, m, m, tuple(map(Counter(g.omegas).__getitem__, range(k + 1))),
+              *(indices.compute_index(g, name) for name in _CHECKS[4:]))
+    return tuple((v, format_value(v)) for v in values), g.omegas, deg  # tuples print by str()
+
+
 def verification_lines(k_min: int, k_max: int) -> tuple[list[str], bool]:
     """Per-(formula, k) pass/fail lines comparing closed forms to edge
-    enumeration and the index engine, plus a summary line.  Size and degrees
-    are counted from the unsorted listing() of the lattice: m is the sum of
-    the lengths of the up lists less V (each holds its own vertex), and a
-    vertex's degree is len(up) + len(down) - 2.  Before any graph is built,
-    k_max is checked against the bound on k, then the edges of Gamma_{k_max}
-    against the budget of listed edges."""
+    enumeration and the index engine, plus a summary line.  The range
+    (0 <= k_min <= k_max), then k_max against the bound on k, then the edges
+    of Gamma_{k_max} against the budget of listed edges are checked before
+    _oracle is read.  The closed forms, verdicts and lines are made on every
+    call; a failed degree line builds Gamma_k again to name the vertex."""
+    if not 0 <= k_min <= k_max:
+        raise ValueError(f"need 0 <= k-min <= k-max, got {_int_str(k_min)}..{_int_str(k_max)}")
     require_gamma_k_bound(k_max)
     require_edge_budget(size_formula(k_max))
     lines: list[str] = []
     for k in range(k_min, k_max + 1):
-        g = build_gamma(k)
-        up, down = g.listing()
-        m = sum(map(len, up)) - g.order
-        deg = tuple([len(a) + len(b) - 2 for a, b in zip(up, down)])
-        checks = [
-            ("order", order_formula(k), g.order),
-            ("size", size_formula(k), m),
-            ("size_recursive", size_recursive(k), m),
-            (
-                "count_by_omega",
-                tuple(count_by_omega(k, j) for j in range(k + 1)),
-                tuple(map(Counter(g.omegas).__getitem__, range(k + 1))),
-            ),
-            ("wiener", wiener_formula(k), indices.compute_index(g, "wiener")),
-            ("hyper_wiener", hyper_wiener_formula(k), indices.compute_index(g, "hyper_wiener")),
-            ("harary", harary_formula(k), indices.compute_index(g, "harary")),
-            ("zagreb1", zagreb1_formula(k), indices.compute_index(g, "zagreb1")),
-        ]
-        for name, formula_value, oracle_value in checks:
-            fv, ov = format_value(formula_value), format_value(oracle_value)  # tuples print by str()
+        oracle, omegas, deg = _oracle(k)
+        for name, formula_value, (oracle_value, ov) in zip(_CHECKS, _closed_forms(k), oracle):
             same = formula_value == oracle_value
-            lines.append(f"k={k} {name}: formula {fv} {'==' if same else '!='} oracle {ov} "
-                         f"[{'pass' if same else 'FAIL'}]")
+            lines.append(f"k={k} {name}: formula {format_value(formula_value)} "
+                         f"{'==' if same else '!='} oracle {ov} [{'pass' if same else 'FAIL'}]")
         by_omega = [degree_formula(k, j) for j in range(k + 1)]
-        formula_deg = tuple(map(by_omega.__getitem__, g.omegas))
+        formula_deg = tuple(map(by_omega.__getitem__, omegas))
         if formula_deg == deg:
-            lines.append(f"k={k} degree: formula == oracle for all {g.order} vertices [pass]")
+            lines.append(f"k={k} degree: formula == oracle for all {len(deg)} vertices [pass]")
         else:
-            bad = next(i for i in range(g.order) if formula_deg[i] != deg[i])
+            bad = next(i for i in range(len(deg)) if formula_deg[i] != deg[i])
             lines.append(
                 f"k={k} degree: formula {formula_deg[bad]} != oracle {deg[bad]} "
-                f"at vertex {g.labels()[bad]} [FAIL]"
+                f"at vertex {build_gamma(k).labels()[bad]} [FAIL]"
             )
     failed = sum(line.endswith("[FAIL]") for line in lines)
     lines.append(f"{len(lines) - failed} checks passed, {failed} failed")

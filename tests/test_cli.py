@@ -345,8 +345,8 @@ def test_radical_indices_refuse_degrees_above_the_factorisation_budget(capsys):
 
 
 def test_verify_bad_range(capsys):
-    code, _, err = run_cli(capsys, "verify", "--k-min", "5", "--k-max", "2")
-    assert code == 2
+    code, out, err = run_cli(capsys, "verify", "--k-min", "5", "--k-max", "2")
+    assert (code, out, err) == (2, "", "error: need 0 <= k-min <= k-max, got 5..2\n")
 
 
 def test_verification_lines_function():
@@ -364,13 +364,40 @@ def test_verification_lines_function():
 def test_verify_reports_a_wrong_formula(capsys, monkeypatch, name, off, failed):
     """A closed form off at one k (the degree at one omega) fails that line
     alone; the degree line names the first bad vertex in canonical order,
-    the summary counts the failure and verify exits 1."""
+    the summary counts the failure and verify exits 1.  The oracle side of
+    each k is kept before the formula is patched: the kept record is
+    compared with the live closed form, and the failed degree line builds
+    the labels again."""
+    assert verification_lines(2, 4)[1]
     monkeypatch.setattr(formulas, name, off(getattr(formulas, name)))
     lines, ok = verification_lines(2, 4)
     assert not ok
     assert [line for line in lines if line.endswith("[FAIL]")] == [failed]
     assert lines[-1] == "26 checks passed, 1 failed"
     assert run_cli(capsys, "verify", "--k-min", "2", "--k-max", "4") == (1, "\n".join(lines) + "\n", "")
+
+
+def test_warm_verify_lists_no_graph_and_reads_no_index(capsys, monkeypatch):
+    """After one verify, a second reads the kept oracle side of each k: it
+    lists no graph and computes no index value, and prints the same bytes."""
+    def refuse(*args):
+        raise AssertionError("the oracle side was computed again")
+
+    first = run_cli(capsys, "verify", "--k-max", "8")
+    monkeypatch.setattr(graphs.DivisorGraph, "_lists", refuse)
+    monkeypatch.setattr(indices, "compute_index", refuse)
+    assert run_cli(capsys, "verify", "--k-max", "8") == first
+    assert first[0] == 0
+
+
+def test_cold_and_warm_verify_print_the_same(capsys):
+    """For every k-max the edge budget admits, a run with the per-k record
+    cleared and the run after it print the same bytes."""
+    for k_max in map(str, range(13)):
+        formulas._oracle.cache_clear()
+        cold = run_cli(capsys, "verify", "--k-max", k_max)
+        assert cold[0] == 0 and cold[1].endswith(" 0 failed\n"), k_max
+        assert run_cli(capsys, "verify", "--k-max", k_max) == cold, k_max
 
 
 def test_claims_json(capsys):

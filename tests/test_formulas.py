@@ -1,10 +1,13 @@
 """Closed forms: frozen examples and equality with the index engine."""
 
+import gc
 import sys
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 
+from graphlab import formulas
 from graphlab.formulas import (
     count_by_omega,
     degree_formula,
@@ -13,6 +16,7 @@ from graphlab.formulas import (
     order_formula,
     size_formula,
     size_recursive,
+    verification_lines,
     wiener_formula,
     zagreb1_formula,
 )
@@ -123,3 +127,35 @@ def test_formulas_equal_definitions():
         assert zagreb1_formula(k) == indices.compute_index(g, "zagreb1")
         for i in range(g.order):
             assert degree_formula(k, g.omegas[i]) == g.degrees()[i]
+
+
+@pytest.mark.parametrize("k_min, k_max", [(5, 2), (-1, 3), (1, 0), (-2, -1)])
+def test_verification_lines_refuses_an_empty_or_reversed_range(monkeypatch, k_min, k_max):
+    """An empty, reversed or negative range is refused before any graph is
+    built, with the message the verify subcommand prints."""
+    def refuse(*args):
+        raise AssertionError("a graph was built before the range was checked")
+
+    monkeypatch.setattr(formulas, "build_gamma", refuse)
+    with pytest.raises(ValueError) as e:
+        verification_lines(k_min, k_max)
+    assert str(e.value) == f"need 0 <= k-min <= k-max, got {k_min}..{k_max}"
+
+
+def test_verification_lines_keeps_counts_not_graphs():
+    """The per-k record of the oracle side holds counts and values, not the
+    graphs or their listings: after verifying Gamma_0..Gamma_12 from cold
+    (the index profiles of those shapes included), under 1 MB stays
+    allocated."""
+    formulas._oracle.cache_clear()
+    indices.shape_profile.cache_clear()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert verification_lines(0, 12)[1]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained < 1 << 20, retained

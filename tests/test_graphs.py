@@ -9,7 +9,7 @@ from math import isqrt
 
 import pytest
 
-from graphlab import graphs, indices, metric
+from graphlab import formulas, graphs, indices, metric
 from graphlab.exact import _int_str
 from graphlab.formulas import verification_lines
 from graphlab.graphs import build_gamma, build_general
@@ -444,6 +444,7 @@ def test_exports_and_verify_read_no_vectors(monkeypatch):
     for name in ("vectors", "adjacent", "omega", "edges", "neighbors", "to_dot", "_multiples"):
         assert not hasattr(graphs.DivisorGraph, name), name
     indices.shape_profile.cache_clear()  # verify's index values are computed here
+    formulas._oracle.cache_clear()  # and so is its listing
     for name in ("multiples", "_rows"):
         monkeypatch.setattr(graphs.DivisorGraph, name, refuse)
     for g in (build_gamma(8), build_gamma(6, PRIMES[:6]), build_general(5040), build_general(1)):
