@@ -16,11 +16,17 @@ LISTING_RSS_MB.
 The in_process section times formulas.verification_lines(0, k_max) in this
 process, imported from the same src/: cold, with formulas' per-k record
 cleared before each run (the index memo stays warm), and then warm, as
-medians over IN_PROCESS_RUNS runs.  It is reported only and gates nothing.
+medians over IN_PROCESS_RUNS runs.  It also times each of WARM_REQUESTS
+warm, through cli.main with stdout into a fresh buffer per call (main_s)
+and through cli._parse alone (parse_s): per call, the median over
+IN_PROCESS_RUNS runs of IN_PROCESS_CALLS calls each.  It is reported only
+and gates nothing.
 """
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import statistics
@@ -63,6 +69,14 @@ CASES = LISTING_CASES + (
 IN_PROCESS_K_MAX = (8, 12)
 IN_PROCESS_RUNS = 5
 
+#: A gamma-indices-sized and a divisor-indices-sized request (96 divisors),
+#: as those workloads send them, timed warm; and calls per timed run.
+WARM_REQUESTS = (
+    ("indices", "--k", "8", "--primes", "2,3,5,7,11,13,17,19", "--index", "all", "--format", "json"),
+    ("indices", "--n", "27720", "--index", "all", "--format", "json"),
+)
+IN_PROCESS_CALLS = 200
+
 #: Run by a fresh interpreter, so RUSAGE_CHILDREN holds the CLI alone.
 _MEASURE = """
 import json, resource, subprocess, sys, time
@@ -88,7 +102,7 @@ def measure(argv: tuple[str, ...]) -> dict:
 
 def in_process() -> dict:
     sys.path.insert(0, str(SRC))
-    from graphlab import formulas
+    from graphlab import cli, formulas
 
     def median_s(k_max: int, cold: bool) -> float:
         times = []
@@ -105,6 +119,24 @@ def in_process() -> dict:
         formulas.verification_lines(0, k_max)  # fills the index memo
         report[f"verification_lines(0, {k_max})"] = {
             "cold_s": median_s(k_max, cold=True), "warm_s": median_s(k_max, cold=False)}
+
+    def per_call_s(call) -> float:
+        times = []
+        for _ in range(IN_PROCESS_RUNS):
+            start = time.perf_counter()
+            for _ in range(IN_PROCESS_CALLS):
+                call()
+            times.append((time.perf_counter() - start) / IN_PROCESS_CALLS)
+        return statistics.median(times)
+
+    def main(argv: list[str]) -> None:
+        with contextlib.redirect_stdout(io.StringIO()):
+            cli.main(argv)
+
+    for argv in map(list, WARM_REQUESTS):
+        main(argv)  # fills the index memo
+        report[" ".join(argv)] = {"main_s": per_call_s(lambda: main(argv)),
+                                  "parse_s": per_call_s(lambda: cli._parse(argv))}
     return report
 
 

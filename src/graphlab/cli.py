@@ -19,11 +19,12 @@ value written by exact.value_text.  The graph exports are streams of row
 texts (DivisorGraph.json_rows and dot_rows, metric.csv_rows), written to
 stdout with writelines as they are made, so no whole document is held.  The
 claims and formulas modules are imported by the subcommands that use them,
-so the other subcommands start without them.  main hands argv[1:] to the
-parser of the subcommand argv[0] names (parse_known_args), which is all the
-top-level parser would do with it; with no subcommand, --help, an unknown
-name or arguments left over it falls back to the full parser, so every usage
-error keeps argparse's message and exit code 2.
+so the other subcommands start without them.  main reads an argv of plain
+"--option value" pairs from a table of the options argv[0]'s parser
+declares, built with the parser from the Actions that add_argument returned;
+argparse reads everything else (no subcommand, --help, an abbreviation,
+--opt=value, a repeated option, a bad value, a missing option), so every
+usage error keeps argparse's message and exit code 2.
 """
 
 from __future__ import annotations
@@ -112,73 +113,130 @@ def cmd_claims(args: argparse.Namespace) -> int:
     return 0
 
 
+def _table(parser, func, actions, exclusive=()):
+    """Set func as the default of a subcommand's parser and return its table
+    read, built from the Actions its add_argument calls returned; exclusive
+    pairs each mutually exclusive group's required flag with its members.
+    read(argv) gives what build_parser().parse_args(argv) gives when every
+    token of argv[1:] is an option string of the table, given once and
+    followed by its one value if it takes one.  It returns None, leaving argv
+    to argparse, for an unknown or abbreviated option, --opt=value, --, a
+    repeated option, a missing value or one starting with '-', a value the
+    type or the choices refuse, a missing required option, and a group with
+    two members given or, if required, none."""
+    parser.set_defaults(func=func)
+    defaults, options = {"func": func}, {}
+    for action in actions:
+        convert = _int_from_str if action.type is int else action.type or str
+        default = action.default
+        defaults[action.dest] = convert(default) if isinstance(default, str) else default
+        if action.nargs in (None, 0):  # one value, or a flag
+            options.update(dict.fromkeys(action.option_strings, (action, convert)))
+    required = {action.dest for action in actions if action.required}
+    groups = [(needed, {action.dest for action in members}) for needed, members in exclusive]
+
+    def read(argv: list[str]) -> argparse.Namespace | None:
+        args = argparse.Namespace(command=argv[0], **defaults)
+        seen = set()
+        tokens = iter(argv[1:])
+        for token in tokens:
+            action, convert = options.get(token, (None, None))
+            if action is None or action.dest in seen:
+                return None
+            value = []  # what argparse hands a flag
+            if action.nargs is None:
+                text = next(tokens, "-")  # so a missing value declines too
+                if text.startswith("-"):
+                    return None
+                try:
+                    value = convert(text)
+                except (argparse.ArgumentTypeError, TypeError, ValueError):
+                    return None
+                if action.choices is not None and value not in action.choices:
+                    return None
+            action(parser, args, value, token)
+            seen.add(action.dest)
+        if not required <= seen:
+            return None
+        for needed, members in groups:
+            if len(members & seen) > 1 or needed and not members & seen:
+                return None
+        return args
+
+    return read
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every later
-    main() call in the process (parse_args leaves it unchanged); its
-    subcommands attribute maps each subcommand to its own parser."""
+    main() call in the process (parse_args leaves it unchanged).  Its tables
+    attribute maps each subcommand to the table read of its options (_table),
+    made from the same add_argument calls."""
     parser = argparse.ArgumentParser(
         prog="graphlab",
         description="Exact divisor-function graphs and topological indices.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    tables = parser.tables = {}
 
     p = sub.add_parser("gamma", help="build the k-dprime divisor function graph")
-    p.add_argument("--k", type=int, required=True, help="number of distinct primes")
-    p.add_argument("--primes", help="comma-separated primes realizing the graph")
-    p.add_argument("--emit", choices=("json", "dot", "csv"), default="json",
-                   help="csv emits the distance matrix")
-    p.set_defaults(func=cmd_gamma)
+    tables["gamma"] = _table(p, cmd_gamma, (
+        p.add_argument("--k", type=int, required=True, help="number of distinct primes"),
+        p.add_argument("--primes", help="comma-separated primes realizing the graph"),
+        p.add_argument("--emit", choices=("json", "dot", "csv"), default="json",
+                       help="csv emits the distance matrix"),
+    ))
 
     p = sub.add_parser("divisor-graph", help="build the divisor graph of n")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--emit", choices=("json", "dot", "csv"), default="json",
-                   help="csv emits the distance matrix")
-    p.set_defaults(func=cmd_divisor_graph)
+    tables["divisor-graph"] = _table(p, cmd_divisor_graph, (
+        p.add_argument("--n", type=int, required=True),
+        p.add_argument("--emit", choices=("json", "dot", "csv"), default="json",
+                       help="csv emits the distance matrix"),
+    ))
 
     p = sub.add_parser("indices", help="compute topological indices exactly")
     target = p.add_mutually_exclusive_group(required=True)
-    target.add_argument("--k", type=int, help="compute on Gamma_k")
-    target.add_argument("--n", type=int, help="compute on the divisor graph of n")
-    p.add_argument("--primes", help="comma-separated primes (with --k only)")
-    p.add_argument("--index", default="all",
-                   help="comma-separated index names, or 'all'")
-    p.add_argument("--format", choices=("json", "table"), default="json")
-    p.set_defaults(func=cmd_indices)
+    targets = (
+        target.add_argument("--k", type=int, help="compute on Gamma_k"),
+        target.add_argument("--n", type=int, help="compute on the divisor graph of n"),
+    )
+    tables["indices"] = _table(p, cmd_indices, (
+        *targets,
+        p.add_argument("--primes", help="comma-separated primes (with --k only)"),
+        p.add_argument("--index", default="all",
+                       help="comma-separated index names, or 'all'"),
+        p.add_argument("--format", choices=("json", "table"), default="json"),
+    ), exclusive=[(target.required, targets)])
 
     p = sub.add_parser("verify", help="check closed forms against the oracle")
-    p.add_argument("--k-min", type=int, default=0)
-    p.add_argument("--k-max", type=int, default=10)
-    p.set_defaults(func=cmd_verify)
+    tables["verify"] = _table(p, cmd_verify, (
+        p.add_argument("--k-min", type=int, default=0),
+        p.add_argument("--k-max", type=int, default=10),
+    ))
 
     p = sub.add_parser("claims", help="evaluate the bundled claim registry")
-    p.add_argument("--k", type=int, choices=(3, 4, 5), default=None,
-                   help="restrict to one graph")
-    p.add_argument("--format", choices=("json", "markdown"), default="json")
-    p.add_argument("--strict", action="store_true",
-                   help="exit 3 if any evaluated claim mismatches")
-    p.set_defaults(func=cmd_claims)
+    tables["claims"] = _table(p, cmd_claims, (
+        p.add_argument("--k", type=int, choices=(3, 4, 5), default=None,
+                       help="restrict to one graph"),
+        p.add_argument("--format", choices=("json", "markdown"), default="json"),
+        p.add_argument("--strict", action="store_true",
+                       help="exit 3 if any evaluated claim mismatches"),
+    ))
 
     for p in sub.choices.values():  # type=int reads integers of any length
         p.register("type", int, _int_from_str)
-    parser.subcommands = sub.choices
     return parser
 
 
 def _parse(argv: list[str]) -> argparse.Namespace:
-    """build_parser().parse_args(argv), read by the subcommand's own parser
-    when argv[0] names one and it leaves no argument over: the top-level
-    parser would hand it argv[1:] and add only the command.  Anything else
-    (no subcommand, --help, an unknown name, stray arguments) goes to the
-    full parser, so every usage error keeps its message and exit code 2."""
+    """build_parser().parse_args(argv), read from the option table of the
+    subcommand argv[0] names when that table reads it.  Anything else (no
+    subcommand, --help, an unknown name, an argv the table declines) goes to
+    the full parser, so every usage error keeps its message and exit code 2."""
     parser = build_parser()
-    command = parser.subcommands.get(argv[0]) if argv else None
-    if command is not None:
-        args, extra = command.parse_known_args(argv[1:])
-        if not extra:
-            args.command = argv[0]
-            return args
-    return parser.parse_args(argv)
+    read = parser.tables.get(argv[0]) if argv else None
+    args = read(argv) if read is not None else None
+    return parser.parse_args(argv) if args is None else args
 
 
 def main(argv: list[str] | None = None) -> int:

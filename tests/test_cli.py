@@ -451,6 +451,35 @@ def _outcome(capsys, call, argv):
     return code, out.out, out.err
 
 
+#: Argv beside whether the option table reads them (True) or leaves them to
+#: argparse (False); argparse parses each declined one to the same namespace,
+#: except the last, where it exits 2.
+_TABLE_CASES = [
+    (["indices", "--k", "3", "--index", ""], True),
+    (["claims", "--k", "03"], True),
+    (["gamma", "--k", " 3"], True),
+    (["divisor-graph", "--n", "1_000"], True),
+    (["indices", "--k", "3", "--k", "4"], False),  # repeated option
+    (["indices", "--k", "-2"], False),  # value starting with '-'
+    (["indices", "--ind", "wiener", "--k", "3"], False),  # abbreviation
+    (["indices", "--k", "3", "--index="], False),  # --opt=value
+    (["claims", "--strict", "--strict"], False),
+    (["verify", "--k-min", "-1"], False),
+    (["indices", "--n", "12", "--format", "table", "--format", "json"], False),
+    (["gamma", "--k", "2", "--primes", "-3,5"], False),  # argparse: expected one argument
+]
+
+
+def _table_reads(argv):
+    read = cli.build_parser().tables.get(argv[0]) if argv else None
+    return read is not None and read(argv) is not None
+
+
+@pytest.mark.parametrize("argv, reads", _TABLE_CASES)
+def test_option_table_reads_plain_pairs_and_declines_the_rest(argv, reads):
+    assert _table_reads(argv) == reads
+
+
 @pytest.mark.parametrize("argv", [
     ["gamma"],  # missing --k
     ["indices"],  # missing --k or --n
@@ -473,11 +502,12 @@ def _outcome(capsys, call, argv):
     ["divisor-graph", "--n=12", "--emit", "csv"],
     ["verify", "--k-max", "3"],
     ["claims", "--k", "3", "--format", "markdown", "--strict"],
+    *(argv for argv, _ in _TABLE_CASES),
 ])
 def test_direct_parse_matches_the_full_parser(capsys, argv):
-    """main hands argv[1:] to the subcommand's own parser; exit codes,
-    stdout and stderr are those of the top-level parser on every argv, and
-    an accepted argv gives the same namespace."""
+    """main reads a plain argv from the subcommand's option table; exit
+    codes, stdout and stderr are those of the top-level parser on every
+    argv, and an accepted argv gives the same namespace."""
     direct = _outcome(capsys, main, argv)
     assert direct == _outcome(capsys, _full_parser_main, argv)
     try:
@@ -499,18 +529,27 @@ def test_unrecognized_arguments_are_named_by_the_top_level_parser(capsys):
 
 
 def test_accepted_argv_skips_the_top_level_parser(capsys, monkeypatch):
-    """A request naming a subcommand, with nothing left over, is read by that
-    subcommand's parser alone; main(None) reads sys.argv[1:]."""
-    def refuse(*args, **kwargs):
-        raise AssertionError("top-level parser used")
+    """A well-formed request is read by its subcommand's option table, with
+    no parser's parse_args or parse_known_args, the top-level parser's or a
+    subcommand's; main(None) reads sys.argv[1:]."""
+    import argparse
 
-    want = run_cli(capsys, "indices", "--k", "3", "--format", "table")
-    monkeypatch.setattr(cli.build_parser(), "parse_args", refuse)
-    monkeypatch.setattr(cli.build_parser(), "parse_known_args", refuse)
-    assert run_cli(capsys, "indices", "--k", "3", "--format", "table") == want
-    monkeypatch.setattr(sys, "argv", ["graphlab", "indices", "--k", "3", "--format", "table"])
+    def refuse(*args, **kwargs):
+        raise AssertionError("argparse used")
+
+    requests = (
+        ("indices", "--k", "3", "--format", "table"),
+        ("gamma", "--k", "3", "--primes", "2,3,5", "--emit", "dot"),
+        ("verify", "--k-min", "1", "--k-max", "3"),
+        ("claims", "--k", "3", "--strict"),
+    )
+    want = [run_cli(capsys, *argv) for argv in requests]
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args", refuse)
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    assert [run_cli(capsys, *argv) for argv in requests] == want
+    monkeypatch.setattr(sys, "argv", ["graphlab", *requests[0]])
     code = main()
-    assert (code, *capsys.readouterr()) == want
+    assert (code, *capsys.readouterr()) == want[0]
 
 
 def cli_digest(argv):
@@ -769,7 +808,9 @@ def _random_argv(rng) -> list[str]:
 def test_seeded_argv_exit_cleanly_and_quickly(capsys):
     """Random argv, run in-process: each exits 0 with output and no stderr;
     1 only from verify and 3 only from claims --strict; or 2 with output
-    nothing and stderr holding one 'error: ' line.  No run takes 2 s."""
+    nothing and stderr holding one 'error: ' line.  No run takes 2 s.  Each
+    argv the full parser accepts parses to the same namespace in main's
+    parse."""
     rng = random.Random(20261020)
     seen = set()
     for _ in range(240):
@@ -777,6 +818,12 @@ def test_seeded_argv_exit_cleanly_and_quickly(capsys):
         start = time.perf_counter()
         code, out, err = _outcome(capsys, main, argv)
         elapsed = time.perf_counter() - start
+        try:
+            want = cli.build_parser().parse_args(argv)
+        except SystemExit:
+            capsys.readouterr()
+        else:
+            assert cli._parse(argv) == want, argv
         code = code[1] if isinstance(code, tuple) else code  # a SystemExit's code
         seen.add((argv[0], code))
         assert elapsed < 2.0, (argv, elapsed)
