@@ -129,13 +129,13 @@ def in_process() -> dict:
             times.append((time.perf_counter() - start) / IN_PROCESS_CALLS)
         return statistics.median(times)
 
-    def main(argv: list[str]) -> None:
+    def serve(argv: list[str]) -> None:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)
 
     for argv in map(list, WARM_REQUESTS):
-        main(argv)  # fills the index memo
-        report[" ".join(argv)] = {"main_s": per_call_s(lambda: main(argv)),
+        serve(argv)  # fills the index memo
+        report[" ".join(argv)] = {"main_s": per_call_s(lambda: serve(argv)),
                                   "parse_s": per_call_s(lambda: cli._parse(argv))}
     return report
 
