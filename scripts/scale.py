@@ -17,8 +17,9 @@ The in_process section times formulas.verification_lines(0, k_max) in this
 process, imported from the same src/: cold, with formulas' per-k record
 cleared before each run (the index memo stays warm), and then warm, as
 medians over IN_PROCESS_RUNS runs.  It also times each of WARM_REQUESTS
-warm, through cli.main with stdout into a fresh buffer per call (main_s)
-and through cli._parse alone (parse_s): per call, the median over
+warm, through cli.main with stdout into a fresh buffer per call (main_s),
+through cli._parse alone (parse_s) and through indices.report_text alone
+on the request's graph and values (report_s): per call, the median over
 IN_PROCESS_RUNS runs of IN_PROCESS_CALLS calls each.  It is reported only
 and gates nothing.
 """
@@ -102,7 +103,8 @@ def measure(argv: tuple[str, ...]) -> dict:
 
 def in_process() -> dict:
     sys.path.insert(0, str(SRC))
-    from graphlab import cli, formulas
+    from graphlab import cli, formulas, indices
+    from graphlab.graphs import build_gamma, build_general
 
     def median_s(k_max: int, cold: bool) -> float:
         times = []
@@ -135,8 +137,15 @@ def in_process() -> dict:
 
     for argv in map(list, WARM_REQUESTS):
         serve(argv)  # fills the index memo
+        args = cli._parse(argv)  # the graph and values as cli.cmd_indices reads them
+        if args.k is None:
+            g = build_general(args.n)
+        else:
+            g = build_gamma(args.k, cli._parse_primes(args.primes))
+        values = indices.compute_indices(g)
         report[" ".join(argv)] = {"main_s": per_call_s(lambda: serve(argv)),
-                                  "parse_s": per_call_s(lambda: cli._parse(argv))}
+                                  "parse_s": per_call_s(lambda: cli._parse(argv)),
+                                  "report_s": per_call_s(lambda: indices.report_text(g, values))}
     return report
 
 

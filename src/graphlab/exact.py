@@ -16,13 +16,15 @@ rounding settle the rest.
 Integers print and parse at any size, in JSON documents too: up to 2000
 bits (603 digits, below every digit limit Python allows) they print with
 int.__repr__, above that by a binary split into exact Decimal arithmetic,
-and they are parsed by the reverse split into leaves of at most 600 digits
-read by int(); both are subquadratic.  value_text writes each value's JSON
+and they are parsed by int() up to 600 characters, above by the reverse
+split into leaves of at most 600 digits read by int(); both are
+subquadratic.  value_text writes each value's JSON
 text; json_text writes every JSON report the package prints, and the head
 of a graph export, with those texts spliced in as _Text.  A _Text records
 the indent it was written at and is spliced verbatim where it sits at that
 indent, re-indented by one replace elsewhere.  factorize trial-divides a
-wide cofactor by blocks of odd divisors, one gcd per block.
+wide cofactor by blocks of odd divisors, one gcd per block.  is_prime reads
+a number below 43**2 from a sieved table and runs Miller-Rabin above.
 """
 
 from __future__ import annotations
@@ -116,17 +118,34 @@ def factorize(n: int) -> Iterator[tuple[int, int]]:
 MR_LIMIT = 3317044064679887385961981
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 
+#: Below 43**2 a number with no prime factor up to 41 is prime.
+_SMALL_LIMIT = 43 * 43
+
+
+def _sieve() -> bytes:
+    """Byte n is 1 exactly for the primes n below _SMALL_LIMIT: the multiples
+    of the bases struck out, about 10 microseconds (a set of the same primes
+    takes about 50 more to build)."""
+    marks = bytearray([0, 0]) + bytearray([1]) * (_SMALL_LIMIT - 2)
+    for p in _MR_BASES:
+        marks[p * p::p] = bytes(len(range(p * p, _SMALL_LIMIT, p)))
+    return bytes(marks)
+
+
+_SMALL_PRIMES = _sieve()
+
 
 def is_prime(n: int) -> bool:
-    """Whether n is prime, by deterministic Miller-Rabin over the primes
-    2..41; n >= MR_LIMIT, where that is not proven, raises ValueError."""
+    """Whether n is prime: below 43**2 read from the table _SMALL_PRIMES,
+    above by deterministic Miller-Rabin over the primes 2..41; n >= MR_LIMIT,
+    where that is not proven, raises ValueError."""
+    if n < _SMALL_LIMIT:
+        return n > 1 and _SMALL_PRIMES[n] == 1
     if n >= MR_LIMIT:
         raise ValueError(f"{_int_str(n)} is too large to prove prime: Miller-Rabin over "
                          f"the primes 2..41 is exact only below {MR_LIMIT}")
-    if n < 2 or 0 in map(n.__mod__, _MR_BASES):
-        return n in _MR_BASES
-    if n < 43 * 43:  # no prime factor up to 41, so none at all
-        return True
+    if 0 in map(n.__mod__, _MR_BASES):
+        return False
     s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2**s with d odd
     for a in _MR_BASES:
         x = pow(a, (n - 1) >> s, n)
@@ -310,8 +329,11 @@ def _int_str(n: int) -> str:
 
 
 #: What int() accepts as a base-10 string: surrounding whitespace, a sign,
-#: digits with single underscores between them.
-_INT_TEXT = re.compile(r"\s*[+-]?\d+(?:_\d+)*\s*")
+#: digits with single underscores between them.  int() strips every
+#: character str.isspace() accepts but the separators U+001C..U+001F.  The
+#: pattern is compiled on its first use, through re's cache, so an import
+#: does not pay for it.
+_INT_TEXT = r"[^\S\x1c-\x1f]*[+-]?\d+(?:_\d+)*[^\S\x1c-\x1f]*"
 
 
 #: _int_from_str reads at most this many digits at a time with int(), below
@@ -321,16 +343,22 @@ _LEAF_DIGITS = 600
 
 def _int_from_str(text: str) -> int:
     """int(text) for the strings int() accepts, at any length, in
-    subquadratic time: the reverse of _int_str.  A text of at most
-    _LEAF_DIGITS characters is read by int() itself.  Longer, the digits,
-    with the sign, spaces and underscores stripped, are split in halves down
-    to leaves of at most _LEAF_DIGITS digits, each read by int(), and each
-    split into hi and the last h digits lo is recombined as hi * 10**h + lo,
-    with 10**h formed once per h (at most two h per level)."""
-    if not isinstance(text, str) or not _INT_TEXT.fullmatch(text):
+    subquadratic time: the reverse of _int_str.  Any other text, or a
+    non-str, raises this module's ValueError.  A text of at most
+    _LEAF_DIGITS characters is read by int() itself, with no regex.  A
+    longer one is checked by _INT_TEXT, which accepts what int() does; its
+    digits, with the sign, spaces and underscores stripped, are split in
+    halves down to leaves of at most _LEAF_DIGITS digits, each read by int(),
+    and each split into hi and the last h digits lo is recombined as
+    hi * 10**h + lo, with 10**h formed once per h (at most two h per level)."""
+    short = isinstance(text, str) and len(text) <= _LEAF_DIGITS
+    if short:
+        try:
+            return int(text)
+        except ValueError:
+            pass
+    if short or not isinstance(text, str) or not re.fullmatch(_INT_TEXT, text):
         raise ValueError(f"expected an integer string, got {text!r:.40}")
-    if len(text) <= _LEAF_DIGITS:
-        return int(text)
     digits = text.strip().replace("_", "")
     negative = digits[0] == "-"
     digits = digits.lstrip("+-")

@@ -21,8 +21,10 @@ transmissions) to exact.inv_sqrt_sum.  A divisor graph is fixed up to
 isomorphism by the multiset of its prime exponents, so every index is a
 function of that shape alone: profile(g) is one lookup in shape_profile, an
 lru_cache of the last _MAX_PROFILES shapes, and the Profile keeps each
-index's value (Profile.value, read from _DISPATCH) and its exact.value_text
-once asked for, the text already indented to where report_text splices it.
+index's value (Profile.value, read from _DISPATCH) and, once asked for, its
+report member '"name": ' plus its exact.value_text, indented to where
+report_text splices it (Profile.member); that member is the one copy of the
+text kept, and Profile.text cuts the bare text from it for other callers.
 compute_index(g, name) checks the name and reads profile(g).value(name);
 compute_indices reads every value from one lookup of the Profile.  Graphs,
 listings and labels stay on each graph.  The profile lists no vertex or edge:
@@ -36,8 +38,10 @@ sends the pair a | b to n/b | n/a with the two degrees swapped and the sorted
 degree pair unchanged; the last prime's fold therefore visits one state of
 each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
-report_text writes a report through exact.json_text, each value's text
-read from the Profile and spliced as it is.
+report_text writes a report through exact.json_text.  When every value is
+the one the Profile keeps, the "indices" object is one join of the kept
+members, spliced as one leaf; any other value is written by
+Profile.text_of, as it is.
 """
 
 from __future__ import annotations
@@ -47,7 +51,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm, prod
 
-from .exact import Value, _Text, inv_sqrt_sum, json_text, normalize, value_text
+from .exact import Value, _quote, _Text, inv_sqrt_sum, json_text, normalize, value_text
 
 #: Canonical index names, in report order.
 INDEX_NAMES = (
@@ -81,8 +85,10 @@ _MAX_PRODUCT_BITS = 2**20
 _MAX_PROFILES = 32
 
 #: The newline and indent at which report_text splices each value, in
-#: {"indices": {name: value}}; Profile keeps its texts indented to sit there.
+#: {"indices": {name: value}}; Profile keeps its members indented to sit
+#: there.  The "indices" object itself sits at _OBJECT_PAD.
 _REPORT_PAD = "\n    "
+_OBJECT_PAD = "\n  "
 
 
 def _exponent_pairs(e: int) -> list[tuple[int, int, int, int]]:
@@ -153,9 +159,11 @@ def lattice_counts(exponents: tuple[int, ...]) -> tuple[Counter, Counter]:
 class Profile:
     """Order, size, degree counts, (deg u, deg v) edge-pair counts and the
     degree sum and product of one exponent lattice; every index reads only
-    these.  Each index's Value and its value_text are computed on first
-    request and kept (value, text); a refused value is not kept.  One Profile
-    serves every graph of its shape: read it, do not change it."""
+    these.  Each index's Value and its report member, '"name": ' and the
+    value's value_text at _REPORT_PAD, are computed on first request and
+    kept (value, member); a refused value is not kept.  The member is the
+    one copy of the value's text the Profile holds.  One Profile serves every
+    graph of its shape: read it, do not change it."""
 
     def __init__(self, exponents: tuple[int, ...]):
         self.degree_counts, self.pair_counts = lattice_counts(exponents)
@@ -166,7 +174,7 @@ class Profile:
         self.zagreb1 = sum(d * d * c for d, c in self.degree_counts.items())
         self.zagreb2 = sum(a * b * c for (a, b), c in self.pair_counts.items())
         self._values: dict[str, Value] = {}
-        self._texts: dict[str, _Text] = {}
+        self._members: dict[str, str] = {}
 
     def value(self, name: str) -> Value:
         """The value of the index name on this lattice, computed once; threads
@@ -175,12 +183,30 @@ class Profile:
             self._values.setdefault(name, _DISPATCH[name](self))
         return self._values[name]
 
+    def member(self, name: str) -> str:
+        """The member '"name": <value_text of value(name) at _REPORT_PAD>' of
+        an index report's "indices" object, written once, as value() is."""
+        if name not in self._members:
+            text = value_text(self.value(name)).replace("\n", _REPORT_PAD)
+            self._members.setdefault(name, f"{_quote(name)}: {text}")
+        return self._members[name]
+
+    def members(self, values: dict[str, Value]) -> list[str] | None:
+        """member(name) for each name of values, in order, when every value
+        is the one kept for its name; else None."""
+        kept = self._values
+        for name, v in values.items():
+            if name not in kept or kept[name] is not v:
+                return None
+        written = self._members
+        return [written[name] if name in written else self.member(name) for name in values]
+
     def text(self, name: str) -> _Text:
-        """exact.value_text of value(name) at _REPORT_PAD, written once, as
-        value() is."""
-        if name not in self._texts:
-            self._texts.setdefault(name, _Text.at(value_text(self.value(name)), _REPORT_PAD))
-        return self._texts[name]
+        """exact.value_text of value(name) as a leaf at _REPORT_PAD, cut from
+        member(name), so no second copy is kept."""
+        leaf = _Text(self.member(name).partition(": ")[2])
+        leaf.pad = _REPORT_PAD
+        return leaf
 
     def text_of(self, name: str, v: Value) -> _Text:
         """value_text(v) at _REPORT_PAD: text(name) when v is the value kept for
@@ -382,9 +408,15 @@ def compute_indices(g, names=None) -> dict[str, Value]:
 
 def report_text(g, values: dict[str, Value]) -> str:
     """The IndexReport JSON document {"graph": g.descriptor(), "indices":
-    {name: value, ...}}, written by exact.json_text with each value's
-    exact.value_text spliced in as it is, read from g's Profile when it holds
-    that value."""
+    {name: value, ...}}, written by exact.json_text.  When every value is
+    the one g's Profile keeps, the "indices" object is one join of the kept
+    members (Profile.members), spliced as one leaf; otherwise each value's
+    text is read by Profile.text_of and spliced in as it is."""
     p = profile(g)
-    return json_text({"graph": g.descriptor(),
-                      "indices": {name: p.text_of(name, v) for name, v in values.items()}})
+    members = p.members(values)
+    if members:
+        body = _Text(f"{{{_REPORT_PAD}{(',' + _REPORT_PAD).join(members)}{_OBJECT_PAD}}}")
+        body.pad = _OBJECT_PAD
+    else:
+        body = {name: p.text_of(name, v) for name, v in values.items()}
+    return json_text({"graph": g.descriptor(), "indices": body})

@@ -4,7 +4,7 @@ Every value is enumerated from its definition: edges and degrees by testing
 every vertex pair (adjacent: one exponent vector is coordinatewise <= the
 other), pair sums over breadth-first distance rows, Balaban from
 breadth-first transmissions, Mostar from closer-vertex counts read off two
-rows per edge, and r-values from the product of the other degrees of each
+rows per edge (by popcounts of each row's level sets), and r-values from the product of the other degrees of each
 vertex.  No index value here uses the lattice edge listing, the closed-form
 degrees, the diameter-2 identities or the degree profile of graphlab, so the
 two can be compared on any connected graph.  Randic and Balaban are the
@@ -175,6 +175,27 @@ def mostar_counts(g, edge: tuple[int, int]) -> EdgeCloserCounts:
     return EdgeCloserCounts(n_u, n_v)
 
 
+def _level_sets(row: list[int]) -> list[int]:
+    """Per distance d, the bitmask of the vertices at distance d in a
+    breadth-first row."""
+    sets = [0] * (max(row) + 1)
+    for w, d in enumerate(row):
+        sets[d] |= 1 << w
+    return sets
+
+
+def _closer(near: list[int], far: list[int]) -> int:
+    """How many vertices are closer to the source of the row with level sets
+    near than to that of far: the vertices at distance d from the first and
+    e > d from the second, counted by popcounts of level-set intersections."""
+    count = below = 0  # below: the vertices within distance e - 1 of near's source
+    for e, mask in enumerate(far):
+        count += (mask & below).bit_count()
+        if e < len(near):
+            below |= near[e]
+    return count
+
+
 def _inv_sqrt_sum(counts):
     """The terms of the sum of c/sqrt(q) = (c/q)*sqrt(q) over {q: c}."""
     return reference_terms((q, Fraction(c, q)) for q, c in counts.items())
@@ -224,10 +245,9 @@ def reference_indices(g) -> dict:
         mu = m - g.order + 1
         balaban = scale(_inv_sqrt_sum(Counter(tr[i] * tr[j] for i, j in edges)), Fraction(m, mu + 1))
     mostar = 0
+    levels = [_level_sets(row) for row in rows]
     for i, j in edges:
-        n_u = sum(1 for a, b in zip(rows[i], rows[j]) if a < b)
-        n_v = sum(1 for a, b in zip(rows[i], rows[j]) if b < a)
-        mostar += abs(n_u - n_v)
+        mostar += abs(_closer(levels[i], levels[j]) - _closer(levels[j], levels[i]))
     values = {
         "wiener": sum(d for _, _, d in pairs),
         "hyper_wiener": Fraction(sum(d + d * d for _, _, d in pairs), 2),

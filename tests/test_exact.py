@@ -705,6 +705,43 @@ def test_int_from_str_reads_what_int_str_prints():
             set_limit(old)
 
 
+def test_int_from_str_accepts_what_int_accepts():
+    """Every character str.isspace() accepts and every Nd digit, placed
+    before, after and inside a 3-character and a 700-character text of
+    digits: _int_from_str returns what int() returns, read with no digit
+    limit, or raises this module's ValueError where int() refuses.  int()
+    strips every such space but U+001C..U+001F, which both paths refuse."""
+    chars = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace() or c.isdecimal()]
+    assert "\x1c" in chars and "\u0663" in chars  # a separator, ARABIC-INDIC DIGIT THREE
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # from Python 3.11
+    old = sys.get_int_max_str_digits() if set_limit else None
+    refused = 0
+    for c in chars:
+        for size in (3, 700):
+            half = size // 2
+            for text in (c + "7" * (size - 1), "7" * (size - 1) + c,
+                         "7" * half + c + "7" * (size - 1 - half)):
+                try:
+                    if set_limit:
+                        set_limit(0)
+                    want = int(text)
+                except ValueError:
+                    want = None
+                finally:
+                    if set_limit:
+                        set_limit(old)
+                if want is None:
+                    refused += 1
+                    with pytest.raises(ValueError, match="expected an integer string"):
+                        exact._int_from_str(text)
+                else:
+                    assert exact._int_from_str(text) == want, (hex(ord(c)), size)
+    assert refused == 2 * (4 * 3 + 25)  # U+001C..U+001F anywhere, other spaces inside
+    for text in (7, 7.0, b"7", None, ["7"]):
+        with pytest.raises(ValueError, match="expected an integer string"):
+            exact._int_from_str(text)
+
+
 def test_int_from_str_is_subquadratic():
     """7**10**6 (845,099 digits) reads back in well under a second;
     int(Decimal(text)) took about 25 s on Python 3.11."""
@@ -809,6 +846,17 @@ def test_factorize_with_a_bound(monkeypatch):
 def test_is_prime_agrees_with_factorize():
     for p in range(-10, 10**5):
         assert is_prime(p) == (p >= 2 and next(factorize(p)) == (p, 1)), p
+
+
+def test_is_prime_below_43_squared_is_trial_division():
+    """The table below 43**2 agrees with the definition; above, Miller-Rabin
+    agrees with it too on a window past the table."""
+    def trial(n):
+        return n >= 2 and all(n % d for d in range(2, isqrt(n) + 1))
+
+    assert exact._SMALL_LIMIT == 1849
+    assert [is_prime(n) for n in range(-5, 1849)] == [trial(n) for n in range(-5, 1849)]
+    assert [is_prime(n) for n in range(1849, 5000)] == [trial(n) for n in range(1849, 5000)]
 
 
 def test_is_prime_refuses_pseudoprimes_and_large_entries():

@@ -7,9 +7,11 @@ and edge classes (an edge joins omega classes a < b in C(k,b)*C(b,a) ways)
 before the engine existed, and are frozen here.
 """
 
+import gc
 import json
 import random
 import sys
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 from collections import Counter
 from fractions import Fraction
@@ -648,30 +650,39 @@ def test_cold_and_warm_values_equal_the_definitions():
 
 def test_repeated_reports_splice_the_kept_texts(monkeypatch):
     """Once a shape's report has been written, the next report of that shape
-    splices each kept text as it is: no value is written again and no text is
-    re-indented; every report is json.dumps of its reference document."""
+    of values read from the memo is one join of the kept members: no value is
+    written again, no text is re-indented and Profile.text_of is not called.
+    A report with a value the memo does not hold still goes through text_of.
+    Every report is json.dumps of its reference document."""
     sample = [build_gamma(k) for k in range(7)] + [build_gamma(3, (101, 103, 107))]
     sample += [build_general(n) for n in (1, 12, 360, 5040, 21621600)]
     requests = [(g, compute_indices(g, names)) for g in sample
                 for names in (None, ["randic", "balaban", "mostar"], ["r1"])]
     want = [report_text(g, values) for g, values in requests]
+    g12 = build_general(12)  # a kept value beside two the memo does not hold
+    other = {"wiener": 10**30, "zagreb1": compute_index(g12, "zagreb1"), "harary": F(7, 2)}
+    other_text = report_text(g12, other)
 
     def refuse(*args):
         raise AssertionError("a kept text was written or re-indented again")
 
     monkeypatch.setattr(exact._Text, "replace", refuse)
     monkeypatch.setattr(indices, "value_text", refuse)
+    monkeypatch.setattr(indices.Profile, "text_of", refuse)
     assert [report_text(g, values) for g, values in requests] == want
+    with pytest.raises(AssertionError, match="written or re-indented again"):
+        report_text(g12, other)
     monkeypatch.undo()
     for (g, values), text in zip(requests, want):
         assert text == json.dumps(report_dict(g, values), indent=2) + "\n", g
+    assert other_text == json.dumps(report_dict(g12, other), indent=2) + "\n"
 
 
 def test_threads_share_the_memo():
     """Eight threads on two cores, switching every microsecond, compute and
     write the indices of graphs of shared shapes, each in its own order, on an
     empty memo: every report equals the one written on one thread, and every
-    text kept is the text of the value kept beside it."""
+    member kept is the member of the value kept beside it."""
     sample = [build_gamma(k) for k in range(7)] + [build_general(n) for n in range(1, 200)]
     want = [report_text(g, compute_indices(g)) for g in sample]
 
@@ -691,8 +702,36 @@ def test_threads_share_the_memo():
         assert [run[i] for i in range(len(sample))] == want
     for g in sample:
         p = profile(g)
-        assert all(p.text(name) == value_text(p.value(name)).replace("\n", "\n    ")
-                   for name in p._texts), g
+        assert p._members.keys() == set(INDEX_NAMES), g
+        for name, member in p._members.items():
+            text = value_text(p.value(name)).replace("\n", "\n    ")
+            assert member == f'"{name}": {text}' and p.text(name) == text, (g, name)
+
+
+def test_the_memo_keeps_one_copy_of_each_text():
+    """Writing every index report of Gamma_1..Gamma_12, on values already
+    kept, leaves the memo holding each value's text once: the bytes retained
+    exceed the bare texts only by the member prefixes '"name": ', the dicts
+    that hold the members and 1 kB for the interpreter's own bookkeeping.  A
+    second copy of the texts would add over 100 kB."""
+    indices.shape_profile.cache_clear()
+    requests = [(g, compute_indices(g)) for g in map(build_gamma, range(1, 13))]
+    profiles = [profile(g) for g, _ in requests]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        for g, values in requests:
+            report_text(g, values)
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    bare = sum(sys.getsizeof(value_text(v).replace("\n", "\n    "))
+               for _, values in requests for v in values.values())
+    prefixes = sum(len(f'"{name}": ') for _, values in requests for name in values)
+    holders = sum(map(sys.getsizeof, (p._members for p in profiles)))
+    assert bare > 10 * holders
+    assert bare < retained <= bare + prefixes + holders + 1024
 
 
 def test_refused_r_values_are_refused_on_every_call_and_not_kept():
@@ -704,7 +743,7 @@ def test_refused_r_values_are_refused_on_every_call_and_not_kept():
                 compute_index(g, name)
             with pytest.raises(ValueError, match="above the budget of 1048576 bits"):
                 p.text(name)
-    assert not {"r1", "r2", "r3"} & (p._values.keys() | p._texts.keys())
+    assert not {"r1", "r2", "r3"} & (p._values.keys() | p._members.keys())
     assert not {"degree_product", "r_quadratic"} & vars(p).keys()
     assert compute_index(g, "wiener") == wiener_formula(17)
 
