@@ -18,8 +18,10 @@ process, imported from the same src/: cold, with formulas' per-k record
 cleared before each run (the index memo stays warm), and then warm, as
 medians over IN_PROCESS_RUNS runs.  It also times each of WARM_REQUESTS
 warm, through cli.main with stdout into a fresh buffer per call (main_s),
-through cli._parse alone (parse_s) and through indices.report_text alone
-on the request's graph and values (report_s): per call, the median over
+and stage by stage as cli.cmd_indices runs them: cli._parse alone
+(parse_s), the graph build with its --primes read (build_s),
+indices.compute_indices on that graph (compute_s) and indices.report_text
+on the graph and its values (report_s); per call, the median over
 IN_PROCESS_RUNS runs of IN_PROCESS_CALLS calls each.  It is reported only
 and gates nothing.
 """
@@ -135,16 +137,20 @@ def in_process() -> dict:
         with contextlib.redirect_stdout(io.StringIO()):
             cli.main(argv)
 
+    def build(args):  # the graph as cli.cmd_indices builds it
+        if args.k is None:
+            return build_general(args.n)
+        return build_gamma(args.k, cli._parse_primes(args.primes))
+
     for argv in map(list, WARM_REQUESTS):
         serve(argv)  # fills the index memo
-        args = cli._parse(argv)  # the graph and values as cli.cmd_indices reads them
-        if args.k is None:
-            g = build_general(args.n)
-        else:
-            g = build_gamma(args.k, cli._parse_primes(args.primes))
+        args = cli._parse(argv)
+        g = build(args)
         values = indices.compute_indices(g)
         report[" ".join(argv)] = {"main_s": per_call_s(lambda: serve(argv)),
                                   "parse_s": per_call_s(lambda: cli._parse(argv)),
+                                  "build_s": per_call_s(lambda: build(args)),
+                                  "compute_s": per_call_s(lambda: indices.compute_indices(g)),
                                   "report_s": per_call_s(lambda: indices.report_text(g, values))}
     return report
 

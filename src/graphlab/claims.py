@@ -23,9 +23,10 @@ claims, and the Fractions, ints and RadicalSums they hold, are immutable.
 render_report writes the JSON report with exact.json_text (the bytes of
 json.dumps(doc, indent=2) plus a newline), each claimed and oracle value as
 its exact.value_text; parse_report reads it back.  A registered claim's text
-is written once per process, beside the registry, and its oracle's is the
-one the shape memo of Gamma_k keeps (indices.shape_profile), so a repeated
-report writes no value again.
+is written once per process, beside the registry, and its oracle's is cut
+from the one the shape memo of Gamma_k keeps (indices.shape_profile), each
+made at the indent where it sits in the report, so a repeated report writes
+no value again and json_text re-indents none.
 """
 
 from __future__ import annotations
@@ -227,9 +228,15 @@ def summary_counts(reports: list[ClaimReport]) -> dict[str, int]:
     return counts
 
 
+#: The newline and indent at which json_text writes each field of a report
+#: entry, in {"reports": [{"claimed": ..., "oracle": ...}]}: the value leaves
+#: are made at this pad, so json_text splices them as they are.
+_ENTRY_PAD = "\n      "
+
+
 def _value_leaf(v: Value | None) -> _Text | None:
-    """v's value_text for json_text; None (null) passes through."""
-    return None if v is None else _Text(value_text(v))
+    """v's value_text as a leaf at _ENTRY_PAD; None (null) passes through."""
+    return None if v is None else _Text.at(value_text(v), _ENTRY_PAD)
 
 
 @functools.cache
@@ -247,7 +254,7 @@ def _report_entry(r: ClaimReport) -> dict:
     elif r.oracle is None:
         oracle = None
     else:  # the text kept in Gamma_k's shape memo, when r.oracle is the value kept there
-        oracle = indices.shape_profile((1,) * claim.k).text_of(claim.index, r.oracle)
+        oracle = indices.shape_profile((1,) * claim.k).text_of(claim.index, r.oracle, _ENTRY_PAD)
     entry = {
         "id": r.claim.id,
         "k": r.claim.k,

@@ -13,9 +13,9 @@ mismatch under --strict.  The exports and verify list every edge, so they
 refuse a graph above graphs._MAX_LISTED_EDGES edges before listing any.
 Output for identical invocations is byte identical: no timestamps,
 canonical orderings throughout.  JSON text is the bytes of
-json.dumps(doc, indent=2) plus a newline, written by exact.json_text for
-every report (index reports through indices.report_text), with each exact
-value written by exact.value_text.  The graph exports are streams of row
+json.dumps(doc, indent=2) plus a newline, with each exact value written by
+exact.value_text: an index report from one template
+(indices.report_text), the claims report by exact.json_text.  The graph exports are streams of row
 texts (DivisorGraph.json_rows and dot_rows, metric.csv_rows), written to
 stdout with writelines as they are made, so no whole document is held.  The
 claims and formulas modules are imported by the subcommands that use them,

@@ -18,13 +18,14 @@ bits (603 digits, below every digit limit Python allows) they print with
 int.__repr__, above that by a binary split into exact Decimal arithmetic,
 and they are parsed by int() up to 600 characters, above by the reverse
 split into leaves of at most 600 digits read by int(); both are
-subquadratic.  value_text writes each value's JSON
-text; json_text writes every JSON report the package prints, and the head
-of a graph export, with those texts spliced in as _Text.  A _Text records
-the indent it was written at and is spliced verbatim where it sits at that
-indent, re-indented by one replace elsewhere.  factorize trial-divides a
-wide cofactor by blocks of odd divisors, one gcd per block.  is_prime reads
-a number below 43**2 from a sieved table and runs Miller-Rabin above.
+subquadratic.  value_text writes each value's JSON text; json_text writes
+the claims report, with those texts spliced in as _Text (index reports and
+graph exports are written from templates, in indices and graphs).  A _Text
+records the indent it was written at and is spliced verbatim where it sits
+at that indent, re-indented by one replace elsewhere.  factorize
+trial-divides a wide cofactor by blocks of odd divisors, one gcd per block.
+is_prime reads a number below 43**2 from a sieved table and runs
+Miller-Rabin above.
 """
 
 from __future__ import annotations

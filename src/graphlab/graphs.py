@@ -31,9 +31,11 @@ list the edges in lexicographic order.  The JSON and DOT exports stream
 their text row by row (json_rows, dot_rows), sorting each row as they write
 it, one piece per non-empty row written at the indent where it sits, with
 one string per vertex index and one join per row, and build no object per
-edge.  No exponent vector, pair scan or neighbour list is kept here: the
-tests' references (tests/index_definitions.py) decode them from the codes
-and the listing.
+edge.  descriptor_text writes the descriptor's JSON from one template, at
+the indent where it sits: the head of the JSON export, and the "graph"
+member of an index report.  No exponent vector, pair scan or neighbour list
+is kept here: the tests' references (tests/index_definitions.py) decode
+them from the codes and the listing.
 
 Limits are constants no caller overrides: the builders refuse k above
 _MAX_GAMMA_K and n with more than _MAX_DIVISORS divisors, and the exports and
@@ -56,7 +58,7 @@ from math import comb, prod
 from operator import mul
 from typing import Iterator
 
-from .exact import _TRIAL_BOUND, _int_str, factorize, is_prime, json_text
+from .exact import _TRIAL_BOUND, _fits_repr, _int_str, factorize, is_prime
 
 _MAX_DIVISORS = 4096
 #: Exports and verify list every edge; |E(Gamma_12)| = 527,345.  As whole
@@ -146,6 +148,27 @@ class DivisorGraph:
             doc["primes"] = list(self.primes)
         return doc
 
+    def descriptor_text(self, pad: str = "\n", family: bool = True) -> str:
+        """json.dumps(self.descriptor(), indent=2) nested at pad (a newline and
+        the indent of the line it sits on), less "family" when family is
+        false, written from one template: n and the primes by _int_str (the
+        primes by int.__repr__ when _fits_repr admits them all), so none meets
+        the int/str digit limit."""
+        inner = pad + "  "
+        if not self.gamma:
+            n = _int_str(prod(map(pow, self.primes, self.exponents)))
+            head = f'{inner}"family": "divisor",' if family else ""
+            return f'{{{head}{inner}"n": {n}{pad}}}'
+        head = f'{inner}"family": "gamma",' if family else ""
+        body = f'{inner}"k": {len(self.exponents)}'
+        if self.primes:
+            row = "," + inner + "  "
+            digits = map(int.__repr__ if _fits_repr(self.primes) else _int_str, self.primes)
+            body += f',{inner}"primes": [{row[1:]}{row.join(digits)}{inner}]'
+        elif self.primes is not None:
+            body += f',{inner}"primes": []'
+        return f"{{{head}{body}{pad}}}"
+
     def _lists(self, up: bool) -> tuple[list[int], ...]:
         """Per vertex in canonical order, the list of the vertices of its
         multiples (up) or of its divisors, starting with its own vertex."""
@@ -217,13 +240,11 @@ class DivisorGraph:
 
     def json_rows(self) -> Iterator[str]:
         """The JSON export, json.dumps(doc, indent=2) plus a newline, in
-        pieces: the descriptor less its family (written by json_text, less
-        its closing brace), the vertex records ({"subset", "omega"[, "value"]}
+        pieces: the descriptor less its family (descriptor_text, less its
+        closing brace), the vertex records ({"subset", "omega"[, "value"]}
         on Gamma_k, {"value", "omega"} otherwise) from one template, then one
         piece per non-empty row of multiples holding its edges [i, j], each
         written at the indent where it sits."""
-        doc = self.descriptor()
-        del doc["family"]
         if self.gamma:
             numbers = [f"\n        {p}" for p in range(1, len(self.exponents) + 1)]
             subsets = [f"[{subset}\n      ]" if subset else "[]"
@@ -238,7 +259,8 @@ class DivisorGraph:
             record = '{\n      "value": %s,\n      "omega": %s'
         records = ",\n    ".join([record + "\n    }"] * self.order) % tuple(
             chain.from_iterable(zip(*columns)))
-        yield f'{json_text(doc)[:-3]},\n  "vertices": [\n    {records}\n  ],\n  "edges": ['
+        top = self.descriptor_text(family=False)[:-2]  # less its closing "\n}"
+        yield f'{top},\n  "vertices": [\n    {records}\n  ],\n  "edges": ['
         table = list(map(int.__repr__, range(self.order)))
         head = "\n    "
         for i, row in zip(table, self._rows()):

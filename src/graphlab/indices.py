@@ -24,9 +24,10 @@ lru_cache of the last _MAX_PROFILES shapes, and the Profile keeps each
 index's value (Profile.value, read from _DISPATCH) and, once asked for, its
 report member '"name": ' plus its exact.value_text, indented to where
 report_text splices it (Profile.member); that member is the one copy of the
-text kept, and Profile.text cuts the bare text from it for other callers.
-compute_index(g, name) checks the name and reads profile(g).value(name);
-compute_indices reads every value from one lookup of the Profile.  Graphs,
+text kept, and Profile.text cuts the bare text from it, at the pad a caller
+asks for, for other callers.  compute_index(g, name) checks the name and
+reads profile(g).value(name); compute_indices reads every kept value from
+one lookup of the Profile and computes only the others.  Graphs,
 listings and labels stay on each graph.  The profile lists no vertex or edge:
 lattice_counts counts divisor pairs a | b by (tau(a), tau(n/a), tau(b),
 tau(n/b)), which fixes both degrees.  The exponent-1 primes give their states
@@ -38,10 +39,11 @@ sends the pair a | b to n/b | n/a with the two degrees swapped and the sorted
 degree pair unchanged; the last prime's fold therefore visits one state of
 each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
-report_text writes a report through exact.json_text.  When every value is
-the one the Profile keeps, the "indices" object is one join of the kept
-members, spliced as one leaf; any other value is written by
-Profile.text_of, as it is.
+report_text writes a report from one template, without exact.json_text:
+the graph descriptor by DivisorGraph.descriptor_text, then the "indices"
+object as one join of its members.  When every value is the one the Profile
+keeps, they are the kept members; otherwise each is '"name": ' and
+Profile.text_of(name, v), already text at _REPORT_PAD.
 """
 
 from __future__ import annotations
@@ -51,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm, prod
 
-from .exact import Value, _quote, _Text, inv_sqrt_sum, json_text, normalize, value_text
+from .exact import Value, _quote, _Text, inv_sqrt_sum, normalize, value_text
 
 #: Canonical index names, in report order.
 INDEX_NAMES = (
@@ -201,20 +203,22 @@ class Profile:
         written = self._members
         return [written[name] if name in written else self.member(name) for name in values]
 
-    def text(self, name: str) -> _Text:
-        """exact.value_text of value(name) as a leaf at _REPORT_PAD, cut from
-        member(name), so no second copy is kept."""
-        leaf = _Text(self.member(name).partition(": ")[2])
-        leaf.pad = _REPORT_PAD
+    def text(self, name: str, pad: str = _REPORT_PAD) -> _Text:
+        """exact.value_text of value(name) as a leaf at pad, cut from
+        member(name) and re-indented from _REPORT_PAD at most once, so no
+        second copy is kept."""
+        text = self.member(name)[len(name) + 4:]  # past '"name": '
+        leaf = _Text(text if pad == _REPORT_PAD else text.replace(_REPORT_PAD, pad))
+        leaf.pad = pad
         return leaf
 
-    def text_of(self, name: str, v: Value) -> _Text:
-        """value_text(v) at _REPORT_PAD: text(name) when v is the value kept for
-        name, so an equal value from elsewhere is written again and nothing is
-        computed."""
+    def text_of(self, name: str, v: Value, pad: str = _REPORT_PAD) -> _Text:
+        """value_text(v) as a leaf at pad: text(name, pad) when v is the value
+        kept for name, so an equal value from elsewhere is written again and
+        nothing is computed."""
         if name in self._values and self._values[name] is v:
-            return self.text(name)
-        return _Text.at(value_text(v), _REPORT_PAD)
+            return self.text(name, pad)
+        return _Text.at(value_text(v), pad)
 
     @cached_property
     def degree_product(self) -> int:
@@ -395,7 +399,8 @@ def compute_index(g, name: str) -> Value:
 
 def compute_indices(g, names=None) -> dict[str, Value]:
     """Selected indices (default all) in canonical report order, read from
-    one lookup of g's Profile."""
+    one lookup of g's Profile: each kept value as it is, and Profile.value
+    only for a name the Profile does not hold yet."""
     if names is None:
         names = INDEX_NAMES
     else:
@@ -403,20 +408,22 @@ def compute_indices(g, names=None) -> dict[str, Value]:
         chosen = set(names)
         names = [n for n in INDEX_NAMES if n in chosen]
     p = profile(g)
-    return {n: p.value(n) for n in names}
+    kept = p._values
+    return {n: kept[n] if n in kept else p.value(n) for n in names}
 
 
 def report_text(g, values: dict[str, Value]) -> str:
     """The IndexReport JSON document {"graph": g.descriptor(), "indices":
-    {name: value, ...}}, written by exact.json_text.  When every value is
-    the one g's Profile keeps, the "indices" object is one join of the kept
-    members (Profile.members), spliced as one leaf; otherwise each value's
-    text is read by Profile.text_of and spliced in as it is."""
+    {name: value, ...}}, as json.dumps(doc, indent=2) plus a newline writes
+    it, from one template: the descriptor by g.descriptor_text, and the
+    members of the "indices" object joined at _REPORT_PAD.  They are the
+    kept members of g's Profile (Profile.members) when every value is the
+    one the Profile keeps; otherwise each is '"name": ' and
+    Profile.text_of(name, v), already text at _REPORT_PAD."""
     p = profile(g)
     members = p.members(values)
-    if members:
-        body = _Text(f"{{{_REPORT_PAD}{(',' + _REPORT_PAD).join(members)}{_OBJECT_PAD}}}")
-        body.pad = _OBJECT_PAD
-    else:
-        body = {name: p.text_of(name, v) for name, v in values.items()}
-    return json_text({"graph": g.descriptor(), "indices": body})
+    if members is None:
+        members = [f"{_quote(name)}: {p.text_of(name, v)}" for name, v in values.items()]
+    body = f"{{{_REPORT_PAD}{(',' + _REPORT_PAD).join(members)}{_OBJECT_PAD}}}" if members else "{}"
+    graph = g.descriptor_text(_OBJECT_PAD)
+    return f'{{{_OBJECT_PAD}"graph": {graph},{_OBJECT_PAD}"indices": {body}\n}}\n'

@@ -12,8 +12,9 @@ canonical terms of the reference arithmetic in radical_reference, which
 imports nothing from graphlab; comparable puts engine values and these side
 by side, radical indices by their terms and the rest by their JSON.
 
-The breadth-first distance engine (bfs_row, distance_matrix_bfs), the
-one-pair distance rule (distance_fast) and per-edge Mostar counts
+The breadth-first distance engine (bfs_row, distance_matrix_bfs: level by
+level over int bitmasks of the frontier and of each vertex's neighbours),
+the one-pair distance rule (distance_fast) and per-edge Mostar counts
 (mostar_counts) live here as well: graphlab computes none of them at run
 time, and the tests check its 0/1/2 rule and profile against them.
 value_to_json builds a value's JSON document as a dict and report_dict the
@@ -33,12 +34,13 @@ and DistanceMatrix with distance_matrix (the 0/1/2 rows of metric.digit_rows
 as ints).
 """
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, compress
+from itertools import combinations, compress, count
 from fractions import Fraction
 from math import prod
 from typing import NamedTuple
+from weakref import WeakKeyDictionary
 
 from graphlab.exact import _int_str, normalize, to_decimal
 from graphlab.metric import digit_rows, require_universal_vertex
@@ -116,19 +118,45 @@ def masks(g) -> tuple[int, ...]:
     return tuple(sum(1 << p for p, a in enumerate(v) if a) for v in vectors(g))
 
 
+#: Per graph, the bitmask of each vertex's neighbours, built on the first
+#: breadth-first row and dropped with the graph.
+_NEIGHBOUR_MASKS: WeakKeyDictionary = WeakKeyDictionary()
+
+
+def _neighbour_masks(g) -> list[int]:
+    """Per vertex of g, the bitmask of its neighbours (bit w for vertex w),
+    from g.neighbors when g has it (a stub or _ScannedGraph), else from
+    neighbors(g, u); built once per graph."""
+    adj = _NEIGHBOUR_MASKS.get(g)
+    if adj is None:
+        step = g.neighbors if hasattr(g, "neighbors") else lambda u: neighbors(g, u)
+        adj = _NEIGHBOUR_MASKS[g] = [sum(1 << w for w in step(u)) for u in range(g.order)]
+    return adj
+
+
+def _bits(mask: int):
+    """The positions of the set bits of mask, ascending."""
+    return compress(count(), map("1".__eq__, bin(mask)[:1:-1]))
+
+
 def bfs_row(g, source: int) -> list[int]:
     """Distances from one vertex by breadth-first search (a divisor graph, or a
-    stub exposing order and neighbors); raises if some vertex is unreachable."""
-    step = g.neighbors if hasattr(g, "neighbors") else lambda u: neighbors(g, u)
+    stub exposing order and neighbors), level by level: the frontier is the
+    bitmask of the vertices first reached at the current distance, and the
+    next one is the union of their neighbour masks less every vertex seen.
+    Raises if some vertex is unreachable."""
+    adj = _neighbour_masks(g)
     dist = [-1] * g.order
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for w in step(u):
-            if dist[w] < 0:
-                dist[w] = dist[u] + 1
-                queue.append(w)
+    frontier = seen = 1 << source
+    d = 0
+    while frontier:
+        reached = 0
+        for u in _bits(frontier):
+            dist[u] = d
+            reached |= adj[u]
+        frontier = reached & ~seen
+        seen |= frontier
+        d += 1
     for w, d in enumerate(dist):
         if d < 0:
             raise DisconnectedGraphError(

@@ -12,7 +12,7 @@ import sys
 from fractions import Fraction
 
 from graphlab import claims, exact, indices
-from graphlab.graphs import build_gamma, build_general
+from graphlab.graphs import DivisorGraph, build_gamma, build_general
 from index_definitions import graph_dict, report_dict, value_to_json
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29)
@@ -124,6 +124,74 @@ def test_graph_exports():
         doc = graph_dict(g)
         assert_identical(doc)
         assert "".join(g.json_rows()) == json.dumps(doc, indent=2) + "\n", g
+
+
+#: A Mersenne prime of 664 digits (2203 bits, past exact._REPR_BITS): above
+#: the lowest int/str digit limit, and above what build_gamma proves prime.
+BIG_PRIME = 2**2203 - 1
+
+
+def writer_cases():
+    """(graph, values) pairs for the report and export writers: Gamma_0
+    symbolic and on an empty basis, symbolic Gamma_5, Gamma_3 with a prime of
+    664 digits, n = 1 and n = 9973**161 (644 digits), each with all its
+    indices (not on 9973**161, whose r-indices are refused), values the memo
+    does not hold and no values."""
+    graphs = [build_gamma(0), build_gamma(0, ()), build_gamma(5),
+              DivisorGraph((1, 1, 1), (2, 3, BIG_PRIME), gamma=True),
+              build_general(1), build_general(9973**161)]
+    other = {"wiener": 10**700, "harary": Fraction(-47, 10**650), "mostar": 3}
+    for g in graphs:
+        if g.order < 100:
+            yield g, indices.compute_indices(g)
+        yield g, other
+        yield g, {}
+
+
+def test_report_and_export_heads_are_written_directly():
+    """report_text and the JSON export write the graph descriptor from one
+    template: every report is json.dumps of {"graph": g.descriptor(),
+    "indices": the reference documents}, every export json.dumps of its
+    reference dict, and descriptor_text at any pad is json.dumps of the
+    descriptor there, with and without its family; under the lowest int/str
+    digit limit too, and with exact.json_text and its recursion (_encoded)
+    refusing every call."""
+    cases = list(writer_cases())
+    set_limit = getattr(sys, "set_int_max_str_digits", None)  # from Python 3.11
+    old = sys.get_int_max_str_digits() if set_limit else None
+    if set_limit:
+        set_limit(0)
+    try:
+        reports = [json.dumps(report_dict(g, values), indent=2) + "\n" for g, values in cases]
+        exports = {g: json.dumps(graph_dict(g), indent=2) + "\n" for g, _ in cases}
+        heads = {}
+        for g in exports:
+            doc = g.descriptor()
+            bare = {key: v for key, v in doc.items() if key != "family"}
+            heads[g] = [(pad, json.dumps(d, indent=2).replace("\n", pad), d is doc)
+                        for pad in ("\n", "\n  ", "\n      ") for d in (doc, bare)]
+        writers = exact.json_text, exact._encoded
+
+        def refuse(*args):
+            raise AssertionError("the general JSON writer was called")
+
+        for limit in (640, 0):
+            if set_limit:
+                set_limit(limit)
+            assert [indices.report_text(g, values) for g, values in cases] == reports
+            for g, want in exports.items():
+                assert "".join(g.json_rows()) == want, g
+                for pad, text, family in heads[g]:
+                    assert g.descriptor_text(pad, family) == text, (g, pad)
+            exact.json_text = exact._encoded = refuse
+            try:
+                assert [indices.report_text(g, values) for g, values in cases] == reports
+                assert ["".join(g.json_rows()) for g in exports] == list(exports.values())
+            finally:
+                exact.json_text, exact._encoded = writers
+    finally:
+        if set_limit:
+            set_limit(old)
 
 
 def claim_entry(r):
