@@ -16,14 +16,15 @@ LISTING_RSS_MB.
 The in_process section times formulas.verification_lines(0, k_max) in this
 process, imported from the same src/: cold, with formulas' per-k record
 cleared before each run (the index memo stays warm), and then warm, as
-medians over IN_PROCESS_RUNS runs.  It also times each of WARM_REQUESTS
-warm, through cli.main with stdout into a fresh buffer per call (main_s),
-and stage by stage as cli.cmd_indices runs them: cli._parse alone
-(parse_s), the graph build with its --primes read (build_s),
-indices.compute_indices on that graph (compute_s) and indices.report_text
-on the graph and its values (report_s); per call, the median over
-IN_PROCESS_RUNS runs of IN_PROCESS_CALLS calls each.  It is reported only
-and gates nothing.
+medians over IN_PROCESS_RUNS runs of one call (cold_s, warm_s); and warm per
+call (per_call_s), timed as the request rows below are, which resolves what
+one call cannot.  It also times each of WARM_REQUESTS warm, through cli.main with
+stdout into a fresh buffer per call (main_s), and stage by stage as
+cli.cmd_indices runs them: cli._parse alone (parse_s), the graph build with
+its --primes read (build_s), indices.compute_indices on that graph
+(compute_s) and indices.report_text on the graph and its values (report_s);
+per call, the median over IN_PROCESS_RUNS runs of IN_PROCESS_CALLS calls
+each.  It is reported only and gates nothing.
 """
 
 from __future__ import annotations
@@ -68,8 +69,9 @@ CASES = LISTING_CASES + (
     ("indices", "--k", "100", "--index", NON_RADICAL),
 )
 
-#: The k_max of the in-process verification_lines cases, and runs per median.
-IN_PROCESS_K_MAX = (8, 12)
+#: The k_max of the in-process verification_lines cases (4 and 8 bound the
+#: verify requests of the cli-mix workload), and runs per median.
+IN_PROCESS_K_MAX = (4, 8, 12)
 IN_PROCESS_RUNS = 5
 
 #: A gamma-indices-sized and a divisor-indices-sized request (96 divisors),
@@ -118,12 +120,6 @@ def in_process() -> dict:
             times.append(time.perf_counter() - start)
         return statistics.median(times)
 
-    report = {}
-    for k_max in IN_PROCESS_K_MAX:
-        formulas.verification_lines(0, k_max)  # fills the index memo
-        report[f"verification_lines(0, {k_max})"] = {
-            "cold_s": median_s(k_max, cold=True), "warm_s": median_s(k_max, cold=False)}
-
     def per_call_s(call) -> float:
         times = []
         for _ in range(IN_PROCESS_RUNS):
@@ -132,6 +128,13 @@ def in_process() -> dict:
                 call()
             times.append((time.perf_counter() - start) / IN_PROCESS_CALLS)
         return statistics.median(times)
+
+    report = {}
+    for k_max in IN_PROCESS_K_MAX:
+        formulas.verification_lines(0, k_max)  # fills the index memo
+        report[f"verification_lines(0, {k_max})"] = {
+            "cold_s": median_s(k_max, cold=True), "warm_s": median_s(k_max, cold=False),
+            "per_call_s": per_call_s(lambda: formulas.verification_lines(0, k_max))}
 
     def serve(argv: list[str]) -> None:
         with contextlib.redirect_stdout(io.StringIO()):

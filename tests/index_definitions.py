@@ -259,7 +259,8 @@ class _ScannedGraph:
 def reference_indices(g) -> dict:
     """All fourteen indices of g by enumeration, keyed by index name: Randic
     and Balaban as canonical terms (radical_reference), the others as ints
-    and Fractions."""
+    and Fractions.  Harary and harmonic count pairs per distance and edges
+    per degree sum as integers, then add one Fraction per class."""
     edges, deg = edges_and_degrees(g)
     scanned = _ScannedGraph(g.order, edges)
     rows = [bfs_row(scanned, i) for i in range(g.order)]
@@ -276,16 +277,18 @@ def reference_indices(g) -> dict:
     levels = [_level_sets(row) for row in rows]
     for i, j in edges:
         mostar += abs(_closer(levels[i], levels[j]) - _closer(levels[j], levels[i]))
+    by_distance = Counter(d for _, _, d in pairs)
+    by_degree_sum = Counter(deg[i] + deg[j] for i, j in edges)
     values = {
         "wiener": sum(d for _, _, d in pairs),
         "hyper_wiener": Fraction(sum(d + d * d for _, _, d in pairs), 2),
-        "harary": sum((Fraction(1, d) for _, _, d in pairs), Fraction(0)),
+        "harary": sum((Fraction(c, d) for d, c in by_distance.items()), Fraction(0)),
         "zagreb1": sum(d * d for d in deg),
         "zagreb2": sum(deg[i] * deg[j] for i, j in edges),
         "degree_distance": sum((deg[i] + deg[j]) * d for i, j, d in pairs),
         "gutman": sum(deg[i] * deg[j] * d for i, j, d in pairs),
         "balaban": balaban,
-        "harmonic": sum((Fraction(2, deg[i] + deg[j]) for i, j in edges), Fraction(0)),
+        "harmonic": sum((Fraction(2 * c, s) for s, c in by_degree_sum.items()), Fraction(0)),
         "randic": _inv_sqrt_sum(Counter(deg[i] * deg[j] for i, j in edges)),
         "r1": sum(x * x for x in r),
         "r2": sum(r[i] * r[j] for i, j in edges),

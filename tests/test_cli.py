@@ -7,6 +7,7 @@ import json
 import random
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -360,6 +361,10 @@ def test_verification_lines_function():
      "k=4 degree: formula 7 != oracle 6 at vertex p1p2 [FAIL]"),
     ("size_formula", lambda f: lambda k: f(k) + (k == 3),
      "k=3 size: formula 20 != oracle 19 [FAIL]"),
+    ("harary_formula", lambda f: lambda k: f(k) + Fraction(1, 2) * (k == 3),
+     "k=3 harary: formula 24 != oracle 47/2 [FAIL]"),
+    ("size_recursive", lambda f: lambda k: f(k) - (k == 2),
+     "k=2 size_recursive: formula 4 != oracle 5 [FAIL]"),
 ])
 def test_verify_reports_a_wrong_formula(capsys, monkeypatch, name, off, failed):
     """A closed form off at one k (the degree at one omega) fails that line
@@ -367,7 +372,8 @@ def test_verify_reports_a_wrong_formula(capsys, monkeypatch, name, off, failed):
     the summary counts the failure and verify exits 1.  The oracle side of
     each k is kept before the formula is patched: the kept record is
     compared with the live closed form, and the failed degree line builds
-    the labels again."""
+    the labels again.  A failed line prints the formula's own value, not the
+    oracle's kept text."""
     assert verification_lines(2, 4)[1]
     monkeypatch.setattr(formulas, name, off(getattr(formulas, name)))
     lines, ok = verification_lines(2, 4)

@@ -1,9 +1,11 @@
-"""Closed forms: frozen examples and equality with the index engine."""
+"""Closed forms: frozen examples, a proof of each table for every k, and
+equality with the index engine."""
 
 import gc
 import sys
 import tracemalloc
 from fractions import Fraction
+from math import comb
 
 import pytest
 
@@ -20,7 +22,7 @@ from graphlab.formulas import (
     wiener_formula,
     zagreb1_formula,
 )
-from graphlab.exact import _int_str
+from graphlab.exact import _int_str, normalize
 from graphlab.graphs import build_gamma
 from graphlab import indices
 
@@ -127,6 +129,79 @@ def test_formulas_equal_definitions():
         assert zagreb1_formula(k) == indices.compute_index(g, "zagreb1")
         for i in range(g.order):
             assert degree_formula(k, g.omegas[i]) == g.degrees()[i]
+
+
+#: Each closed form as the paper prints it, with the bases of that print as an
+#: exponential polynomial in k, and the function verify evaluates.
+PRINTED = {
+    "order": (lambda k: 2**k, {2}, order_formula),
+    "size": (lambda k: 3**k - 2**k, {3, 2}, size_formula),
+    "wiener": (lambda k: 2 ** (2 * k) - 3**k, {4, 3}, wiener_formula),
+    "hyper_wiener": (lambda k: Fraction(2) ** (k - 1) * (2 ** (k + 1) + 2**k + 1) - 2 * 3**k,
+                     {4, 3, 2}, hyper_wiener_formula),
+    "harary": (lambda k: (Fraction(2) ** (k - 1) * (2**k - 3) + 3**k) / 2, {4, 3, 2},
+               harary_formula),
+    "zagreb1": (lambda k: 2 * (2**k - 1) ** 2
+                + sum(comb(k, j) * (2**j + 2 ** (k - j) - 2) ** 2 for j in range(1, k)),
+                {5, 4, 3, 2}, zagreb1_formula),
+}
+
+
+def test_every_form_has_a_table():
+    assert set(PRINTED) == set(formulas._TABLES)
+
+
+@pytest.mark.parametrize("name", sorted(PRINTED))
+def test_table_equals_the_printed_form_for_every_k(name):
+    """A proof, for every k >= 0, that each table of formulas._TABLES equals
+    the paper's printed form.
+
+    Both sides are exponential polynomials f(k) = sum_i c_i * b_i**k with
+    rational c_i: the table by construction, the printed form by expanding
+    it.  2**(k-1) * (2**(k+1) + 2**k + 1) - 2 * 3**k is 3/2 * 4**k + 1/2 *
+    2**k - 2 * 3**k; (2**(k-1) * (2**k - 3) + 3**k) / 2 is 1/4 * 4**k - 3/4 *
+    2**k + 1/2 * 3**k.  M1's end terms 2 * (2**k - 1)**2 are the terms
+    j = 0 and j = k of its binomial sum (both are 0 at k = 0), so M1 is
+    sum_j C(k, j) * (2**j + 2**(k-j) - 2)**2 over 0 <= j <= k; expanding the
+    square, the binomial theorem sums each term to a power of 5, 4, 3 or 2.
+
+    Their difference has at most N distinct bases, N the size of the union.
+    If it vanishes at k = 0..N-1, the coefficients c solve V c = 0 with the
+    Vandermonde matrix V[k][i] = b_i**k of distinct bases, which is
+    invertible, so c = 0 and the two agree at every k.  The function verify
+    evaluates is checked at the same k, value and type."""
+    printed, printed_bases, form = PRINTED[name]
+    den, table = formulas._TABLES[name]
+    bases = printed_bases | set(table)
+    for k in range(len(bases)):
+        value = Fraction(sum(c * b**k for b, c in table.items()), den)
+        assert value == printed(k), (name, k)
+        assert form(k) == value and type(form(k)) is type(normalize(value)), (name, k)
+
+
+def test_size_recursive_equals_the_size_for_every_k():
+    """Over Gamma_j, sum_v (deg v + 1) = sum_omega C(j, omega) * (2**omega +
+    2**(j-omega) - 1) (the degree formula's two branches agree at omega in
+    {0, j}) = 2 * 3**j - 2**j by the binomial theorem: bases {3, 2}, checked
+    at j = 0, 1.  size_recursive(k) sums those steps over j < k, which is
+    (3**k - 1) - (2**k - 1): bases {3, 2, 1}, so agreeing with the size's
+    table {3, 2} at k = 0, 1, 2 proves it for every k."""
+    for j in range(2):
+        vertex_sum = sum(comb(j, w) * (degree_formula(j, w) + 1) for w in range(j + 1))
+        assert vertex_sum == 2 * 3**j - 2**j
+    for k in range(3):
+        assert size_recursive(k) == size_formula(k)
+
+
+def test_tables_equal_the_engine_to_k_100():
+    """The tables against the index engine's profile, and order and size
+    against the graph, on Gamma_0..Gamma_100: the engine folds divisor
+    counts, the tables come from the degree formula alone."""
+    for k in range(101):
+        g = build_gamma(k)
+        assert (order_formula(k), size_formula(k)) == (g.order, g.size()), k
+        for name in ("wiener", "hyper_wiener", "harary", "zagreb1"):
+            assert PRINTED[name][2](k) == indices.compute_index(g, name), (name, k)
 
 
 @pytest.mark.parametrize("k_min, k_max", [(5, 2), (-1, 3), (1, 0), (-2, -1)])
