@@ -18,8 +18,10 @@ process, imported from the same src/: cold, with formulas' per-k record
 cleared before each run (the index memo stays warm), and then warm, as
 medians over IN_PROCESS_RUNS runs of one call (cold_s, warm_s); and warm per
 call (per_call_s), timed as the request rows below are, which resolves what
-one call cannot.  It also times each of WARM_REQUESTS warm, through cli.main with
-stdout into a fresh buffer per call (main_s), and stage by stage as
+one call cannot.  It times CLAIMS_REPORT, every claim evaluated and its
+JSON report written as `claims --format json` does, warm per call
+(per_call_s).  It also times each of WARM_REQUESTS warm, through cli.main
+with stdout into a fresh buffer per call (main_s), and stage by stage as
 cli.cmd_indices runs them: cli._parse alone (parse_s), the graph build with
 its --primes read (build_s), indices.compute_indices on that graph
 (compute_s) and indices.report_text on the graph and its values (report_s);
@@ -82,6 +84,9 @@ WARM_REQUESTS = (
 )
 IN_PROCESS_CALLS = 200
 
+#: The claims report row: every registered claim evaluated and written as JSON.
+CLAIMS_REPORT = 'claims.render_report(claims.run_all(), "json")'
+
 #: Run by a fresh interpreter, so RUSAGE_CHILDREN holds the CLI alone.
 _MEASURE = """
 import json, resource, subprocess, sys, time
@@ -107,7 +112,7 @@ def measure(argv: tuple[str, ...]) -> dict:
 
 def in_process() -> dict:
     sys.path.insert(0, str(SRC))
-    from graphlab import cli, formulas, indices
+    from graphlab import claims, cli, formulas, indices
     from graphlab.graphs import build_gamma, build_general
 
     def median_s(k_max: int, cold: bool) -> float:
@@ -135,6 +140,10 @@ def in_process() -> dict:
         report[f"verification_lines(0, {k_max})"] = {
             "cold_s": median_s(k_max, cold=True), "warm_s": median_s(k_max, cold=False),
             "per_call_s": per_call_s(lambda: formulas.verification_lines(0, k_max))}
+
+    claims.render_report(claims.run_all(), "json")  # fills the index memo and the kept texts
+    report[CLAIMS_REPORT] = {
+        "per_call_s": per_call_s(lambda: claims.render_report(claims.run_all(), "json"))}
 
     def serve(argv: list[str]) -> None:
         with contextlib.redirect_stdout(io.StringIO()):

@@ -20,13 +20,14 @@ Known quirks carried as claim notes:
 
 The registry is built once per process (builtin_claims is cached): its
 claims, and the Fractions, ints and RadicalSums they hold, are immutable.
-render_report writes the JSON report with exact.json_text (the bytes of
-json.dumps(doc, indent=2) plus a newline), each claimed and oracle value as
-its exact.value_text; parse_report reads it back.  A registered claim's text
-is written once per process, beside the registry, and its oracle's is cut
-from the one the shape memo of Gamma_k keeps (indices.shape_profile), each
-made at the indent where it sits in the report, so a repeated report writes
-no value again and json_text re-indents none.
+render_report writes the JSON report from one template, as the bytes of
+json.dumps(doc, indent=2) plus a newline: the summary counts and each
+entry's k by exact._int_str, its strings by exact._quote, and each claimed
+and oracle value as its exact.value_text, indented to where the entry's
+fields sit (_ENTRY_PAD), or null; parse_report reads it back.  A registered
+claim's text is written once per process, beside the registry, and its
+oracle's is cut from the one the shape memo of Gamma_k keeps
+(indices.shape_profile), so a repeated report writes no value again.
 """
 
 from __future__ import annotations
@@ -41,9 +42,9 @@ from .exact import (
     RadicalSum,
     Value,
     _field,
-    _Text,
+    _int_str,
+    _quote,
     format_value,
-    json_text,
     value_from_json,
     value_text,
 )
@@ -52,6 +53,7 @@ from .graphs import build_gamma
 MATCH = "match"
 MISMATCH = "mismatch"
 UNEVALUABLE = "unevaluable"
+_VERDICTS = (MATCH, MISMATCH, UNEVALUABLE)
 
 
 @dataclass(frozen=True)
@@ -228,55 +230,52 @@ def summary_counts(reports: list[ClaimReport]) -> dict[str, int]:
     return counts
 
 
-#: The newline and indent at which json_text writes each field of a report
-#: entry, in {"reports": [{"claimed": ..., "oracle": ...}]}: the value leaves
-#: are made at this pad, so json_text splices them as they are.
+#: The newline and indent of each field of a report entry, in
+#: {"reports": [{"claimed": ..., "oracle": ...}]}: the value texts are made
+#: at this pad, so the template splices them as they are.
 _ENTRY_PAD = "\n      "
 
 
-def _value_leaf(v: Value | None) -> _Text | None:
-    """v's value_text as a leaf at _ENTRY_PAD; None (null) passes through."""
-    return None if v is None else _Text.at(value_text(v), _ENTRY_PAD)
+def _value_leaf(v: Value | None) -> str:
+    """v's value_text indented to sit at _ENTRY_PAD; null for None."""
+    return "null" if v is None else value_text(v).replace("\n", _ENTRY_PAD)
 
 
 @functools.cache
-def _claimed_leaves() -> dict[str, tuple[Claim, _Text | None]]:
-    """Each registered claim by id, with its claimed value's text leaf:
-    written once per process, like the registry."""
+def _claimed_leaves() -> dict[str, tuple[Claim, str]]:
+    """Each registered claim by id, with its claimed value's text at
+    _ENTRY_PAD: written once per process, like the registry."""
     return {c.id: (c, _value_leaf(c.claimed)) for c in builtin_claims()}
 
 
-def _report_entry(r: ClaimReport) -> dict:
+def _entry_text(r: ClaimReport) -> str:
+    """One entry of the "reports" list, as json.dumps(..., indent=2) writes it there."""
     claim = r.claim
     registered, claimed = _claimed_leaves().get(claim.id, (None, None))
     if registered is not claim:  # read back, or built by hand
         claimed, oracle = _value_leaf(claim.claimed), _value_leaf(r.oracle)
     elif r.oracle is None:
-        oracle = None
+        oracle = "null"
     else:  # the text kept in Gamma_k's shape memo, when r.oracle is the value kept there
         oracle = indices.shape_profile((1,) * claim.k).text_of(claim.index, r.oracle, _ENTRY_PAD)
-    entry = {
-        "id": r.claim.id,
-        "k": r.claim.k,
-        "index": r.claim.index,
-        "claimed": claimed,
-        "oracle": oracle,
-        "verdict": r.verdict,
-        "source": r.claim.source,
-    }
-    if r.claim.symbolic:
-        entry["symbolic"] = r.claim.symbolic
+    fields = [f'"id": {_quote(claim.id)}', f'"k": {_int_str(claim.k)}',
+              f'"index": {_quote(claim.index)}', f'"claimed": {claimed}', f'"oracle": {oracle}',
+              f'"verdict": {_quote(r.verdict)}', f'"source": {_quote(claim.source)}']
+    if claim.symbolic:
+        fields.append(f'"symbolic": {_quote(claim.symbolic)}')
     if r.note:
-        entry["note"] = r.note
-    return entry
+        fields.append(f'"note": {_quote(r.note)}')
+    return f"{{{_ENTRY_PAD}{(',' + _ENTRY_PAD).join(fields)}\n    }}"
 
 
 def render_report(reports: list[ClaimReport], fmt: str = "json") -> str:
     """Render verdicts as a JSON document or a markdown table."""
     counts = summary_counts(reports)
     if fmt == "json":
-        doc = {"summary": counts, "reports": [_report_entry(r) for r in reports]}
-        return json_text(doc)
+        summary = ",\n    ".join([f'"{key}": {_int_str(n)}' for key, n in counts.items()])
+        entries = ",\n    ".join(map(_entry_text, reports))
+        body = f"[\n    {entries}\n  ]" if reports else "[]"
+        return f'{{\n  "summary": {{\n    {summary}\n  }},\n  "reports": {body}\n}}\n'
     if fmt == "markdown":
         lines = ["# Claim verification report", ""]
         summary = f"{counts['total']} claims: {counts['match']} match, {counts['mismatch']} mismatch"
@@ -297,18 +296,23 @@ def render_report(reports: list[ClaimReport], fmt: str = "json") -> str:
 
 def parse_report(doc: str) -> list[ClaimReport]:
     """Inverse of render_report(..., "json"); a missing or wrong-shaped
-    field raises ValueError naming it."""
+    field raises ValueError naming it: id, index, source, verdict and the
+    optional symbolic and note hold strings, k an int, and verdict one of
+    MATCH, MISMATCH and UNEVALUABLE."""
     out = []
     for e in _field(json.loads(doc), "reports", list):
         claim = Claim(
-            id=_field(e, "id"),
-            k=_field(e, "k"),
-            index=_field(e, "index"),
+            id=_field(e, "id", str),
+            k=_field(e, "k", int),
+            index=_field(e, "index", str),
             claimed=value_from_json(_field(e, "claimed")),
-            source=_field(e, "source"),
-            symbolic=e.get("symbolic", ""),
-            note=e.get("note", ""),
+            source=_field(e, "source", str),
+            symbolic=_field(e, "symbolic", str) if "symbolic" in e else "",
+            note=_field(e, "note", str) if "note" in e else "",
         )
-        out.append(ClaimReport(claim, value_from_json(_field(e, "oracle")),
-                               _field(e, "verdict"), e.get("note", "")))
+        verdict = _field(e, "verdict", str)
+        if verdict not in _VERDICTS:
+            raise ValueError(f"expected the field 'verdict' to hold one of {_VERDICTS}, "
+                             f"got {verdict!r:.40}")
+        out.append(ClaimReport(claim, value_from_json(_field(e, "oracle")), verdict, claim.note))
     return out

@@ -14,10 +14,10 @@ refuse a graph above graphs._MAX_LISTED_EDGES edges before listing any.
 Output for identical invocations is byte identical: no timestamps,
 canonical orderings throughout.  JSON text is the bytes of
 json.dumps(doc, indent=2) plus a newline, with each exact value written by
-exact.value_text: an index report from one template
-(indices.report_text), the claims report by exact.json_text.  The graph exports are streams of row
-texts (DivisorGraph.json_rows and dot_rows, metric.csv_rows), written to
-stdout with writelines as they are made, so no whole document is held.  The
+exact.value_text, each report from one template (indices.report_text,
+claims.render_report).  The graph exports are streams of row texts
+(DivisorGraph.json_rows and dot_rows, metric.csv_rows), written to stdout
+with writelines as they are made, so no whole document is held.  The
 claims and formulas modules are imported by the subcommands that use them,
 so the other subcommands start without them.  main reads an argv of plain
 "--option value" pairs from a table of the options argv[0]'s parser

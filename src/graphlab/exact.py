@@ -18,14 +18,12 @@ bits (603 digits, below every digit limit Python allows) they print with
 int.__repr__, above that by a binary split into exact Decimal arithmetic,
 and they are parsed by int() up to 600 characters, above by the reverse
 split into leaves of at most 600 digits read by int(); both are
-subquadratic.  value_text writes each value's JSON text; json_text writes
-the claims report, with those texts spliced in as _Text (index reports and
-graph exports are written from templates, in indices and graphs).  A _Text
-records the indent it was written at and is spliced verbatim where it sits
-at that indent, re-indented by one replace elsewhere.  factorize
-trial-divides a wide cofactor by blocks of odd divisors, one gcd per block.
-is_prime reads a number below 43**2 from a sieved table and runs
-Miller-Rabin above.
+subquadratic.  value_text writes each value's JSON text, at indent 0.  The
+reports and graph exports are written from templates (in indices, claims
+and graphs), and a report splices each value's text in, re-indented by one
+replace to the line it sits on.  factorize trial-divides a wide cofactor by
+blocks of odd divisors, one gcd per block.  is_prime reads a number below
+43**2 from a sieved table and runs Miller-Rabin above.
 """
 
 from __future__ import annotations
@@ -539,10 +537,12 @@ def value_text(v: Value) -> str:
 
 
 def _field(obj, name: str, shape: type = object):
-    """obj[name] for a JSON object obj holding a `shape` there, else ValueError."""
-    if not (isinstance(obj, dict) and name in obj and isinstance(obj[name], shape)):
+    """obj[name] for a JSON object obj holding a `shape` there, else
+    ValueError.  The type must be shape itself, so a bool is not an int."""
+    if not (isinstance(obj, dict) and name in obj
+            and (shape is object or type(obj[name]) is shape)):
         raise ValueError(f"expected a JSON object with the field {name!r}"
-                         + ("" if shape is object else f" holding a {shape.__name__}"))
+                         + ("" if shape is object else f" of type {shape.__name__}"))
     return obj[name]
 
 
@@ -568,9 +568,7 @@ def value_from_json(obj: dict | None) -> Value | None:
     if kind == "radical":
         terms: dict[int, Fraction] = {}
         for t in _field(obj, "terms", list):
-            d = _field(t, "radicand")
-            if type(d) is not int:
-                raise ValueError(f"radicand must be an integer, got {d!r:.40}")
+            d = _field(t, "radicand", int)
             if d in terms:
                 raise ValueError(f"radicand {_int_str(d)} appears in two terms")
             terms[d] = Fraction(_int_from_str(_field(t, "num")), _den_from_str(_field(t, "den")))
@@ -593,74 +591,7 @@ def format_value(v: Value | None) -> str:
 _quote = json.encoder.encode_basestring_ascii  # the stdlib's C string quoting
 
 
-class _Text(str):
-    """JSON text already encoded, each newline followed by pad, a newline and
-    an indent ("\n" for value_text's output, at indent 0): a leaf json_text
-    writes as it is where it sits at pad, and re-indents by one replace
-    elsewhere.  at() makes one at another pad; a str subclass takes no
-    non-empty __slots__, so that pad is an instance attribute."""
-
-    pad = "\n"
-
-    @classmethod
-    def at(cls, text: str, pad: str) -> _Text:
-        """text, written at indent 0, as a leaf indented to sit at pad."""
-        leaf = cls(text.replace("\n", pad))
-        leaf.pad = pad
-        return leaf
-
-
-def _encoded(values, pad: str) -> list[str]:
-    """json.dumps(v, indent=2) of each v in values, nested at pad (a newline
-    and the indent of the enclosing line), each _Text as the JSON it holds,
-    unchanged when its pad is this one.  Strings and ints, the bulk of every
-    document, are written inline (ints past _REPR_BITS bits by _int_str), and
-    each container is one join.  A list whose items are all str or all int is
-    one map (_column)."""
-    inner = pad + "  "
-    out = []
-    for v in values:
-        if type(v) is _Text:
-            out.append(v if v.pad == pad else v.replace(v.pad, pad))
-        elif isinstance(v, str):
-            out.append(_quote(v))
-        elif isinstance(v, int) and not isinstance(v, bool):
-            out.append(_int_str(v))
-        elif isinstance(v, dict):
-            if v:
-                items = zip(v, _encoded(v.values(), inner))
-                body = ("," + inner).join([_quote(k) + ": " + t for k, t in items])
-                out.append(f"{{{inner}{body}{pad}}}")  # copies body once, + per operand
-            else:
-                out.append("{}")
-        elif isinstance(v, (list, tuple)):
-            if v:
-                out.append(f"[{inner}{(',' + inner).join(_column(v, inner))}{pad}]")
-            else:
-                out.append("[]")
-        else:
-            out.append(json.dumps(v))  # bool, None, float; TypeError like json
-    return out
-
-
-def _column(values, pad: str):
-    """_encoded(values, pad), as one map when the values are all str or all
-    int (exact types, so bool and other subclasses go to _encoded)."""
-    kinds = {*map(type, values)}
-    if kinds == {str}:
-        return map(_quote, values)
-    if kinds == {int}:
-        return map(int.__repr__ if _fits_repr(values) else _int_str, values)
-    return _encoded(values, pad)
-
-
 def _fits_repr(ints) -> bool:
     """Whether int.__repr__ prints every int of a non-empty sequence under any digit limit."""
     return max(max(ints).bit_length(), min(ints).bit_length()) <= _REPR_BITS
 
-
-def json_text(doc) -> str:
-    """json.dumps(doc, indent=2) plus a newline, byte for byte, for documents
-    of dicts with str keys, lists, tuples, str, int, bool, None, float and
-    _Text; unlike json.dumps it prints ints past the int/str digit limit."""
-    return _encoded((doc,), "\n")[0] + "\n"

@@ -39,11 +39,11 @@ sends the pair a | b to n/b | n/a with the two degrees swapped and the sorted
 degree pair unchanged; the last prime's fold therefore visits one state of
 each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
-report_text writes a report from one template, without exact.json_text:
-the graph descriptor by DivisorGraph.descriptor_text, then the "indices"
-object as one join of its members.  When every value is the one the Profile
-keeps, they are the kept members; otherwise each is '"name": ' and
-Profile.text_of(name, v), already text at _REPORT_PAD.
+report_text writes a report from one template: the graph descriptor by
+DivisorGraph.descriptor_text, then the "indices" object as one join of its
+members.  When every value is the one the Profile keeps, they are the kept
+members; otherwise each is '"name": ' and Profile.text_of(name, v), already
+text at _REPORT_PAD.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm, prod
 
-from .exact import Value, _quote, _Text, inv_sqrt_sum, normalize, value_text
+from .exact import Value, _quote, inv_sqrt_sum, normalize, value_text
 
 #: Canonical index names, in report order.
 INDEX_NAMES = (
@@ -203,22 +203,20 @@ class Profile:
         written = self._members
         return [written[name] if name in written else self.member(name) for name in values]
 
-    def text(self, name: str, pad: str = _REPORT_PAD) -> _Text:
-        """exact.value_text of value(name) as a leaf at pad, cut from
+    def text(self, name: str, pad: str = _REPORT_PAD) -> str:
+        """exact.value_text of value(name) indented to sit at pad, cut from
         member(name) and re-indented from _REPORT_PAD at most once, so no
         second copy is kept."""
         text = self.member(name)[len(name) + 4:]  # past '"name": '
-        leaf = _Text(text if pad == _REPORT_PAD else text.replace(_REPORT_PAD, pad))
-        leaf.pad = pad
-        return leaf
+        return text if pad == _REPORT_PAD else text.replace(_REPORT_PAD, pad)
 
-    def text_of(self, name: str, v: Value, pad: str = _REPORT_PAD) -> _Text:
-        """value_text(v) as a leaf at pad: text(name, pad) when v is the value
-        kept for name, so an equal value from elsewhere is written again and
-        nothing is computed."""
+    def text_of(self, name: str, v: Value, pad: str = _REPORT_PAD) -> str:
+        """value_text(v) indented to sit at pad: text(name, pad) when v is the
+        value kept for name, so an equal value from elsewhere is written
+        again and nothing is computed."""
         if name in self._values and self._values[name] is v:
             return self.text(name, pad)
-        return _Text.at(value_text(v), pad)
+        return value_text(v).replace("\n", pad)
 
     @cached_property
     def degree_product(self) -> int:

@@ -21,6 +21,7 @@ from graphlab.claims import (
     run_all,
     summary_counts,
 )
+from graphlab.exact import value_text
 
 F = Fraction
 
@@ -155,10 +156,10 @@ def test_json_round_trip():
     doc = render_report(reports, "json")
     assert parse_report(doc) == reports
     assert render_report(reports, "json") == doc
-    kept = [indices.shape_profile((1,) * r.claim.k).text_of(r.claim.index, r.oracle)
+    kept = [(indices.shape_profile((1,) * r.claim.k).text_of(r.claim.index, r.oracle), r.oracle)
             for r in reports if r.oracle is not None]
-    assert kept and {leaf.pad for leaf in kept} == {"\n    "}
-    assert all(leaf.replace(leaf.pad, "\n      ") in doc for leaf in kept)
+    assert kept and all(text == value_text(v).replace("\n", "\n    ") for text, v in kept)
+    assert all(text.replace("\n    ", claims._ENTRY_PAD) in doc for text, _ in kept)
     assert render_report(parse_report(doc), "json") == doc
 
 
@@ -207,6 +208,21 @@ def test_parse_report_refuses_missing_fields():
         with pytest.raises(ValueError, match=f"'{field}'"):
             parse_report(json.dumps({**doc, "reports": [entry]}))
     assert len(parse_report(json.dumps(doc))) == len(doc["reports"])
+
+
+def test_parse_report_refuses_wrong_shaped_fields():
+    """A field of the wrong shape raises ValueError naming it: id, index,
+    source, verdict, symbolic and note hold strings, k an int (not a bool
+    or a float), and verdict is match, mismatch or unevaluable."""
+    doc = json.loads(render_report(run_all(3), "json"))
+    entry = next(e for e in doc["reports"] if "symbolic" in e)
+    bad_fields = [("id", 1), ("index", None), ("source", [1]), ("verdict", 7),
+                  ("symbolic", 5), ("note", {}), ("k", "x"), ("k", True), ("k", 3.0),
+                  ("verdict", "maybe"), ("verdict", "MATCH")]
+    for field, bad in bad_fields:
+        with pytest.raises(ValueError, match=f"'{field}'"):
+            parse_report(json.dumps({**doc, "reports": [{**entry, field: bad}]}))
+    assert parse_report(json.dumps({**doc, "reports": [{**entry, "note": "n"}]}))[0].note == "n"
 
 
 def test_json_summary_fields():

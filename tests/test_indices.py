@@ -19,7 +19,7 @@ from math import comb, gcd, isqrt, prod
 
 import pytest
 
-from graphlab import exact, graphs, indices, metric
+from graphlab import graphs, indices, metric
 from graphlab.exact import RadicalSum, inv_sqrt_sum, normalize, value_text
 from graphlab.formulas import (
     degree_formula,
@@ -666,7 +666,7 @@ def test_repeated_reports_splice_the_kept_texts(monkeypatch):
     def refuse(*args):
         raise AssertionError("a kept text was written or re-indented again")
 
-    monkeypatch.setattr(exact._Text, "replace", refuse)
+    monkeypatch.setattr(indices.Profile, "text", refuse)
     monkeypatch.setattr(indices, "value_text", refuse)
     monkeypatch.setattr(indices.Profile, "text_of", refuse)
     assert [report_text(g, values) for g, values in requests] == want
