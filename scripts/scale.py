@@ -26,7 +26,8 @@ cli.cmd_indices runs them: cli._parse alone (parse_s), the graph build with
 its --primes read (build_s), indices.compute_indices on that graph
 (compute_s) and indices.report_text on the graph and its values (report_s);
 per call, the median over IN_PROCESS_RUNS runs of IN_PROCESS_CALLS calls
-each.  It is reported only and gates nothing.
+each.  Each of WARM_MAIN_REQUESTS is timed warm through cli.main alone
+(main_s), in the same way.  It is reported only and gates nothing.
 """
 
 from __future__ import annotations
@@ -83,6 +84,14 @@ WARM_REQUESTS = (
     ("indices", "--n", "27720", "--index", "all", "--format", "json"),
 )
 IN_PROCESS_CALLS = 200
+
+#: More warm requests of kinds cli-mix sends, timed through cli.main alone:
+#: the claims reports, and an indices table.
+WARM_MAIN_REQUESTS = (
+    ("claims", "--format", "json"),
+    ("claims", "--format", "markdown"),
+    ("indices", "--k", "8", "--index", "all", "--format", "table"),
+)
 
 #: The claims report row: every registered claim evaluated and written as JSON.
 CLAIMS_REPORT = 'claims.render_report(claims.run_all(), "json")'
@@ -164,6 +173,9 @@ def in_process() -> dict:
                                   "build_s": per_call_s(lambda: build(args)),
                                   "compute_s": per_call_s(lambda: indices.compute_indices(g)),
                                   "report_s": per_call_s(lambda: indices.report_text(g, values))}
+    for argv in map(list, WARM_MAIN_REQUESTS):
+        serve(argv)  # fills what a repeated request reads
+        report[" ".join(argv)] = {"main_s": per_call_s(lambda: serve(argv))}
     return report
 
 

@@ -27,7 +27,9 @@ and oracle value as its exact.value_text, indented to where the entry's
 fields sit (_ENTRY_PAD), or null; parse_report reads it back.  A registered
 claim's text is written once per process, beside the registry, and its
 oracle's is cut from the one the shape memo of Gamma_k keeps
-(indices.shape_profile), so a repeated report writes no value again.
+(indices.shape_profile).  The CLI prints kept_report(k, fmt): each report
+is graded and written once per process per (k, format), and formed again
+after builtin_claims' cache is cleared.
 """
 
 from __future__ import annotations
@@ -292,6 +294,26 @@ def render_report(reports: list[ClaimReport], fmt: str = "json") -> str:
             )
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")
+
+
+@functools.lru_cache(maxsize=8)
+def _formed_report(k: int | None, fmt: str) -> tuple[tuple[Claim, ...], str, bool]:
+    """The registry, render_report(run_all(k), fmt), and whether any of
+    those claims mismatches; the CLI asks for at most eight (k, fmt)."""
+    reports = run_all(k)
+    return builtin_claims(), render_report(reports, fmt), any(r.verdict == MISMATCH for r in reports)
+
+
+def kept_report(k: int | None = None, fmt: str = "json") -> tuple[str, bool]:
+    """render_report(run_all(k), fmt) and whether any of its claims
+    mismatches, graded and written once per process per (k, fmt).  A report
+    formed from a registry that builtin_claims no longer returns (its cache
+    was cleared) is dropped, with every other kept report, and formed again."""
+    registry, text, mismatch = _formed_report(k, fmt)
+    if registry is not builtin_claims():
+        _formed_report.cache_clear()
+        registry, text, mismatch = _formed_report(k, fmt)
+    return text, mismatch
 
 
 def parse_report(doc: str) -> list[ClaimReport]:

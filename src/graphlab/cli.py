@@ -15,7 +15,10 @@ Output for identical invocations is byte identical: no timestamps,
 canonical orderings throughout.  JSON text is the bytes of
 json.dumps(doc, indent=2) plus a newline, with each exact value written by
 exact.value_text, each report from one template (indices.report_text,
-claims.render_report).  The graph exports are streams of row texts
+claims.render_report).  A claims report is graded and written once per
+process per (k, format) (claims.kept_report), and an indices table reads
+the cells each index's Profile keeps (Profile.cells_of), as a JSON report
+reads its kept members.  The graph exports are streams of row texts
 (DivisorGraph.json_rows and dot_rows, metric.csv_rows), written to stdout
 with writelines as they are made, so no whole document is held.  The
 claims and formulas modules are imported by the subcommands that use them,
@@ -34,7 +37,7 @@ import functools
 import sys
 
 from . import indices, metric
-from .exact import _int_from_str, format_value, to_decimal
+from .exact import _int_from_str
 from .graphs import build_gamma, build_general, require_edge_budget
 
 
@@ -68,8 +71,11 @@ def cmd_divisor_graph(args: argparse.Namespace) -> int:
     return _emit_graph(build_general(args.n), args.emit)
 
 
-def _indices_table(values: dict) -> str:
-    rows = [(name, format_value(v), to_decimal(v, 6)) for name, v in values.items()]
+def _indices_table(g, values: dict) -> str:
+    """The table of values on g: each row's cells are the ones g's Profile
+    keeps when the value is the kept one (Profile.cells_of)."""
+    p = indices.profile(g)
+    rows = [(name, *p.cells_of(name, v)) for name, v in values.items()]
     w_name = max(len("index"), max(len(r[0]) for r in rows))
     w_exact = max(len("exact"), max(len(r[1]) for r in rows))
     lines = [f"{'index'.ljust(w_name)}  {'exact'.ljust(w_exact)}  approx"]
@@ -91,7 +97,7 @@ def cmd_indices(args: argparse.Namespace) -> int:
     if args.format == "json":
         sys.stdout.write(indices.report_text(g, values))
     else:
-        sys.stdout.write(_indices_table(values))
+        sys.stdout.write(_indices_table(g, values))
     return 0
 
 
@@ -106,11 +112,9 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_claims(args: argparse.Namespace) -> int:
     from . import claims as claims_mod
 
-    reports = claims_mod.run_all(args.k)
-    sys.stdout.write(claims_mod.render_report(reports, args.format))
-    if args.strict and any(r.verdict == claims_mod.MISMATCH for r in reports):
-        return 3
-    return 0
+    text, mismatch = claims_mod.kept_report(args.k, args.format)
+    sys.stdout.write(text)
+    return 3 if args.strict and mismatch else 0
 
 
 def _table(parser, func, actions, exclusive=()):

@@ -25,7 +25,9 @@ index's value (Profile.value, read from _DISPATCH) and, once asked for, its
 report member '"name": ' plus its exact.value_text, indented to where
 report_text splices it (Profile.member); that member is the one copy of the
 text kept, and Profile.text cuts the bare text from it, at the pad a caller
-asks for, for other callers.  compute_index(g, name) checks the name and
+asks for, for other callers.  Beside the member it keeps, once asked for,
+the index's two cells of the CLI's indices table, format_value and
+to_decimal(..., 6) (Profile.cells).  compute_index(g, name) checks the name and
 reads profile(g).value(name); compute_indices reads every kept value from
 one lookup of the Profile and computes only the others.  Graphs,
 listings and labels stay on each graph.  The profile lists no vertex or edge:
@@ -53,7 +55,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import comb, lcm, prod
 
-from .exact import Value, _quote, inv_sqrt_sum, normalize, value_text
+from .exact import Value, _quote, format_value, inv_sqrt_sum, normalize, to_decimal, value_text
 
 #: Canonical index names, in report order.
 INDEX_NAMES = (
@@ -83,7 +85,10 @@ _MAX_PRODUCT_BITS = 2**20
 #: exponent shapes, the least recently used dropped first.  With all fourteen
 #: a shape holds 0.1 MB on Gamma_12, 1.8 MB on Gamma_16 and 11 MB on
 #: (5, 3, 3, 2, 2, 1, 1), whose 19,508 degree pairs give megabytes of Randic
-#: and Balaban terms, so at most about 350 MB in all; cli-mix reads 15 shapes.
+#: and Balaban terms.  The table cells add 0.05 MB on Gamma_12, 0.98 MB on
+#: Gamma_16 (the digits of R1-R3, kept once for both cells) and 0.97 MB on
+#: (5, 3, 3, 2, 2, 1, 1), so at most about 385 MB in all; cli-mix reads 15
+#: shapes.
 _MAX_PROFILES = 32
 
 #: The newline and indent at which report_text splices each value, in
@@ -161,11 +166,12 @@ def lattice_counts(exponents: tuple[int, ...]) -> tuple[Counter, Counter]:
 class Profile:
     """Order, size, degree counts, (deg u, deg v) edge-pair counts and the
     degree sum and product of one exponent lattice; every index reads only
-    these.  Each index's Value and its report member, '"name": ' and the
-    value's value_text at _REPORT_PAD, are computed on first request and
-    kept (value, member); a refused value is not kept.  The member is the
-    one copy of the value's text the Profile holds.  One Profile serves every
-    graph of its shape: read it, do not change it."""
+    these.  Each index's Value, its report member, '"name": ' and the
+    value's value_text at _REPORT_PAD, and its two indices-table cells,
+    format_value and to_decimal(..., 6), are computed on first request and
+    kept (value, member, cells); a refused value is not kept.  The member is
+    the one copy of the value's JSON text the Profile holds.  One Profile
+    serves every graph of its shape: read it, do not change it."""
 
     def __init__(self, exponents: tuple[int, ...]):
         self.degree_counts, self.pair_counts = lattice_counts(exponents)
@@ -177,6 +183,7 @@ class Profile:
         self.zagreb2 = sum(a * b * c for (a, b), c in self.pair_counts.items())
         self._values: dict[str, Value] = {}
         self._members: dict[str, str] = {}
+        self._cells: dict[str, tuple[str, str]] = {}
 
     def value(self, name: str) -> Value:
         """The value of the index name on this lattice, computed once; threads
@@ -217,6 +224,23 @@ class Profile:
         if name in self._values and self._values[name] is v:
             return self.text(name, pad)
         return value_text(v).replace("\n", pad)
+
+    def cells(self, name: str) -> tuple[str, str]:
+        """The exact and approx cells of name's row in an indices table,
+        format_value(v) and to_decimal(v, 6) of v = value(name), written once,
+        as member() is.  Both cells of an int are its digits, kept once."""
+        if name not in self._cells:
+            v = self.value(name)
+            exact = format_value(v)
+            self._cells.setdefault(name, (exact, exact if type(v) is int else to_decimal(v, 6)))
+        return self._cells[name]
+
+    def cells_of(self, name: str, v: Value) -> tuple[str, str]:
+        """format_value(v) and to_decimal(v, 6): cells(name) when v is the
+        value kept for name, and written again for any other value."""
+        if name in self._values and self._values[name] is v:
+            return self.cells(name)
+        return format_value(v), to_decimal(v, 6)
 
     @cached_property
     def degree_product(self) -> int:

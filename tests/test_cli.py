@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from graphlab import cli, formulas, graphs, indices, metric
+from graphlab import claims, cli, exact, formulas, graphs, indices, metric
 from graphlab.cli import main
 from graphlab.exact import _int_from_str, _int_str
 from graphlab.formulas import verification_lines
@@ -243,6 +243,45 @@ def test_indices_table_appends_decimals(capsys):
     assert mostar_line.rstrip().endswith("36")
 
 
+def _reference_table(values: dict) -> str:
+    """An indices table with every cell formatted from its value."""
+    rows = [("index", "exact", "approx")]
+    rows += [(name, exact.format_value(v), exact.to_decimal(v, 6)) for name, v in values.items()]
+    w_name = max(len(r[0]) for r in rows)
+    w_exact = max(len(r[1]) for r in rows)
+    return "".join(f"{a.ljust(w_name)}  {b.ljust(w_exact)}  {c}\n" for a, b, c in rows)
+
+
+def test_repeated_tables_print_the_kept_cells(capsys, monkeypatch):
+    """After one `indices --format table` request, the next one prints the
+    same bytes, the cells formatted from each value, from the cells the
+    shape's Profile keeps: nothing is formatted again.  A table of a value
+    the Profile does not keep formats that value."""
+    targets = [("--k", str(k)) for k in range(9)] + [("--n", str(n)) for n in (1, 12, 720, 27720)]
+    argvs = [["indices", *target, "--index", index, "--format", "table"]
+             for target in targets for index in ("all", "randic,harmonic")]
+    first = [run_cli(capsys, *argv) for argv in argvs]
+    for argv, (code, out, _) in zip(argvs, first):
+        g = build_gamma(int(argv[2])) if argv[1] == "--k" else build_general(int(argv[2]))
+        names = None if argv[4] == "all" else argv[4].split(",")
+        assert (code, out) == (0, _reference_table(indices.compute_indices(g, names))), argv
+
+    def refuse(*args):
+        raise AssertionError("a table cell was formatted again")
+
+    for module in (exact, indices):
+        monkeypatch.setattr(module, "format_value", refuse)
+        monkeypatch.setattr(module, "to_decimal", refuse)
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
+    g = build_general(12)
+    other = {"wiener": indices.compute_index(g, "wiener"), "harary": Fraction(7, 2),
+             "zagreb1": 10**30}  # a kept value beside two the Profile does not hold
+    with pytest.raises(AssertionError, match="formatted again"):
+        cli._indices_table(g, other)
+    monkeypatch.undo()
+    assert cli._indices_table(g, other) == _reference_table(other)
+
+
 def test_indices_unknown_name_lists_valid(capsys):
     code, _, err = run_cli(capsys, "indices", "--k", "3", "--index", "szeged")
     assert code == 2
@@ -423,6 +462,37 @@ def test_claims_strict_exit_code(capsys):
     code, out, _ = run_cli(capsys, "claims", "--k", "3", "--strict")
     assert code == 3
     assert json.loads(out)["summary"]["mismatch"] == 2
+
+
+def test_repeated_claims_requests_print_the_kept_reports(capsys, monkeypatch):
+    """A second `claims` request of each (k, format) prints the bytes of the
+    first without grading a claim or writing a value, and --strict exits 3
+    on the kept verdicts.  Once builtin_claims' cache is cleared, the next
+    request grades and writes its report again, from the new registry."""
+    argvs = [["claims", *(["--k", str(k)] if k else []), "--format", fmt]
+             for k in (None, 3, 4, 5) for fmt in ("json", "markdown")]
+    first = [run_cli(capsys, *argv) for argv in argvs]
+    assert all(code == 0 for code, _, _ in first)
+
+    def refuse(*args):
+        raise AssertionError("a claim was graded or a value written again")
+
+    for name in ("evaluate_claim", "value_text", "format_value"):
+        monkeypatch.setattr(claims, name, refuse)
+    assert [run_cli(capsys, *argv) for argv in argvs] == first
+    assert [run_cli(capsys, *argv, "--strict") for argv in argvs] == [
+        (3, out, err) for _, out, err in first]  # every k has a mismatch
+    old = claims.builtin_claims()
+    claims.builtin_claims.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="graded or a value written again"):
+            main(argvs[0])
+        monkeypatch.undo()
+        assert [run_cli(capsys, *argv) for argv in argvs] == first
+        assert claims.builtin_claims() is not old
+        assert claims._formed_report(None, "json")[0] is claims.builtin_claims()
+    finally:
+        claims._claimed_leaves.cache_clear()  # kept beside the registry in use
 
 
 def test_usage_errors_exit_two(capsys):
