@@ -13,26 +13,32 @@ object.  The exit code is 1 when a run exits nonzero or when a run that
 lists Gamma_12 (an export, or verify up to k = 12) peaks at or above
 LISTING_RSS_MB.
 
-The in_process section times formulas.verification_lines(0, k_max) in this
-process, imported from the same src/: cold, with formulas' per-k record
-cleared before each run (the index memo stays warm), and then warm, as
-medians over IN_PROCESS_RUNS runs of one call (cold_s, warm_s); and warm per
-call (per_call_s), timed as the request rows below are, which resolves what
-one call cannot.  It times CLAIMS_REPORT, every claim evaluated and its
-JSON report written as `claims --format json` does, warm per call
-(per_call_s).  It also times each of WARM_REQUESTS warm, through cli.main
-with stdout into a fresh buffer per call (main_s), and stage by stage as
-cli.cmd_indices runs them: cli._parse alone (parse_s), the graph build with
-its --primes read (build_s), indices.compute_indices on that graph
-(compute_s) and indices.report_text on the graph and its values (report_s);
-per call, the median over IN_PROCESS_RUNS runs of IN_PROCESS_CALLS calls
-each.  Each of WARM_MAIN_REQUESTS is timed warm through cli.main alone
-(main_s), in the same way.  It is reported only and gates nothing.
+The in_process section first times perfbench/calibrate.kernel(), the
+benchmark's fixed host-speed reference (kernel_s), so that rows of rounds
+taken at different host speeds can be compared divided by it.  It times
+formulas.verification_lines(0, k_max) in this process, imported from the
+same src/: cold, with formulas' per-k record cleared before each run (the
+index memo stays warm), and then warm, as medians over IN_PROCESS_RUNS runs
+of one call (cold_s, warm_s); and warm per call (per_call_s), timed as the
+request rows below are, which resolves what one call cannot.  It times
+CLAIMS_REPORT, every claim evaluated and its JSON report written as
+`claims --format json` does, warm per call (per_call_s), and as the CLI
+forms it once per process, claims.kept_report(None, "json") with its kept
+reports dropped and the index memo warm (first_s).  It also times each of
+WARM_REQUESTS warm, through cli.main with stdout into a fresh buffer per
+call (main_s), and stage by stage as cli.cmd_indices runs them: cli._parse
+alone (parse_s), the graph build with its --primes read (build_s),
+indices.compute_indices on that graph (compute_s) and indices.report_text on
+the graph and its values (report_s); per call, the median over
+IN_PROCESS_RUNS runs of IN_PROCESS_CALLS calls each.  Each of
+WARM_MAIN_REQUESTS is timed warm through cli.main alone (main_s), in the
+same way.  It is reported only and gates nothing.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import io
 import json
 import os
@@ -42,7 +48,8 @@ import sys
 import time
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
 
 #: Runs per case; the RSS gate takes the largest peak over them.
 RUNS = 3
@@ -120,17 +127,18 @@ def measure(argv: tuple[str, ...]) -> dict:
 
 
 def in_process() -> dict:
-    sys.path.insert(0, str(SRC))
+    sys.path[:0] = [str(SRC), str(ROOT / "perfbench")]
+    from calibrate import kernel
     from graphlab import claims, cli, formulas, indices
     from graphlab.graphs import build_gamma, build_general
 
-    def median_s(k_max: int, cold: bool) -> float:
+    def once_s(call, clear=lambda: None) -> float:
+        """The median over IN_PROCESS_RUNS runs of one call, each after clear()."""
         times = []
         for _ in range(IN_PROCESS_RUNS):
-            if cold:
-                formulas._oracle.cache_clear()
+            clear()
             start = time.perf_counter()
-            formulas.verification_lines(0, k_max)
+            call()
             times.append(time.perf_counter() - start)
         return statistics.median(times)
 
@@ -143,16 +151,19 @@ def in_process() -> dict:
             times.append((time.perf_counter() - start) / IN_PROCESS_CALLS)
         return statistics.median(times)
 
-    report = {}
+    report = {"calibrate.kernel()": {"kernel_s": once_s(kernel)}}
     for k_max in IN_PROCESS_K_MAX:
-        formulas.verification_lines(0, k_max)  # fills the index memo
+        verify = functools.partial(formulas.verification_lines, 0, k_max)
+        verify()  # fills the index memo
         report[f"verification_lines(0, {k_max})"] = {
-            "cold_s": median_s(k_max, cold=True), "warm_s": median_s(k_max, cold=False),
-            "per_call_s": per_call_s(lambda: formulas.verification_lines(0, k_max))}
+            "cold_s": once_s(verify, formulas._oracle.cache_clear), "warm_s": once_s(verify),
+            "per_call_s": per_call_s(verify)}
 
-    claims.render_report(claims.run_all(), "json")  # fills the index memo and the kept texts
+    claims.render_report(claims.run_all(), "json")  # fills the index memo
     report[CLAIMS_REPORT] = {
-        "per_call_s": per_call_s(lambda: claims.render_report(claims.run_all(), "json"))}
+        "per_call_s": per_call_s(lambda: claims.render_report(claims.run_all(), "json")),
+        "first_s": once_s(functools.partial(claims.kept_report, None, "json"),
+                          claims._formed_report.cache_clear)}
 
     def serve(argv: list[str]) -> None:
         with contextlib.redirect_stdout(io.StringIO()):

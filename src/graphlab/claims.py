@@ -24,12 +24,10 @@ render_report writes the JSON report from one template, as the bytes of
 json.dumps(doc, indent=2) plus a newline: the summary counts and each
 entry's k by exact._int_str, its strings by exact._quote, and each claimed
 and oracle value as its exact.value_text, indented to where the entry's
-fields sit (_ENTRY_PAD), or null; parse_report reads it back.  A registered
-claim's text is written once per process, beside the registry, and its
-oracle's is cut from the one the shape memo of Gamma_k keeps
-(indices.shape_profile).  The CLI prints kept_report(k, fmt): each report
-is graded and written once per process per (k, format), and formed again
-after builtin_claims' cache is cleared.
+fields sit (_ENTRY_PAD), or null; parse_report reads it back.  The CLI
+prints kept_report(k, fmt): each report is graded and written once per
+process per (k, format), and formed again after builtin_claims' cache is
+cleared; no value's text is kept apart from the reports.
 """
 
 from __future__ import annotations
@@ -243,23 +241,10 @@ def _value_leaf(v: Value | None) -> str:
     return "null" if v is None else value_text(v).replace("\n", _ENTRY_PAD)
 
 
-@functools.cache
-def _claimed_leaves() -> dict[str, tuple[Claim, str]]:
-    """Each registered claim by id, with its claimed value's text at
-    _ENTRY_PAD: written once per process, like the registry."""
-    return {c.id: (c, _value_leaf(c.claimed)) for c in builtin_claims()}
-
-
 def _entry_text(r: ClaimReport) -> str:
     """One entry of the "reports" list, as json.dumps(..., indent=2) writes it there."""
     claim = r.claim
-    registered, claimed = _claimed_leaves().get(claim.id, (None, None))
-    if registered is not claim:  # read back, or built by hand
-        claimed, oracle = _value_leaf(claim.claimed), _value_leaf(r.oracle)
-    elif r.oracle is None:
-        oracle = "null"
-    else:  # the text kept in Gamma_k's shape memo, when r.oracle is the value kept there
-        oracle = indices.shape_profile((1,) * claim.k).text_of(claim.index, r.oracle, _ENTRY_PAD)
+    claimed, oracle = _value_leaf(claim.claimed), _value_leaf(r.oracle)
     fields = [f'"id": {_quote(claim.id)}', f'"k": {_int_str(claim.k)}',
               f'"index": {_quote(claim.index)}', f'"claimed": {claimed}', f'"oracle": {oracle}',
               f'"verdict": {_quote(r.verdict)}', f'"source": {_quote(claim.source)}']
@@ -268,6 +253,11 @@ def _entry_text(r: ClaimReport) -> str:
     if r.note:
         fields.append(f'"note": {_quote(r.note)}')
     return f"{{{_ENTRY_PAD}{(',' + _ENTRY_PAD).join(fields)}\n    }}"
+
+
+def _cell(text: str) -> str:
+    """text as one markdown table cell: '|' escaped, each newline a space."""
+    return text.replace("|", "\\|").replace("\n", " ")
 
 
 def render_report(reports: list[ClaimReport], fmt: str = "json") -> str:
@@ -289,8 +279,8 @@ def render_report(reports: list[ClaimReport], fmt: str = "json") -> str:
         lines.append("| --- | --- | --- | --- | --- | --- |")
         for r in reports:
             lines.append(
-                f"| {r.claim.id} | {r.claim.index} | {format_value(r.claim.claimed)} "
-                f"| {format_value(r.oracle)} | {r.verdict} | {r.claim.source} |"
+                f"| {_cell(r.claim.id)} | {_cell(r.claim.index)} | {format_value(r.claim.claimed)} "
+                f"| {format_value(r.oracle)} | {r.verdict} | {_cell(r.claim.source)} |"
             )
         return "\n".join(lines) + "\n"
     raise ValueError(f"unknown report format {fmt!r}")

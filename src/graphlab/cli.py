@@ -16,9 +16,9 @@ canonical orderings throughout.  JSON text is the bytes of
 json.dumps(doc, indent=2) plus a newline, with each exact value written by
 exact.value_text, each report from one template (indices.report_text,
 claims.render_report).  A claims report is graded and written once per
-process per (k, format) (claims.kept_report), and an indices table reads
-the cells each index's Profile keeps (Profile.cells_of), as a JSON report
-reads its kept members.  The graph exports are streams of row texts
+process per (k, format) (claims.kept_report).  indices.table_text writes an
+indices table; it decides, as report_text does, when to read the texts the
+Profile keeps.  The graph exports are streams of row texts
 (DivisorGraph.json_rows and dot_rows, metric.csv_rows), written to stdout
 with writelines as they are made, so no whole document is held.  The
 claims and formulas modules are imported by the subcommands that use them,
@@ -71,19 +71,6 @@ def cmd_divisor_graph(args: argparse.Namespace) -> int:
     return _emit_graph(build_general(args.n), args.emit)
 
 
-def _indices_table(g, values: dict) -> str:
-    """The table of values on g: each row's cells are the ones g's Profile
-    keeps when the value is the kept one (Profile.cells_of)."""
-    p = indices.profile(g)
-    rows = [(name, *p.cells_of(name, v)) for name, v in values.items()]
-    w_name = max(len("index"), max(len(r[0]) for r in rows))
-    w_exact = max(len("exact"), max(len(r[1]) for r in rows))
-    lines = [f"{'index'.ljust(w_name)}  {'exact'.ljust(w_exact)}  approx"]
-    for name, exact, approx in rows:
-        lines.append(f"{name.ljust(w_name)}  {exact.ljust(w_exact)}  {approx}")
-    return "\n".join(lines) + "\n"
-
-
 def cmd_indices(args: argparse.Namespace) -> int:
     if args.k is not None:
         basis = _parse_primes(args.primes) if args.primes is not None else None
@@ -94,10 +81,8 @@ def cmd_indices(args: argparse.Namespace) -> int:
         g = build_general(args.n)
     names = None if args.index == "all" else [s.strip() for s in args.index.split(",")]
     values = indices.compute_indices(g, names)
-    if args.format == "json":
-        sys.stdout.write(indices.report_text(g, values))
-    else:
-        sys.stdout.write(_indices_table(g, values))
+    write = indices.report_text if args.format == "json" else indices.table_text
+    sys.stdout.write(write(g, values))
     return 0
 
 

@@ -22,14 +22,10 @@ isomorphism by the multiset of its prime exponents, so every index is a
 function of that shape alone: profile(g) is one lookup in shape_profile, an
 lru_cache of the last _MAX_PROFILES shapes, and the Profile keeps each
 index's value (Profile.value, read from _DISPATCH) and, once asked for, its
-report member '"name": ' plus its exact.value_text, indented to where
-report_text splices it (Profile.member); that member is the one copy of the
-text kept, and Profile.text cuts the bare text from it, at the pad a caller
-asks for, for other callers.  Beside the member it keeps, once asked for,
-the index's two cells of the CLI's indices table, format_value and
-to_decimal(..., 6) (Profile.cells).  compute_index(g, name) checks the name and
-reads profile(g).value(name); compute_indices reads every kept value from
-one lookup of the Profile and computes only the others.  Graphs,
+report member (Profile.member, by _member) and its two cells of the CLI's
+indices table (Profile.cells, by _cells).  compute_index(g, name) checks the
+name and reads profile(g).value(name); compute_indices reads every kept
+value from one lookup of the Profile and computes only the others.  Graphs,
 listings and labels stay on each graph.  The profile lists no vertex or edge:
 lattice_counts counts divisor pairs a | b by (tau(a), tau(n/a), tau(b),
 tau(n/b)), which fixes both degrees.  The exponent-1 primes give their states
@@ -43,9 +39,9 @@ each mirror pair, at twice its count.  The enumeration definitions these
 identities replace are kept as the oracle in tests/index_definitions.py.
 report_text writes a report from one template: the graph descriptor by
 DivisorGraph.descriptor_text, then the "indices" object as one join of its
-members.  When every value is the one the Profile keeps, they are the kept
-members; otherwise each is '"name": ' and Profile.text_of(name, v), already
-text at _REPORT_PAD.
+members; table_text writes the CLI's indices table.  Both read the kept
+members or cells when the Profile holds every value (Profile.holds), and
+write each value by _member or _cells otherwise; no other module reads them.
 """
 
 from __future__ import annotations
@@ -96,6 +92,21 @@ _MAX_PROFILES = 32
 #: there.  The "indices" object itself sits at _OBJECT_PAD.
 _REPORT_PAD = "\n    "
 _OBJECT_PAD = "\n  "
+
+
+def _member(name: str, v: Value) -> str:
+    """The member '"name": ' plus value_text(v) at _REPORT_PAD of an index
+    report's "indices" object."""
+    text = value_text(v).replace("\n", _REPORT_PAD)
+    return f"{_quote(name)}: {text}"
+
+
+def _cells(v: Value) -> tuple[str, str]:
+    """The exact and approx cells of v's row in an indices table,
+    format_value(v) and to_decimal(v, 6); both cells of an int are its
+    digits, kept once."""
+    exact = format_value(v)
+    return exact, exact if type(v) is int else to_decimal(v, 6)
 
 
 def _exponent_pairs(e: int) -> list[tuple[int, int, int, int]]:
@@ -166,12 +177,11 @@ def lattice_counts(exponents: tuple[int, ...]) -> tuple[Counter, Counter]:
 class Profile:
     """Order, size, degree counts, (deg u, deg v) edge-pair counts and the
     degree sum and product of one exponent lattice; every index reads only
-    these.  Each index's Value, its report member, '"name": ' and the
-    value's value_text at _REPORT_PAD, and its two indices-table cells,
-    format_value and to_decimal(..., 6), are computed on first request and
-    kept (value, member, cells); a refused value is not kept.  The member is
-    the one copy of the value's JSON text the Profile holds.  One Profile
-    serves every graph of its shape: read it, do not change it."""
+    these.  Each index's Value, its report member (_member) and its two
+    indices-table cells (_cells) are computed on first request and kept
+    (value, member, cells); a refused value is not kept.  holds(values) says
+    whether values are the kept objects, whose texts a writer may read.  One
+    Profile serves every graph of its shape: read it, do not change it."""
 
     def __init__(self, exponents: tuple[int, ...]):
         self.degree_counts, self.pair_counts = lattice_counts(exponents)
@@ -193,54 +203,25 @@ class Profile:
         return self._values[name]
 
     def member(self, name: str) -> str:
-        """The member '"name": <value_text of value(name) at _REPORT_PAD>' of
-        an index report's "indices" object, written once, as value() is."""
+        """_member(name, value(name)), written once, as value() is."""
         if name not in self._members:
-            text = value_text(self.value(name)).replace("\n", _REPORT_PAD)
-            self._members.setdefault(name, f"{_quote(name)}: {text}")
+            self._members.setdefault(name, _member(name, self.value(name)))
         return self._members[name]
 
-    def members(self, values: dict[str, Value]) -> list[str] | None:
-        """member(name) for each name of values, in order, when every value
-        is the one kept for its name; else None."""
-        kept = self._values
-        for name, v in values.items():
-            if name not in kept or kept[name] is not v:
-                return None
-        written = self._members
-        return [written[name] if name in written else self.member(name) for name in values]
-
-    def text(self, name: str, pad: str = _REPORT_PAD) -> str:
-        """exact.value_text of value(name) indented to sit at pad, cut from
-        member(name) and re-indented from _REPORT_PAD at most once, so no
-        second copy is kept."""
-        text = self.member(name)[len(name) + 4:]  # past '"name": '
-        return text if pad == _REPORT_PAD else text.replace(_REPORT_PAD, pad)
-
-    def text_of(self, name: str, v: Value, pad: str = _REPORT_PAD) -> str:
-        """value_text(v) indented to sit at pad: text(name, pad) when v is the
-        value kept for name, so an equal value from elsewhere is written
-        again and nothing is computed."""
-        if name in self._values and self._values[name] is v:
-            return self.text(name, pad)
-        return value_text(v).replace("\n", pad)
-
     def cells(self, name: str) -> tuple[str, str]:
-        """The exact and approx cells of name's row in an indices table,
-        format_value(v) and to_decimal(v, 6) of v = value(name), written once,
-        as member() is.  Both cells of an int are its digits, kept once."""
+        """_cells(value(name)), written once, as member() is."""
         if name not in self._cells:
-            v = self.value(name)
-            exact = format_value(v)
-            self._cells.setdefault(name, (exact, exact if type(v) is int else to_decimal(v, 6)))
+            self._cells.setdefault(name, _cells(self.value(name)))
         return self._cells[name]
 
-    def cells_of(self, name: str, v: Value) -> tuple[str, str]:
-        """format_value(v) and to_decimal(v, 6): cells(name) when v is the
-        value kept for name, and written again for any other value."""
-        if name in self._values and self._values[name] is v:
-            return self.cells(name)
-        return format_value(v), to_decimal(v, 6)
+    def holds(self, values: dict[str, Value]) -> bool:
+        """Whether each of values is the object kept for its name, so that a
+        writer may read its kept member or cells; an equal copy is not."""
+        kept = self._values
+        for name, v in values.items():
+            if kept.get(name) is not v:
+                return False
+        return True
 
     @cached_property
     def degree_product(self) -> int:
@@ -439,13 +420,31 @@ def report_text(g, values: dict[str, Value]) -> str:
     {name: value, ...}}, as json.dumps(doc, indent=2) plus a newline writes
     it, from one template: the descriptor by g.descriptor_text, and the
     members of the "indices" object joined at _REPORT_PAD.  They are the
-    kept members of g's Profile (Profile.members) when every value is the
-    one the Profile keeps; otherwise each is '"name": ' and
-    Profile.text_of(name, v), already text at _REPORT_PAD."""
+    members g's Profile keeps when it holds every value (Profile.holds), and
+    each value's _member otherwise."""
     p = profile(g)
-    members = p.members(values)
-    if members is None:
-        members = [f"{_quote(name)}: {p.text_of(name, v)}" for name, v in values.items()]
+    if p.holds(values):
+        kept = p._members
+        members = [kept[name] if name in kept else p.member(name) for name in values]
+    else:
+        members = [_member(name, v) for name, v in values.items()]
     body = f"{{{_REPORT_PAD}{(',' + _REPORT_PAD).join(members)}{_OBJECT_PAD}}}" if members else "{}"
     graph = g.descriptor_text(_OBJECT_PAD)
     return f'{{{_OBJECT_PAD}"graph": {graph},{_OBJECT_PAD}"indices": {body}\n}}\n'
+
+
+def table_text(g, values: dict[str, Value]) -> str:
+    """The CLI's indices table of values on g, one row of name, exact and
+    approx cells per value under a header, each column padded to its widest
+    cell.  The cells are the ones g's Profile keeps when it holds every
+    value (Profile.holds), and each value's _cells otherwise."""
+    p = profile(g)
+    if p.holds(values):
+        rows = [(name, *p.cells(name)) for name in values]
+    else:
+        rows = [(name, *_cells(v)) for name, v in values.items()]
+    rows.insert(0, ("index", "exact", "approx"))
+    w_name = max(len(r[0]) for r in rows)
+    w_exact = max(len(r[1]) for r in rows)
+    return "".join([f"{name.ljust(w_name)}  {exact.ljust(w_exact)}  {approx}\n"
+                    for name, exact, approx in rows])

@@ -2,6 +2,8 @@
 
 import hashlib
 import json
+import re
+from dataclasses import replace
 from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 from pathlib import Path
@@ -14,6 +16,7 @@ from graphlab.claims import (
     MISMATCH,
     UNEVALUABLE,
     Claim,
+    ClaimReport,
     builtin_claims,
     evaluate_claim,
     parse_report,
@@ -21,7 +24,7 @@ from graphlab.claims import (
     run_all,
     summary_counts,
 )
-from graphlab.exact import value_text
+from graphlab.exact import format_value, value_text
 
 F = Fraction
 
@@ -150,33 +153,16 @@ def test_unevaluable_path():
 
 def test_json_round_trip():
     """The JSON report reads back and writes again byte for byte.  Its oracle
-    texts come from the shape memo, indented for an index report, and sit
-    two levels deeper here, re-indented."""
+    texts equal the ones the shape memo keeps for an index report,
+    re-indented two levels deeper."""
     reports = run_all()
     doc = render_report(reports, "json")
     assert parse_report(doc) == reports
     assert render_report(reports, "json") == doc
-    kept = [(indices.shape_profile((1,) * r.claim.k).text_of(r.claim.index, r.oracle), r.oracle)
-            for r in reports if r.oracle is not None]
+    kept = [(indices.shape_profile((1,) * r.claim.k).member(r.claim.index)[len(r.claim.index) + 4:],
+             r.oracle) for r in reports if r.oracle is not None]
     assert kept and all(text == value_text(v).replace("\n", "\n    ") for text, v in kept)
     assert all(text.replace("\n    ", claims._ENTRY_PAD) in doc for text, _ in kept)
-    assert render_report(parse_report(doc), "json") == doc
-
-
-def test_repeated_reports_write_no_value_again(monkeypatch):
-    """Once a report has been written, the claimed texts kept beside the
-    registry and the oracle texts kept by the shape memo write the next one;
-    a report read back, whose claims are not the registry's, is written
-    from its values to the same bytes."""
-    doc = render_report(run_all(), "json")
-
-    def refuse(v):
-        raise AssertionError("a value's text was written again")
-
-    monkeypatch.setattr(claims, "value_text", refuse)
-    monkeypatch.setattr(indices, "value_text", refuse)
-    assert render_report(run_all(), "json") == doc
-    monkeypatch.undo()
     assert render_report(parse_report(doc), "json") == doc
 
 
@@ -243,6 +229,20 @@ def test_markdown_rendering():
     rows = [l for l in lines if l.startswith("| gamma3.")]
     assert len(rows) == 13
     assert any("| mismatch |" in r for r in rows)
+
+
+def test_markdown_cells_escape_pipes_and_newlines():
+    """A claim read back with '|' or a newline in its id, index or source is
+    still one markdown row of six cells: '|' is written as '\\|' and a
+    newline as a space."""
+    r = run_all(k=3)[0]
+    odd = ClaimReport(replace(r.claim, id="a|b", index="c\nd", source="a | b\nc"), r.oracle,
+                      r.verdict, r.note)
+    md = render_report(parse_report(render_report([odd], "json")), "markdown")
+    claimed, oracle = format_value(r.claim.claimed), format_value(r.oracle)
+    row = f"| a\\|b | c d | {claimed} | {oracle} | {r.verdict} | a \\| b c |"
+    assert md.splitlines()[-1] == row and md.endswith(row + "\n")
+    assert len(re.split(r"(?<!\\)\|", row)) == 8  # seven unescaped pipes around six cells
 
 
 def test_filter_by_k():

@@ -30,7 +30,7 @@ from graphlab.formulas import (
 )
 from graphlab.graphs import build_gamma, build_general
 from graphlab.indices import (
-    INDEX_NAMES, compute_index, compute_indices, lattice_counts, profile, report_text,
+    INDEX_NAMES, compute_index, compute_indices, lattice_counts, profile, report_text, table_text,
 )
 from index_definitions import (
     Path3,
@@ -651,8 +651,8 @@ def test_cold_and_warm_values_equal_the_definitions():
 def test_repeated_reports_splice_the_kept_texts(monkeypatch):
     """Once a shape's report has been written, the next report of that shape
     of values read from the memo is one join of the kept members: no value is
-    written again, no text is re-indented and Profile.text_of is not called.
-    A report with a value the memo does not hold still goes through text_of.
+    written again, no text is re-indented and indices._member is not called.
+    A report with a value the memo does not hold still goes through _member.
     Every report is json.dumps of its reference document."""
     sample = [build_gamma(k) for k in range(7)] + [build_gamma(3, (101, 103, 107))]
     sample += [build_general(n) for n in (1, 12, 360, 5040, 21621600)]
@@ -666,9 +666,8 @@ def test_repeated_reports_splice_the_kept_texts(monkeypatch):
     def refuse(*args):
         raise AssertionError("a kept text was written or re-indented again")
 
-    monkeypatch.setattr(indices.Profile, "text", refuse)
     monkeypatch.setattr(indices, "value_text", refuse)
-    monkeypatch.setattr(indices.Profile, "text_of", refuse)
+    monkeypatch.setattr(indices, "_member", refuse)
     assert [report_text(g, values) for g, values in requests] == want
     with pytest.raises(AssertionError, match="written or re-indented again"):
         report_text(g12, other)
@@ -676,6 +675,28 @@ def test_repeated_reports_splice_the_kept_texts(monkeypatch):
     for (g, values), text in zip(requests, want):
         assert text == json.dumps(report_dict(g, values), indent=2) + "\n", g
     assert other_text == json.dumps(report_dict(g12, other), indent=2) + "\n"
+
+
+def test_an_equal_copy_of_a_kept_value_is_written_again(monkeypatch):
+    """A value equal to the kept one but another object, Fraction(47, 2) for
+    harary of Gamma_3 or -(-v) for its R1 v, is not held by the Profile, so
+    report_text and table_text write every value again, to the same bytes."""
+    g = build_gamma(3)
+    kept = compute_indices(g, ["harary", "r1"])
+    copies = {"harary": Fraction(47, 2), "r1": -(-kept["r1"])}
+    assert copies == kept and all(copies[name] is not kept[name] for name in kept)
+    want = report_text(g, kept), table_text(g, kept)
+    written = Counter()
+    for writer in ("value_text", "format_value"):
+        def count(v, writer=writer, write=getattr(indices, writer)):
+            written[writer] += 1
+            return write(v)
+        monkeypatch.setattr(indices, writer, count)
+    assert (report_text(g, kept), table_text(g, kept)) == want and not written
+    for name in kept:
+        one_copy = {**kept, name: copies[name]}
+        assert (report_text(g, one_copy), table_text(g, one_copy)) == want, name
+    assert written == {"value_text": 4, "format_value": 4}
 
 
 def test_threads_share_the_memo():
@@ -705,7 +726,7 @@ def test_threads_share_the_memo():
         assert p._members.keys() == set(INDEX_NAMES), g
         for name, member in p._members.items():
             text = value_text(p.value(name)).replace("\n", "\n    ")
-            assert member == f'"{name}": {text}' and p.text(name) == text, (g, name)
+            assert member == f'"{name}": {text}', (g, name)
 
 
 def test_the_memo_keeps_one_copy_of_each_text():
@@ -742,7 +763,7 @@ def test_refused_r_values_are_refused_on_every_call_and_not_kept():
             with pytest.raises(ValueError, match="above the budget of 1048576 bits"):
                 compute_index(g, name)
             with pytest.raises(ValueError, match="above the budget of 1048576 bits"):
-                p.text(name)
+                p.member(name)
     assert not {"r1", "r2", "r3"} & (p._values.keys() | p._members.keys())
     assert not {"degree_product", "r_quadratic"} & vars(p).keys()
     assert compute_index(g, "wiener") == wiener_formula(17)
